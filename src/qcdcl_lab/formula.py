@@ -9,6 +9,7 @@ variable is stored once in ``Clause.merged`` instead of as two literals.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .errors import IllegalTautologyError, PivotMissingError
@@ -288,11 +289,18 @@ def restrict_clause(c: Clause, assignment) -> Clause | None:
 
 
 class QCNF:
-    """A prenex QCNF: prefix plus a clause list with stable ids.
+    """A prenex QCNF and its clause database: prefix plus a clause list
+    with stable ids and a duplicate index.
 
     Indices into ``clauses`` are the clause ids used everywhere (trails,
     proofs). The first ``matrix_size`` entries are the original matrix;
-    learned clauses are appended behind them.
+    learned clauses are appended behind them, only through ``add_clause``.
+
+    Precondition: every clause is in ``make_clause`` normal form, i.e. its
+    literals and merged variables are sorted by (level, variable). Parsing,
+    the generators, ``reduce_clause`` and ``resolve_clauses`` all emit that
+    form. Duplicates and membership are decided by ``Clause.key()``, so two
+    orderings of the same clause would count as different clauses.
     """
 
     def __init__(self, prefix: Prefix, clauses, matrix_size=None):
@@ -302,20 +310,31 @@ class QCNF:
         for c in self.clauses[: self.matrix_size]:
             if c.is_tautological():
                 raise ValueError("matrix clauses must be non-tautological")
+        # Clause -> first clause id. A Clause hashes and compares as its
+        # key(), so using it directly saves allocating a key tuple per clause.
+        self._ids: dict[Clause, int] = {}
+        for cid, c in enumerate(self.clauses):
+            self._ids.setdefault(c, cid)
 
-    def add_clause(self, c: Clause) -> int:
+    def add_clause(self, c: Clause) -> tuple[int, bool]:
+        """Append ``c``; returns its id and whether it was already present."""
+        cid = len(self.clauses)
+        duplicate = self._ids.setdefault(c, cid) != cid
         self.clauses.append(c)
-        return len(self.clauses) - 1
+        return cid, duplicate
+
+    def __contains__(self, c: Clause) -> bool:
+        return c in self._ids
 
     def copy(self) -> "QCNF":
-        return QCNF(self.prefix, list(self.clauses), self.matrix_size)
+        out = copy.copy(self)
+        out.clauses = list(self.clauses)
+        out._ids = dict(self._ids)
+        return out
 
     @property
     def num_vars(self) -> int:
         return len(self.prefix.variables)
-
-    def matrix(self) -> list[Clause]:
-        return self.clauses[: self.matrix_size]
 
     def __repr__(self):
         return f"QCNF({self.prefix!r}, {len(self.clauses)} clauses)"

@@ -78,15 +78,6 @@ class Verdict:
         return self.valid
 
 
-def clause_key(c: Clause, prefix) -> tuple:
-    """Canonical identity of a clause under a prefix (order-insensitive)."""
-    order = lambda v: (prefix.level(v), v)
-    return (
-        tuple(sorted(c.lits, key=lambda l: order(abs(l)))),
-        tuple(sorted(c.merged, key=order)),
-    )
-
-
 def check_derivation(qcnf: QCNF, d: Derivation, mode: str | None = None,
                      require_refutation: bool = False) -> Verdict:
     """Re-derive every step and validate its rule's side conditions.
@@ -99,7 +90,6 @@ def check_derivation(qcnf: QCNF, d: Derivation, mode: str | None = None,
     if mode not in MODES:
         return Verdict(False, [(-1, f"unknown mode {mode!r}")])
     failures: list[tuple[int, str]] = []
-    known = {clause_key(c, qcnf.prefix): cid for cid, c in enumerate(qcnf.clauses)}
     computed: dict[int, Clause] = {}
     seen_ids: set[int] = set()
     for s in d.steps:
@@ -116,7 +106,7 @@ def check_derivation(qcnf: QCNF, d: Derivation, mode: str | None = None,
             except ValueError as exc:
                 failures.append((s.step_id, f"axiom: {exc}"))
                 continue
-            if clause_key(normal, qcnf.prefix) not in known:
+            if normal not in qcnf:
                 failures.append((s.step_id, "axiom not among the formula's clauses"))
                 continue
             computed[s.step_id] = normal
@@ -181,6 +171,25 @@ class Round:
     backtrack: Time
     picked_index: int
     duplicate: bool = False
+
+
+def record_round(work: QCNF, rounds: list[Round], trail: Trail, seq, picked,
+                 backtrack: Time) -> Round:
+    """Record one round: add the picked element of the learnable sequence
+    ``seq`` to ``work`` and append the round, with its derivation, to
+    ``rounds``. ``backtrack`` is the time the trail was resumed from."""
+    clause_id, duplicate = work.add_clause(picked.clause)
+    rnd = Round(
+        trail=trail,
+        learned=picked.clause,
+        clause_id=clause_id,
+        derivation=seq.derivation_for(picked.index),
+        backtrack=backtrack,
+        picked_index=picked.index,
+        duplicate=duplicate,
+    )
+    rounds.append(rnd)
+    return rnd
 
 
 @dataclass
@@ -267,7 +276,6 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
 
     problems: list[str] = []
     work = base.copy()
-    seen = {clause_key(c, work.prefix) for c in work.clauses}
     prev_trail: Trail | None = None
     for idx, rnd in enumerate(proof.rounds):
         tag = f"round {idx}"
@@ -298,24 +306,18 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
         seq = learnable_sequence(trail, work)
         if not (0 <= rnd.picked_index < len(seq.elements)):
             problems.append(f"{tag}: picked index {rnd.picked_index} out of range")
-        elif clause_key(seq.elements[rnd.picked_index], work.prefix) != clause_key(
-            rnd.learned, work.prefix
-        ):
+        elif seq.elements[rnd.picked_index] != rnd.learned:
             problems.append(f"{tag}: learned clause is not the recorded sequence element")
         verdict = check_derivation(work, rnd.derivation)
         if not verdict:
             problems.append(f"{tag}: derivation invalid: {verdict.failures[:3]}")
-        elif clause_key(
-            rnd.derivation.conclusion_clause(), work.prefix
-        ) != clause_key(rnd.learned, work.prefix):
+        elif rnd.derivation.conclusion_clause() != rnd.learned:
             problems.append(f"{tag}: derivation does not conclude the learned clause")
-        if rnd.clause_id != len(work.clauses):
+        clause_id, duplicate = work.add_clause(rnd.learned)
+        if rnd.clause_id != clause_id:
             problems.append(f"{tag}: clause id {rnd.clause_id} out of sequence")
-        dup = clause_key(rnd.learned, work.prefix) in seen
-        if dup != rnd.duplicate:
+        if rnd.duplicate != duplicate:
             problems.append(f"{tag}: duplicate flag wrong")
-        seen.add(clause_key(rnd.learned, work.prefix))
-        work.add_clause(rnd.learned)
         prev_trail = trail
     return problems
 
@@ -359,18 +361,22 @@ def parse_proof(text: str) -> Derivation:
                 raise QcdclError(f"line {line_no}: bad header {line!r}")
             mode = fields[2]
             continue
-        if fields[0] == "conclusion":
-            conclusion = int(fields[1])
-            continue
         kind = fields[0]
         try:
             nums = [int(f) for f in fields[1:]]
         except ValueError:
             raise QcdclError(f"line {line_no}: non-integer token") from None
-        if not nums or (kind != "conclusion" and nums[-1] != 0):
+        if kind == "conclusion":
+            if len(nums) != 1:
+                raise QcdclError(f"line {line_no}: conclusion needs one step id")
+            conclusion = nums[0]
+            continue
+        if not nums or nums[-1] != 0:
             raise QcdclError(f"line {line_no}: missing terminating 0")
         nums = nums[:-1]
         if kind == AXIOM:
+            if not nums:
+                raise QcdclError(f"line {line_no}: axiom needs a step id")
             steps.append(ProofStep(nums[0], AXIOM, clause_from_raw(nums[1:])))
         elif kind == RESOLVE:
             if len(nums) != 4:

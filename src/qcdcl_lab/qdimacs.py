@@ -15,12 +15,15 @@ from .formula import EXISTS, FORALL, Prefix, QCNF, make_clause
 
 def parse_qdimacs(text) -> QCNF:
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            line_no = text.count(b"\n", 0, exc.start) + 1
+            raise QdimacsError(line_no, "non-ASCII byte") from None
     header_seen = False
     blocks: list[tuple[str, list[int]]] = []
     raw_clauses: list[tuple[int, list[int]]] = []
     prefix_done = False
-    declared = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -32,8 +35,8 @@ def parse_qdimacs(text) -> QCNF:
             fields = line.split()
             if len(fields) != 4 or fields[:2] != ["p", "cnf"]:
                 raise QdimacsError(line_no, f"bad header {line!r}")
-            try:
-                declared = (int(fields[2]), int(fields[3]))
+            try:   # the declared counts are advisory; only their syntax is checked
+                int(fields[2]), int(fields[3])
             except ValueError:
                 raise QdimacsError(line_no, f"bad header {line!r}") from None
             header_seen = True
@@ -84,11 +87,7 @@ def parse_qdimacs(text) -> QCNF:
             seen[v] = l
         clauses.append(make_clause(prefix, lits))
 
-    qcnf = QCNF(prefix, clauses)
-    if declared is not None and declared[0] < max(prefix.variables, default=0):
-        # Declared variable count is advisory in the wild; only flag clear lies.
-        pass
-    return qcnf
+    return QCNF(prefix, clauses)
 
 
 def _int_fields(line_no, fields):

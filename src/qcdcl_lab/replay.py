@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import ScriptDivergenceError
 from .formula import QCNF
 from .learning import learnable_sequence, parse_scheme, pick_learned
-from .proofs import QcdclProof, Round, clause_key
+from .proofs import QcdclProof, Round, record_round
 from .trail import Time, Trail, decide, propagate_to_fixpoint
 
 
@@ -122,22 +122,7 @@ def replay(qcnf: QCNF, script: ReplayScript, decision_policy: str,
             raise ScriptDivergenceError(f"round {rno}: unused propagation overrides")
         seq = learnable_sequence(trail, work)
         picked = pick_learned(parse_scheme(rnd.learn), seq, trail, work)
-        duplicate = any(
-            clause_key(picked.clause, work.prefix) == clause_key(c, work.prefix)
-            for c in work.clauses
-        )
-        rounds.append(
-            Round(
-                trail=trail,
-                learned=picked.clause,
-                clause_id=len(work.clauses),
-                derivation=seq.derivation_for(picked.index),
-                backtrack=start_time,
-                picked_index=picked.index,
-                duplicate=duplicate,
-            )
-        )
-        work.add_clause(picked.clause)
+        record_round(work, rounds, trail, seq, picked, start_time)
         if picked.clause.is_empty():
             break
         if rnd.back == "restart":

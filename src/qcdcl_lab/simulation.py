@@ -33,7 +33,7 @@ from .proofs import (
     RESOLVE,
     Round,
     check_derivation,
-    clause_key,
+    record_round,
 )
 from .trail import (
     ASS_ORD,
@@ -94,7 +94,7 @@ def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause) -> bool:
 @dataclass
 class SimState:
     """Mutable simulation state: growing formula, accumulated rounds,
-    and the witness table keyed by canonical clause form."""
+    and the witness table keyed by clause."""
 
     work: QCNF
     scheme: object = ASSERTING
@@ -108,8 +108,7 @@ class SimState:
         return QcdclProof(self.rounds, decision_policy, propagation_policy)
 
     def lookup(self, clause: Clause) -> Witness | None:
-        key = clause_key(clause, self.work.prefix)
-        w = self.witnesses.get(key)
+        w = self.witnesses.get(clause)
         if w is None:
             return None
         if not witness_valid(self.work, w, clause):
@@ -121,7 +120,7 @@ class SimState:
     def store(self, clause: Clause, witness: Witness):
         if not witness_valid(self.work, witness, clause):
             raise WitnessInvalidError(f"new witness for {clause!r} does not validate")
-        self.witnesses[clause_key(clause, self.work.prefix)] = witness
+        self.witnesses[clause] = witness
 
 
 COMPLETED = "completed"
@@ -181,25 +180,6 @@ class UnreliableResult:
     witness: Witness | None = None
 
 
-def _record_round(state: SimState, trail: Trail, picked) -> None:
-    seq = learnable_sequence(trail, state.work)
-    state.rounds.append(
-        Round(
-            trail=trail,
-            learned=picked.clause,
-            clause_id=len(state.work.clauses),
-            derivation=seq.derivation_for(picked.index),
-            backtrack=state.next_backtrack,
-            picked_index=picked.index,
-            duplicate=any(
-                clause_key(picked.clause, state.work.prefix) == clause_key(c, state.work.prefix)
-                for c in state.work.clauses
-            ),
-        )
-    )
-    state.work.add_clause(picked.clause)
-
-
 def make_unreliable(state: SimState, target: Clause, initial: Trail,
                     decision_order) -> UnreliableResult:
     """Learn/backtrack with a fixed decision order until the order blocks
@@ -218,7 +198,7 @@ def make_unreliable(state: SimState, target: Clause, initial: Trail,
             raise SimulationError("unreliability loop handed a conflict-free trail")
         seq = learnable_sequence(trail, state.work)
         picked = pick_learned(state.scheme, seq, trail, state.work)
-        _record_round(state, trail, picked)
+        record_round(state.work, state.rounds, trail, seq, picked, state.next_backtrack)
         if picked.clause.is_empty():
             state.done = True
             state.loop_lengths.append(iteration + 1)
@@ -345,7 +325,7 @@ def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witn
     w = state.lookup(source)
     if w is None:
         raise SimulationError("premise witness missing; processing order broken")
-    if clause_key(source, state.work.prefix) == clause_key(reduced, state.work.prefix):
+    if source == reduced:
         return w
     dropped = source.variables() - reduced.variables()
     wanted = set(w.decisions) | {-w.literal}

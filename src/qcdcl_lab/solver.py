@@ -15,14 +15,8 @@ import random
 from dataclasses import dataclass, field
 
 from .formula import QCNF
-from .learning import (
-    ASSERTING,
-    LearningScheme,
-    Picked,
-    learnable_sequence,
-    pick_learned,
-)
-from .proofs import QcdclProof, Round, clause_key
+from .learning import ASSERTING, LearningScheme, learnable_sequence, pick_learned
+from .proofs import QcdclProof, Round, record_round
 from .trail import (
     DECISION_POLICIES,
     PROPAGATION_POLICIES,
@@ -88,7 +82,6 @@ def _pick_decision(trail, qcnf, cfg, flip_counter, rng):
 def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
     work = qcnf.copy()
     rng = random.Random(cfg.seed)
-    seen = {clause_key(c, work.prefix) for c in work.clauses}
     rounds: list[Round] = []
     flip_counter = 0
     saturations_total = 0
@@ -126,30 +119,17 @@ def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
 
         saturation_streak = 0
         seq = learnable_sequence(trail, work)
-        picked: Picked = pick_learned(cfg.scheme, seq, trail, work)
-        duplicate = clause_key(picked.clause, work.prefix) in seen
-        rounds.append(
-            Round(
-                trail=trail,
-                learned=picked.clause,
-                clause_id=len(work.clauses),
-                derivation=seq.derivation_for(picked.index),
-                backtrack=start_time,
-                picked_index=picked.index,
-                duplicate=duplicate,
-            )
-        )
-        seen.add(clause_key(picked.clause, work.prefix))
-        work.add_clause(picked.clause)
+        picked = pick_learned(cfg.scheme, seq, trail, work)
+        rnd = record_round(work, rounds, trail, seq, picked, start_time)
         if picked.clause.is_empty():
             proof = QcdclProof(rounds, cfg.decision_policy, cfg.propagation_policy)
             return SolveResult(REFUTED, proof, stats())
         if len(rounds) >= cfg.max_conflicts:
             return SolveResult(BUDGET_EXHAUSTED, None, stats())
-        if duplicate:
+        if rnd.duplicate:
             flip_counter += 1
             start_time = (0, 0)
             trail = Trail(cfg.decision_policy, cfg.propagation_policy)
         else:
             start_time = picked.time
-            trail = rounds[-1].trail.backtrack(picked.time)
+            trail = trail.backtrack(picked.time)

@@ -81,18 +81,6 @@ class Trail:
     def literals(self) -> list[int]:
         return [e.lit for e in self.entries if e.lit != 0]
 
-    def level_width(self, level: int) -> int:
-        """Number of propagations in the given level (the conflict counts)."""
-        return sum(
-            1 for e in self.entries if e.level == level and not e.is_decision
-        )
-
-    def time_of_position(self, pos: int) -> Time:
-        if pos == -1:
-            return (0, 0)
-        e = self.entries[pos]
-        return (e.level, e.offset)
-
     def position_of_time(self, time: Time) -> int:
         """Index of the last entry of the subtrail at ``time`` (-1 for (0,0))."""
         s, t = time
@@ -102,13 +90,6 @@ class Trail:
             if e.level == s and e.offset == t:
                 return pos
         raise InvalidTimeError(f"time {time} not on the trail")
-
-    def is_valid_time(self, time: Time) -> bool:
-        try:
-            self.position_of_time(time)
-            return True
-        except InvalidTimeError:
-            return False
 
     # -- construction ----------------------------------------------------
 

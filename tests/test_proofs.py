@@ -136,3 +136,9 @@ class TestTraceFormat:
     def test_missing_conclusion_rejected(self):
         with pytest.raises(QcdclError):
             parse_proof("p qrp-lite qres\na 0 1 2 0\n")
+
+    @pytest.mark.parametrize("bad", ["a 0", "conclusion", "conclusion x"])
+    def test_malformed_record_rejected(self, bad):
+        with pytest.raises(QcdclError) as err:
+            parse_proof(f"p qrp-lite qres\na 0 1 2 0\n{bad}\nconclusion 0\n")
+        assert err.value.args[0].startswith("line 3: ")

@@ -38,9 +38,10 @@ def test_free_variable_rejected():
 
 
 def test_malformed_clause_line_reports_position():
-    with pytest.raises(QdimacsError) as err:
-        parse_qdimacs("p cnf 1 1\ne 1 0\n1 x 0\n")
-    assert err.value.line_no == 3
+    for text in ("p cnf 1 1\ne 1 0\n1 x 0\n", b"p cnf 1 1\ne 1 0\n\xff 0\n"):
+        with pytest.raises(QdimacsError) as err:
+            parse_qdimacs(text)
+        assert err.value.line_no == 3
 
 
 def test_missing_terminator_rejected():
