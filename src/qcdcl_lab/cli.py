@@ -169,25 +169,42 @@ def cmd_eval(args):
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise QcdclError(f"bad range or list {text!r}") from None
+
+
+def _parse_policies(text):
+    pairs = []
+    for pair in text.split(","):
+        pol_d, _, pol_r = pair.partition("/")
+        if pol_d not in DECISION_POLICIES or pol_r not in PROPAGATION_POLICIES:
+            raise QcdclError(
+                f"bad policy pair {pair!r}; expected decision/propagation, e.g. lev-ord/red"
+            )
+        pairs.append((pol_d, pol_r))
+    return pairs
 
 
 def cmd_bench(args):
+    scheme = parse_scheme(args.scheme)
+    pairs = _parse_policies(args.policies)
+    seeds = _parse_range(args.seeds)
     cells = []
     for n in _parse_range(args.n):
-        for pair in args.policies.split(","):
-            pol_d, pol_r = pair.split("/")
-            for seed in _parse_range(args.seeds):
+        for pol_d, pol_r in pairs:
+            for seed in seeds:
                 cells.append(
                     (
                         FamilySpec(args.family, n, m=args.m, c=args.c, seed=args.seed),
                         SolverConfig(
                             decision_policy=pol_d,
                             propagation_policy=pol_r,
-                            scheme=parse_scheme(args.scheme),
+                            scheme=scheme,
                             heuristic=args.heuristic,
                             seed=seed,
                             max_conflicts=args.max_conflicts,

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer-token check
+shared by its three text parsers."""
+
+NON_DECIMAL = "integers must be plain ASCII decimals (no '_', '+' or non-ASCII digits)"
+
+
+def non_decimal(line: str) -> bool:
+    """Whether ``int()`` might read a token of ``line`` that is not a plain
+    ASCII decimal: it also accepts ``_`` separators, a ``+`` sign and
+    non-ASCII digits. One test per line costs far less than one per token."""
+    return not line.isascii() or "_" in line or "+" in line
 
 
 class QcdclError(Exception):

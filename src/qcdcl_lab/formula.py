@@ -303,11 +303,11 @@ class QCNF:
     orderings of the same clause would count as different clauses.
     """
 
-    def __init__(self, prefix: Prefix, clauses, matrix_size=None):
+    def __init__(self, prefix: Prefix, clauses):
         self.prefix = prefix
         self.clauses: list[Clause] = list(clauses)
-        self.matrix_size = len(self.clauses) if matrix_size is None else matrix_size
-        for c in self.clauses[: self.matrix_size]:
+        self.matrix_size = len(self.clauses)
+        for c in self.clauses:
             if c.is_tautological():
                 raise ValueError("matrix clauses must be non-tautological")
         # Clause -> first clause id. A Clause hashes and compares as its

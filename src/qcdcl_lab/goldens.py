@@ -62,7 +62,7 @@ def equality_script(n: int) -> ReplayScript:
     learn a clause pair by deciding x_1..x_k then the matching universal
     block; the final pair derives the first-variable unit and the empty
     clause. At k = n-1 the remaining block-output literal of the long clause
-    would propagate first under the default chooser, so those two rounds pin
+    would propagate first (the lowest clause id wins), so those two rounds pin
     the intended antecedent (the pair clause learned first) explicitly."""
     if n < 2:
         raise ValueError("needs n >= 2")

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IllegalTautologyError, InternalTautologyError
+from .errors import IllegalTautologyError, InternalTautologyError, QcdclError
 from .formula import Clause, LDQRES, QCNF, QRES, reduce_clause, resolve_clauses
 from .proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE
-from .trail import RED, Time, Trail
+from .trail import RED, Time, Trail, _classify
 
 
 @dataclass
@@ -87,37 +87,29 @@ def learnable_sequence(trail: Trail, qcnf: QCNF) -> LearnableSequence:
     return LearnableSequence(elements, steps, conclusions, mode)
 
 
-def _is_unit_here(clause: Clause, assignment, qcnf: QCNF, policy: str) -> bool:
-    """Unit test used for asserting times; the conflict case counts.
-
-    Under reduction-aware propagation a restriction left with only universal
-    literals is as good as falsified, hence unit in the extended sense.
-    """
-    from .trail import _classify
-
-    forced, satisfied = _classify(qcnf, clause, assignment, policy)
-    return not satisfied and forced is not None
-
-
-def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF,
-                   propagation_policy: str | None = None) -> Time | None:
+def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     """Earliest time strictly before the conflict level at which the clause
-    becomes unit (or falsified) under the propagation policy; None if never.
+    becomes unit (or falsified) under the trail's propagation policy; None
+    if never.
+
+    The conflict case counts as unit: under reduction-aware propagation a
+    restriction left with only universal literals is as good as falsified.
+    A satisfied clause forces nothing, so the forced literal alone decides.
     """
     if clause.is_empty():
         return None
-    policy = propagation_policy or trail.propagation_policy
+    policy = trail.propagation_policy
     r = trail.last_level
     if r == 0:
         return None
     assignment: dict[int, bool] = {}
-    if _is_unit_here(clause, assignment, qcnf, policy):
+    if _classify(qcnf, clause, assignment, policy)[0] is not None:
         return (0, 0)
     for e in trail.entries:
         if e.level >= r:   # positions at the conflict level are too late
             break
         assignment[abs(e.lit)] = e.lit > 0
-        if _is_unit_here(clause, assignment, qcnf, policy):
+        if _classify(qcnf, clause, assignment, policy)[0] is not None:
             return (e.level, e.offset)
     return None
 
@@ -136,11 +128,13 @@ ASSERTING = LearningScheme("asserting")
 
 
 def parse_scheme(text: str) -> LearningScheme:
+    """``dec``, ``asserting`` or ``index:k`` with k a plain decimal."""
     if text in ("dec", "asserting"):
         return LearningScheme(text)
-    if text.startswith("index:"):
-        return LearningScheme("index", int(text.split(":", 1)[1]))
-    raise ValueError(f"unknown learning scheme {text!r}")
+    k = text.removeprefix("index:")
+    if k != text and k.isascii() and k.isdigit():
+        return LearningScheme("index", int(k))
+    raise QcdclError(f"unknown learning scheme {text!r}")
 
 
 @dataclass(frozen=True)

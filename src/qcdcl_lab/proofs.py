@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import IllegalTautologyError, PivotMissingError, QcdclError
+from .errors import (
+    NON_DECIMAL,
+    IllegalTautologyError,
+    PivotMissingError,
+    QcdclError,
+    non_decimal,
+)
 from .formula import (
     Clause,
     LDQRES,
@@ -71,8 +77,12 @@ class Derivation:
 
 @dataclass
 class Verdict:
+    """The checker's answer. ``clauses`` maps every step id the checker
+    could recompute to its clause; on a valid derivation that is every step."""
+
     valid: bool
     failures: list[tuple[int, str]] = field(default_factory=list)
+    clauses: dict[int, Clause] = field(default_factory=dict)
 
     def __bool__(self):
         return self.valid
@@ -146,7 +156,7 @@ def check_derivation(qcnf: QCNF, d: Derivation, mode: str | None = None,
     if require_refutation and computed.get(d.conclusion) is not None:
         if not computed[d.conclusion].is_empty():
             failures.append((d.conclusion, "refutation does not end in the empty clause"))
-    return Verdict(not failures, failures)
+    return Verdict(not failures, failures, computed)
 
 
 def count_reductions(d: Derivation) -> int:
@@ -355,6 +365,8 @@ def parse_proof(text: str) -> Derivation:
         line = raw.strip()
         if not line or line.startswith("c "):
             continue
+        if non_decimal(line):
+            raise QcdclError(f"line {line_no}: {NON_DECIMAL}")
         fields = line.split()
         if fields[0] == "p":
             if fields[1:] != ["qrp-lite", QRES] and fields[1:] != ["qrp-lite", LDQRES]:

@@ -9,7 +9,13 @@ prefix. Tautological clauses are rejected outright.
 
 from __future__ import annotations
 
-from .errors import QdimacsError, TautologicalAxiomError, UnboundVariableError
+from .errors import (
+    NON_DECIMAL,
+    QdimacsError,
+    TautologicalAxiomError,
+    UnboundVariableError,
+    non_decimal,
+)
 from .formula import EXISTS, FORALL, Prefix, QCNF, make_clause
 
 
@@ -29,6 +35,8 @@ def parse_qdimacs(text) -> QCNF:
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if non_decimal(line):
+            raise QdimacsError(line_no, NON_DECIMAL)
         if line.startswith("p"):
             if header_seen:
                 raise QdimacsError(line_no, "duplicate header")

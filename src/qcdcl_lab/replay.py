@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import ScriptDivergenceError
+from .errors import NON_DECIMAL, QcdclError, ScriptDivergenceError, non_decimal
 from .formula import QCNF
 from .learning import learnable_sequence, parse_scheme, pick_learned
 from .proofs import QcdclProof, Round, record_round
@@ -48,6 +48,8 @@ def parse_script(text: str) -> ReplayScript:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if non_decimal(line):
+            raise ScriptDivergenceError(f"line {line_no}: {NON_DECIMAL}")
         fields = line.split()
         if fields[0] == "round":
             rounds.append(ScriptRound())
@@ -55,20 +57,35 @@ def parse_script(text: str) -> ReplayScript:
         if not rounds:
             raise ScriptDivergenceError(f"line {line_no}: directive before any 'round'")
         cur = rounds[-1]
-        if fields[0] == "d":
-            cur.decisions.extend(int(f) for f in fields[1:])
-        elif fields[0] == "p":
-            cur.forced.append((int(fields[1]), int(fields[2])))
-        elif fields[0] == "learn":
-            cur.learn = fields[1]
-        elif fields[0] == "back":
-            if fields[1] in ("restart", "asserting"):
-                cur.back = fields[1]
-            else:
-                cur.back = (int(fields[1]), int(fields[2]))
+        directive, args = fields[0], fields[1:]
+        if directive == "d":
+            cur.decisions.extend(_ints(line_no, args))
+        elif directive == "p" and len(args) == 2:
+            cur.forced.append(tuple(_ints(line_no, args)))
+        elif directive == "learn" and len(args) == 1:
+            try:
+                parse_scheme(args[0])
+            except QcdclError as exc:
+                raise ScriptDivergenceError(f"line {line_no}: {exc}") from None
+            cur.learn = args[0]
+        elif directive == "back" and args in (["restart"], ["asserting"]):
+            cur.back = args[0]
+        elif directive == "back" and len(args) == 2:
+            cur.back = tuple(_ints(line_no, args))
+        elif directive in ("p", "learn", "back"):
+            raise ScriptDivergenceError(
+                f"line {line_no}: wrong number of arguments to {directive!r}"
+            )
         else:
-            raise ScriptDivergenceError(f"line {line_no}: unknown directive {fields[0]!r}")
+            raise ScriptDivergenceError(f"line {line_no}: unknown directive {directive!r}")
     return ReplayScript(rounds)
+
+
+def _ints(line_no, fields):
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise ScriptDivergenceError(f"line {line_no}: non-integer token") from None
 
 
 def serialize_script(script: ReplayScript) -> str:
@@ -114,7 +131,7 @@ def replay(qcnf: QCNF, script: ReplayScript, decision_policy: str,
                 raise ScriptDivergenceError(
                     f"round {rno}: {lit} was propagated with opposite polarity"
                 )
-            decide(trail, lit, work, decision_policy)
+            decide(trail, lit, work)
             propagate_to_fixpoint(work, trail, forced=forced)
         if not trail.conflicted:
             raise ScriptDivergenceError(f"round {rno}: no conflict after the decisions")

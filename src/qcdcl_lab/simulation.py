@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    IllegalDecisionError,
     InputNotRefutationError,
     LoopBoundExceededError,
     SimulationError,
@@ -97,15 +98,14 @@ class SimState:
     and the witness table keyed by clause."""
 
     work: QCNF
-    scheme: object = ASSERTING
     rounds: list[Round] = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
     next_backtrack: Time = (0, 0)
     done: bool = False   # set once the empty clause is learned
     loop_lengths: list[int] = field(default_factory=list)   # rounds per unreliability loop
 
-    def proof(self, decision_policy=ASS_ORD, propagation_policy=NO_RED) -> QcdclProof:
-        return QcdclProof(self.rounds, decision_policy, propagation_policy)
+    def proof(self) -> QcdclProof:
+        return QcdclProof(self.rounds, ASS_ORD, NO_RED)
 
     def lookup(self, clause: Clause) -> Witness | None:
         w = self.witnesses.get(clause)
@@ -161,9 +161,7 @@ def construct_trail_with_decisions(state: SimState, decisions, start: Trail | No
             if trail.assignment[var] == (lit > 0):
                 continue
             return ConstructResult(BLOCKED, trail, blocked_on=lit)
-        if lit not in legal_decisions(trail, state.work, ASS_ORD):
-            from .errors import IllegalDecisionError
-
+        if lit not in legal_decisions(trail, state.work):
             raise IllegalDecisionError(
                 f"decision {lit} violates the flexible policy in this order"
             )
@@ -197,7 +195,7 @@ def make_unreliable(state: SimState, target: Clause, initial: Trail,
         if not trail.conflicted:
             raise SimulationError("unreliability loop handed a conflict-free trail")
         seq = learnable_sequence(trail, state.work)
-        picked = pick_learned(state.scheme, seq, trail, state.work)
+        picked = pick_learned(ASSERTING, seq, trail, state.work)
         record_round(state.work, state.rounds, trail, seq, picked, state.next_backtrack)
         if picked.clause.is_empty():
             state.done = True
@@ -287,8 +285,7 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
     if -pivot not in a1:
         # The left witness never even decides against the pivot: it is
         # already a witness for the resolvent.
-        w = Witness(w1.trail, l1, a1)
-        return w
+        return w1
 
     head = _level_sorted(state, (set(a1) | {-l1}) - {-pivot})
     order = head + [-pivot]
@@ -311,7 +308,7 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
     if -pivot in w.decisions:
         raise SimulationError("block happened after the pivot decision")
     if w.literal != pivot:
-        return Witness(w.trail, w.literal, w.decisions)
+        return w
     # The new witness propagates the pivot itself: restart and run the
     # mixed construction with it.
     state.next_backtrack = (0, 0)
@@ -344,7 +341,7 @@ def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witn
     w2 = out.witness
     if any(abs(d) in dropped for d in w2.decisions):
         raise SimulationError("block happened inside the universal tail")
-    return Witness(w2.trail, w2.literal, w2.decisions)
+    return w2
 
 
 def simulate_clause(state: SimState, step, computed: dict) -> None:
@@ -373,17 +370,16 @@ def simulate_clause(state: SimState, step, computed: dict) -> None:
     state.store(clause, w)
 
 
-def run_simulation(qcnf: QCNF, derivation: Derivation, scheme=ASSERTING) -> SimState:
+def run_simulation(qcnf: QCNF, derivation: Derivation) -> SimState:
     """Full simulation run; the returned state carries the rounds, the
     witness table, and per-loop round counts for bound assertions."""
     verdict = check_derivation(qcnf, derivation, QRES, require_refutation=True)
     if not verdict:
         raise InputNotRefutationError(f"input does not check: {verdict.failures[:3]}")
-    computed = _recompute_clauses(qcnf, derivation)
-    state = SimState(work=qcnf.copy(), scheme=scheme)
+    state = SimState(work=qcnf.copy())
     for step in derivation.steps:
         state.next_backtrack = (0, 0)
-        simulate_clause(state, step, computed)
+        simulate_clause(state, step, verdict.clauses)
         if state.done:
             break
     if not state.done:
@@ -391,26 +387,7 @@ def run_simulation(qcnf: QCNF, derivation: Derivation, scheme=ASSERTING) -> SimS
     return state
 
 
-def simulate_refutation(qcnf: QCNF, derivation: Derivation, scheme=ASSERTING) -> QcdclProof:
+def simulate_refutation(qcnf: QCNF, derivation: Derivation) -> QcdclProof:
     """Translate a checked merge-free refutation into a flexible-decision,
     no-reduction solver refutation, restarting between per-clause blocks."""
-    return run_simulation(qcnf, derivation, scheme).proof()
-
-
-def _recompute_clauses(qcnf: QCNF, derivation: Derivation) -> dict[int, Clause]:
-    """Normalized clause of every step (the checker has already accepted)."""
-    from .formula import make_clause, reduce_clause, resolve_clauses
-
-    computed: dict[int, Clause] = {}
-    for s in derivation.steps:
-        if s.kind == AXIOM:
-            computed[s.step_id] = make_clause(qcnf.prefix, s.clause.all_literals())
-        elif s.kind == RESOLVE:
-            left = computed[s.left]
-            pivot = s.pivot if s.pivot in left.lits else -s.pivot
-            computed[s.step_id] = resolve_clauses(
-                left, computed[s.right], pivot, QRES, qcnf.prefix
-            )
-        else:
-            computed[s.step_id] = reduce_clause(computed[s.src], qcnf.prefix)
-    return computed
+    return run_simulation(qcnf, derivation).proof()

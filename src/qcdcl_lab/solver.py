@@ -38,7 +38,6 @@ class SolverConfig:
     heuristic: str = "fixed"      # "fixed" | "random"
     seed: int = 0
     max_conflicts: int = 100_000
-    saturation_budget: int | None = None   # default: 2**min(vars, 16)
 
     def __post_init__(self):
         if self.decision_policy not in DECISION_POLICIES:
@@ -63,7 +62,7 @@ class SolveResult:
 
 
 def _pick_decision(trail, qcnf, cfg, flip_counter, rng):
-    legal = legal_decisions(trail, qcnf, cfg.decision_policy)
+    legal = legal_decisions(trail, qcnf)
     if not legal:
         return None
     if cfg.heuristic == "random":
@@ -86,8 +85,6 @@ def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
     flip_counter = 0
     saturations_total = 0
     saturation_streak = 0
-    nvars = work.num_vars
-    saturation_budget = cfg.saturation_budget or 2 ** min(nvars, 16)
 
     def stats(extra=None):
         out = {
@@ -111,7 +108,7 @@ def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
             saturations_total += 1
             saturation_streak += 1
             flip_counter += 1
-            if saturation_streak >= saturation_budget:
+            if saturation_streak >= 2 ** min(work.num_vars, 16):
                 return SolveResult(SATURATED, None, stats())
             trail = Trail(cfg.decision_policy, cfg.propagation_policy)
             start_time = (0, 0)

@@ -205,24 +205,22 @@ def _classify(qcnf: QCNF, clause, assignment, policy):
     return None, False
 
 
-def unit_scan(qcnf: QCNF, trail: Trail, propagation_policy: str | None = None) -> UnitScanResult:
+def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
     """Enumerate every clause that is unit or falsified under the trail.
 
     Under NO-RED a clause shrunk to a single universal literal is neither
     unit nor a conflict; under RED reduction applies first, so the same
     clause is a conflict.
     """
-    policy = propagation_policy or trail.propagation_policy
-    use_cache = policy == trail.propagation_policy
+    policy = trail.propagation_policy
     entries = []
     conflict = False
     for cid, clause in enumerate(qcnf.clauses):
-        if use_cache and cid in trail._satisfied:
+        if cid in trail._satisfied:
             continue
         forced, satisfied = _classify(qcnf, clause, trail.assignment, policy)
         if satisfied:
-            if use_cache:
-                trail._satisfied.add(cid)
+            trail._satisfied.add(cid)
             continue
         if forced is None:
             continue
@@ -231,12 +229,12 @@ def unit_scan(qcnf: QCNF, trail: Trail, propagation_policy: str | None = None) -
     return UnitScanResult(tuple(entries), conflict)
 
 
-def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, chooser=None, forced=None) -> Trail:
+def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     """Extend the trail with forced literals until quiescence or conflict.
 
     Conflicts have priority: whenever some clause is falsified, the conflict
     is taken immediately. Among several available conflicts or units the
-    default chooser takes the lowest clause id. ``forced`` optionally holds
+    one with the lowest clause id is taken. ``forced`` optionally holds
     scripted (literal, clause id) pairs, honored in order as soon as they
     become available; assigning a pending override's variable through a
     different antecedent raises ScriptDivergenceError.
@@ -253,10 +251,7 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, chooser=None, forced=None) -
         if forced and (forced[0][1], forced[0][0]) in units:
             lit, cid = forced.popleft()
         else:
-            if chooser is not None:
-                cid, lit = chooser(units)
-            else:
-                cid, lit = min(units, key=lambda u: (u[0], abs(u[1])))
+            cid, lit = min(units, key=lambda u: (u[0], abs(u[1])))
             if forced and abs(lit) == abs(forced[0][0]):
                 raise ScriptDivergenceError(
                     f"literal {forced[0][0]} would be assigned via clause {cid}, "
@@ -269,9 +264,9 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, chooser=None, forced=None) -
 # -- decisions -------------------------------------------------------------
 
 
-def legal_decisions(trail: Trail, qcnf: QCNF, decision_policy: str | None = None) -> set[int]:
-    """The literals the decision policy admits as the next decision."""
-    policy = decision_policy or trail.decision_policy
+def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
+    """The literals the trail's decision policy admits as the next decision."""
+    policy = trail.decision_policy
     prefix = qcnf.prefix
     unassigned = sorted(prefix.variables - set(trail.assignment))
     if not unassigned:
@@ -304,13 +299,12 @@ def legal_decisions(trail: Trail, qcnf: QCNF, decision_policy: str | None = None
     return {lit for v in allowed for lit in (v, -v)}
 
 
-def decide(trail: Trail, lit: int, qcnf: QCNF, decision_policy: str | None = None) -> Trail:
+def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
     """Open a new decision level with ``lit``.
 
     Refuses repeated variables and policy violations; naturality forbids
     deciding while a propagation (or conflict) is still available.
     """
-    policy = decision_policy or trail.decision_policy
     if abs(lit) in trail.assignment:
         raise IllegalDecisionError(f"variable {abs(lit)} already assigned")
     scan = unit_scan(qcnf, trail)
@@ -319,8 +313,8 @@ def decide(trail: Trail, lit: int, qcnf: QCNF, decision_policy: str | None = Non
             f"cannot decide {lit}: clause {scan.entries[0][0]} is "
             + ("falsified" if scan.entries[0][1] == 0 else "unit")
         )
-    if lit not in legal_decisions(trail, qcnf, policy):
-        raise IllegalDecisionError(f"literal {lit} violates policy {policy}")
+    if lit not in legal_decisions(trail, qcnf):
+        raise IllegalDecisionError(f"literal {lit} violates policy {trail.decision_policy}")
     trail.append_decision(lit)
     return trail
 
@@ -348,7 +342,7 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
         natural_here = pos >= natural_from
         scan = None
         if natural_here:
-            scan = unit_scan(qcnf, shadow, trail.propagation_policy)
+            scan = unit_scan(qcnf, shadow)
         if e.lit == 0:
             if pos != len(trail.entries) - 1:
                 problems.append(f"entry {pos}: conflict marker not rightmost")
@@ -364,7 +358,7 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
         if e.is_decision:
             if natural_here and scan.entries:
                 problems.append(f"entry {pos}: decision skips pending propagation")
-            if e.lit not in legal_decisions(shadow, qcnf, trail.decision_policy):
+            if e.lit not in legal_decisions(shadow, qcnf):
                 problems.append(
                     f"entry {pos}: decision {e.lit} violates {trail.decision_policy}"
                 )

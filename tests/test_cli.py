@@ -136,3 +136,11 @@ def test_error_exit_code(tmp_path, capsys):
         "--decision", "lev-ord", "--propagation", "red",
     )
     assert code == 1 and "error" in err
+    bench = ["bench", "--family", "qparity", "--n", "3", "--policies", "lev-ord/red"]
+    for argv in (
+        bench[:-1] + ["foo"],
+        bench[:-1] + ["foo/bar"],
+        bench[:4] + ["x..3"] + bench[5:],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: "), argv

@@ -35,11 +35,10 @@ def test_red_and_no_red_scans_coincide_without_universals():
     rng = random.Random(31)
     for _ in range(60):
         f = purely_existential(rng)
-        trail = Trail(ANY_ORD, RED)
-        propagate_to_fixpoint(f, trail)
-        red_scan = unit_scan(f, trail, RED)
-        nored_scan = unit_scan(f, trail, NO_RED)
-        assert red_scan.entries == nored_scan.entries
+        red = propagate_to_fixpoint(f, Trail(ANY_ORD, RED))
+        no_red = propagate_to_fixpoint(f, Trail(ANY_ORD, NO_RED))
+        assert dump_trail(red) == dump_trail(no_red)
+        assert unit_scan(f, red).entries == unit_scan(f, no_red).entries
 
 
 def test_fixpoint_leaves_no_unit_or_conflict():
@@ -86,7 +85,7 @@ def test_asserting_clause_exists_when_empty_absent(decision, propagation):
         while not trail.conflicted:
             from qcdcl_lab import legal_decisions
 
-            legal = legal_decisions(trail, work, decision)
+            legal = legal_decisions(trail, work)
             if not legal:
                 break
             lit = min(legal, key=lambda l: (work.prefix.level(l), abs(l), -l))
@@ -120,7 +119,7 @@ def test_asserting_learns_are_new_clauses_on_natural_trails():
             while not trail.conflicted:
                 from qcdcl_lab import legal_decisions
 
-                legal = legal_decisions(trail, work, ASS_ORD)
+                legal = legal_decisions(trail, work)
                 if not legal:
                     break
                 trail.append_decision(min(legal, key=lambda l: (abs(l), -l)))

@@ -137,7 +137,9 @@ class TestTraceFormat:
         with pytest.raises(QcdclError):
             parse_proof("p qrp-lite qres\na 0 1 2 0\n")
 
-    @pytest.mark.parametrize("bad", ["a 0", "conclusion", "conclusion x"])
+    @pytest.mark.parametrize(
+        "bad", ["a 0", "conclusion", "conclusion x", "a 1 1_0 0", "a 1 +2 0", "a \u0660 1 0"]
+    )
     def test_malformed_record_rejected(self, bad):
         with pytest.raises(QcdclError) as err:
             parse_proof(f"p qrp-lite qres\na 0 1 2 0\n{bad}\nconclusion 0\n")

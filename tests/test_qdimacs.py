@@ -38,7 +38,13 @@ def test_free_variable_rejected():
 
 
 def test_malformed_clause_line_reports_position():
-    for text in ("p cnf 1 1\ne 1 0\n1 x 0\n", b"p cnf 1 1\ne 1 0\n\xff 0\n"):
+    for text in (
+        "p cnf 1 1\ne 1 0\n1 x 0\n",
+        b"p cnf 1 1\ne 1 0\n\xff 0\n",
+        "p cnf 10 1\ne 10 0\n1_0 0\n",
+        "p cnf 10 1\ne 10 0\n+10 0\n",
+        "p cnf 1 1\ne 1 0\n\u0661 0\n",
+    ):
         with pytest.raises(QdimacsError) as err:
             parse_qdimacs(text)
         assert err.value.line_no == 3

@@ -157,3 +157,11 @@ class TestScriptMechanics:
         script = ReplayScript([ScriptRound([], "dec", "restart", forced=[(2, 2)])])
         with pytest.raises(ScriptDivergenceError):
             replay(f, script, LEV_ORD, NO_RED)
+
+    @pytest.mark.parametrize(
+        "directive", ["p 5", "p", "learn", "back 1", "back", "d x", "learn bogus"]
+    )
+    def test_malformed_directive_rejected(self, directive):
+        with pytest.raises(ScriptDivergenceError) as err:
+            parse_script(f"round\n{directive}\n")
+        assert err.value.args[0].startswith("line 2: ")
