@@ -52,10 +52,7 @@ class Prefix:
                     raise ValueError("variable ids must be positive")
                 self._level[v] = idx
                 self._quant[v] = quant
-
-    @property
-    def variables(self):
-        return frozenset(self._level)
+        self.variables = frozenset(self._level)
 
     @property
     def num_levels(self):
@@ -315,6 +312,9 @@ class QCNF:
         self._ids: dict[Clause, int] = {}
         for cid, c in enumerate(self.clauses):
             self._ids.setdefault(c, cid)
+        # Propagation policy -> watched-literal state of the empty trail,
+        # kept up to date by ``trail.propagate_to_fixpoint``.
+        self.watches: dict = {}
 
     def add_clause(self, c: Clause) -> tuple[int, bool]:
         """Append ``c``; returns its id and whether it was already present."""
@@ -330,6 +330,7 @@ class QCNF:
         out = copy.copy(self)
         out.clauses = list(self.clauses)
         out._ids = dict(self._ids)
+        out.watches = {}
         return out
 
     @property

@@ -138,7 +138,13 @@ def replay(qcnf: QCNF, script: ReplayScript, decision_policy: str,
         if forced:
             raise ScriptDivergenceError(f"round {rno}: unused propagation overrides")
         seq = learnable_sequence(trail, work)
-        picked = pick_learned(parse_scheme(rnd.learn), seq, trail, work)
+        scheme = parse_scheme(rnd.learn)
+        if scheme.kind == "index" and scheme.k >= len(seq):
+            raise ScriptDivergenceError(
+                f"round {rno}: learn {scheme} is beyond the learnable sequence "
+                f"(length {len(seq)})"
+            )
+        picked = pick_learned(scheme, seq, trail, work)
         record_round(work, rounds, trail, seq, picked, start_time)
         if picked.clause.is_empty():
             break

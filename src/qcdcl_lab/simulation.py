@@ -149,7 +149,8 @@ def construct_trail_with_decisions(state: SimState, decisions, start: Trail | No
     A listed literal already assigned in the same polarity is skipped; one
     assigned opposite means the decisions block each other and the partial
     trail is returned as a witness carrier. Conflicts abort the walk as
-    usual. Decision legality under the flexible policy is enforced.
+    usual. Decision legality under the flexible policy is enforced. The
+    returned trail is never extended, so it keeps no propagation state.
     """
     trail = start.copy() if start is not None else Trail(ASS_ORD, NO_RED)
     propagate_to_fixpoint(state.work, trail)
@@ -160,6 +161,7 @@ def construct_trail_with_decisions(state: SimState, decisions, start: Trail | No
         if var in trail.assignment:
             if trail.assignment[var] == (lit > 0):
                 continue
+            trail.drop_watches()
             return ConstructResult(BLOCKED, trail, blocked_on=lit)
         if lit not in legal_decisions(trail, state.work):
             raise IllegalDecisionError(
@@ -169,6 +171,7 @@ def construct_trail_with_decisions(state: SimState, decisions, start: Trail | No
         propagate_to_fixpoint(state.work, trail)
     if trail.conflicted:
         return ConstructResult(CONFLICTED, trail)
+    trail.drop_watches()
     return ConstructResult(COMPLETED, trail)
 
 

@@ -11,6 +11,7 @@ Times: (s, t) names the subtrail through the t-th propagation of level s;
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .errors import (
@@ -61,6 +62,7 @@ class Trail:
         self._level = 0
         self._offset = 0
         self._satisfied: set[int] = set()   # clause-id cache, monotone per build
+        self._watches: _Watches | None = None  # propagate_to_fixpoint's state
 
     # -- shape ---------------------------------------------------------
 
@@ -116,6 +118,10 @@ class Trail:
         t._offset = self._offset
         t._satisfied = set(self._satisfied)
         return t
+
+    def drop_watches(self):
+        """Free the propagation state of a trail that will not be extended."""
+        self._watches = None
 
     def backtrack(self, time: Time) -> "Trail":
         """The subtrail at ``time`` as a fresh trail."""
@@ -229,6 +235,124 @@ def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
     return UnitScanResult(tuple(entries), conflict)
 
 
+def _watch(clause, assignment, prefix, policy):
+    """Literals proving the clause neither unit nor falsified under
+    ``policy``: True if it is satisfied, None if it is unit or falsified.
+    A merged variable stands as its positive literal.
+
+    Literals are tried from the highest level down, since decisions tend to
+    follow the prefix and deep literals stay unassigned longest. Under RED
+    this relies on the (level, variable) order ``QCNF`` requires: every
+    unassigned literal met after the first unassigned existential is an
+    existential or a universal of lower level, so it survives reduction.
+    """
+    merged = clause.merged
+    for v in merged:
+        if v in assignment:
+            return True
+    first = None
+    if policy == RED:
+        for l in reversed(clause.lits):
+            val = assignment.get(abs(l))
+            if val is None:
+                if first is not None:
+                    return (l, first)
+                if prefix.is_existential(l):
+                    if merged and prefix.level(merged[0]) < prefix.level(l):
+                        return (merged[0], l)
+                    first = l
+            elif val == (l > 0):
+                return True
+        return None
+    if merged:
+        if len(merged) > 1:
+            return merged[:2]
+        first = merged[0]
+    for l in reversed(clause.lits):
+        val = assignment.get(abs(l))
+        if val is None:
+            if first is not None:
+                return (first, l)
+            first = l
+        elif val == (l > 0):
+            return True
+    if first is not None and prefix.is_universal(first):
+        return (first,)
+    return None
+
+
+class _Watches:
+    """Watched-literal state over one clause list under one policy."""
+
+    def __init__(self, qcnf: QCNF, policy: str):
+        # The clause list, not the QCNF, so that the QCNF's own state for
+        # the empty trail does not make a reference cycle.
+        self.clauses = qcnf.clauses
+        self.prefix = qcnf.prefix
+        self.policy = policy
+        self.cursor = 0                    # trail entries before it are processed
+        self.attached = 0                  # clause ids below it are attached
+        self.lists: dict[int, list[int]] = {}        # variable -> watching clause ids
+        self.watching: dict[int, tuple[int, ...]] = {}   # clause id -> watched literals
+        self.pending: set[int] = set()     # clause ids found unit or falsified
+
+    def fork(self) -> "_Watches":
+        out = copy.copy(self)
+        out.lists = {v: cids[:] for v, cids in self.lists.items()}
+        out.watching = dict(self.watching)
+        out.pending = set(self.pending)
+        return out
+
+    def place(self, cid: int, assignment, satisfied: set[int]):
+        """(Re)compute the watches of clause ``cid`` under ``assignment``."""
+        w = _watch(self.clauses[cid], assignment, self.prefix, self.policy)
+        old = self.watching.pop(cid, ())
+        if w is True:
+            satisfied.add(cid)
+        elif w is None:
+            self.pending.add(cid)
+        else:
+            self.watching[cid] = w
+            for l in w:
+                if l not in old:
+                    self.lists.setdefault(abs(l), []).append(cid)
+
+    def catch_up(self, entries, assignment, satisfied: set[int]):
+        """Visit the watchers of every newly assigned variable, then attach
+        the clauses added to the database since the last call."""
+        watching = self.watching
+        while self.cursor < len(entries):
+            lit = entries[self.cursor].lit
+            self.cursor += 1
+            for cid in self.lists.pop(abs(lit), ()):
+                w = watching.get(cid, ())
+                if lit in w:           # a watched literal came true
+                    del watching[cid]
+                    satisfied.add(cid)
+                elif -lit in w:
+                    self.place(cid, assignment, satisfied)
+        clauses = self.clauses
+        while self.attached < len(clauses):
+            self.place(self.attached, assignment, satisfied)
+            self.attached += 1
+
+
+def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
+    """The trail's watch state; a trail without one forks the database's
+    state for the empty trail and replays its entries."""
+    w = trail._watches
+    if w is None or w.clauses is not qcnf.clauses:
+        empty = qcnf.watches.get(trail.propagation_policy)
+        if empty is None:
+            empty = qcnf.watches[trail.propagation_policy] = _Watches(
+                qcnf, trail.propagation_policy
+            )
+        empty.catch_up((), {}, set())
+        w = trail._watches = empty.fork()
+    w.catch_up(trail.entries, trail.assignment, trail._satisfied)
+    return w
+
+
 def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     """Extend the trail with forced literals until quiescence or conflict.
 
@@ -238,27 +362,50 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     scripted (literal, clause id) pairs, honored in order as soon as they
     become available; assigning a pending override's variable through a
     different antecedent raises ScriptDivergenceError.
+
+    Each clause watches two literals. Under RED it watches two unassigned
+    existentials, or one plus an unassigned universal (or merged variable)
+    of lower level; under NO-RED any two unassigned literals or merged
+    variables, or a last one that is universal or merged. A clause that
+    cannot be watched so is satisfied, unit or falsified: satisfied clauses
+    drop out for the rest of the trail, the others join a pending set.
+    Before each choice ``_classify`` re-checks the pending clauses and the
+    rule above picks among them, which is the choice a full ``unit_scan``
+    would give. On its first call a trail forks the database's state for
+    the empty trail and replays its entries; later calls visit only the
+    watchers of newly assigned variables and attach clauses added since.
+    Trails only grow (backtracks, copies and restarts make fresh trails),
+    so no watch is ever undone. A conflicted trail drops its state.
     """
-    while not trail.conflicted:
-        scan = unit_scan(qcnf, trail)
-        if scan.conflict_present:
-            cid = min(scan.conflicts())
-            trail.append_conflict(cid)
+    if trail.conflicted:
+        return trail
+    clauses = qcnf.clauses
+    policy = trail.propagation_policy
+    while True:
+        w = _trail_watches(qcnf, trail)
+        unit = None
+        for cid in sorted(w.pending):
+            lit, _ = _classify(qcnf, clauses[cid], trail.assignment, policy)
+            if lit is None:
+                w.pending.discard(cid)   # satisfied since it was found
+            elif lit == 0:
+                trail.append_conflict(cid)
+                trail.drop_watches()
+                return trail
+            elif unit is None:
+                unit = (lit, cid)
+        if forced and 0 <= forced[0][1] < len(clauses) and _classify(
+            qcnf, clauses[forced[0][1]], trail.assignment, policy
+        )[0] == forced[0][0]:
+            unit = forced.popleft()
+        elif unit is None:
             return trail
-        units = scan.units()
-        if not units:
-            return trail
-        if forced and (forced[0][1], forced[0][0]) in units:
-            lit, cid = forced.popleft()
-        else:
-            cid, lit = min(units, key=lambda u: (u[0], abs(u[1])))
-            if forced and abs(lit) == abs(forced[0][0]):
-                raise ScriptDivergenceError(
-                    f"literal {forced[0][0]} would be assigned via clause {cid}, "
-                    f"not the scripted antecedent {forced[0][1]}"
-                )
-        trail.append_propagation(lit, cid)
-    return trail
+        elif forced and abs(unit[0]) == abs(forced[0][0]):
+            raise ScriptDivergenceError(
+                f"literal {forced[0][0]} would be assigned via clause {unit[1]}, "
+                f"not the scripted antecedent {forced[0][1]}"
+            )
+        trail.append_propagation(*unit)
 
 
 # -- decisions -------------------------------------------------------------

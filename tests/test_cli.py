@@ -144,3 +144,13 @@ def test_error_exit_code(tmp_path, capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv
+    formula, script = tmp_path / "eq.qdimacs", tmp_path / "eq.script"
+    run(capsys, "gen", "--family", "equality", "--n", "2", "-o", str(formula))
+    script.write_text(
+        serialize_script(equality_script(2)).replace("index:1", "index:99", 1)
+    )
+    code, _, err = run(
+        capsys, "replay", "--input", str(formula), "--script", str(script),
+        "--decision", "ass-r-ord", "--propagation", "red",
+    )
+    assert code == 1 and err.startswith("error: round "), err

@@ -165,3 +165,9 @@ class TestScriptMechanics:
         with pytest.raises(ScriptDivergenceError) as err:
             parse_script(f"round\n{directive}\n")
         assert err.value.args[0].startswith("line 2: ")
+
+    def test_learn_index_beyond_the_sequence_is_a_divergence(self):
+        f = generate(FamilySpec("equality", 2))
+        text = serialize_script(equality_script(2)).replace("index:1", "index:99", 1)
+        with pytest.raises(ScriptDivergenceError, match=r"^round \d+: learn index:99 is beyond"):
+            replay(f, parse_script(text), ASS_R_ORD, RED)
