@@ -55,6 +55,7 @@ from .trail import (
     Trail,
     backtrack,
     decide,
+    decide_in_order,
     dump_trail,
     legal_decisions,
     propagate_to_fixpoint,

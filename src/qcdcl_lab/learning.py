@@ -159,8 +159,9 @@ def pick_learned(scheme: LearningScheme, seq: LearnableSequence, trail: Trail,
         index = len(seq.elements) - 1
     elif scheme.kind == "index":
         if not 0 <= scheme.k < len(seq.elements):
-            raise ValueError(
-                f"scheme index {scheme.k} out of range (sequence length {len(seq.elements)})"
+            raise QcdclError(
+                f"learn {scheme} is beyond the learnable sequence "
+                f"(length {len(seq.elements)})"
             )
         index = scheme.k
     elif scheme.kind == "asserting":

@@ -26,7 +26,7 @@ from .errors import NON_DECIMAL, QcdclError, ScriptDivergenceError, non_decimal
 from .formula import QCNF
 from .learning import learnable_sequence, parse_scheme, pick_learned
 from .proofs import QcdclProof, Round, record_round
-from .trail import Time, Trail, decide, propagate_to_fixpoint
+from .trail import Time, Trail, decide_in_order, propagate_to_fixpoint
 
 
 @dataclass
@@ -119,32 +119,23 @@ def replay(qcnf: QCNF, script: ReplayScript, decision_policy: str,
     for rno, rnd in enumerate(script.rounds):
         forced = deque(rnd.forced)
         propagate_to_fixpoint(work, trail, forced=forced)
-        for lit in rnd.decisions:
-            if trail.conflicted:
-                raise ScriptDivergenceError(
-                    f"round {rno}: conflict arrived before decision {lit}"
-                )
-            var = abs(lit)
-            if var in trail.assignment:
-                if trail.assignment[var] == (lit > 0):
-                    continue   # propagated in the scripted polarity: skip
-                raise ScriptDivergenceError(
-                    f"round {rno}: {lit} was propagated with opposite polarity"
-                )
-            decide(trail, lit, work)
-            propagate_to_fixpoint(work, trail, forced=forced)
+        stopped = decide_in_order(work, trail, rnd.decisions, forced=forced)
+        if stopped is not None:
+            raise ScriptDivergenceError(
+                f"round {rno}: conflict arrived before decision {stopped}"
+                if trail.conflicted
+                else f"round {rno}: {stopped} was propagated with opposite polarity"
+            )
         if not trail.conflicted:
             raise ScriptDivergenceError(f"round {rno}: no conflict after the decisions")
         if forced:
             raise ScriptDivergenceError(f"round {rno}: unused propagation overrides")
         seq = learnable_sequence(trail, work)
         scheme = parse_scheme(rnd.learn)
-        if scheme.kind == "index" and scheme.k >= len(seq):
-            raise ScriptDivergenceError(
-                f"round {rno}: learn {scheme} is beyond the learnable sequence "
-                f"(length {len(seq)})"
-            )
-        picked = pick_learned(scheme, seq, trail, work)
+        try:
+            picked = pick_learned(scheme, seq, trail, work)
+        except QcdclError as exc:
+            raise ScriptDivergenceError(f"round {rno}: {exc}") from None
         record_round(work, rounds, trail, seq, picked, start_time)
         if picked.clause.is_empty():
             break

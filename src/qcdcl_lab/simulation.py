@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
-    IllegalDecisionError,
     InputNotRefutationError,
     LoopBoundExceededError,
     SimulationError,
@@ -41,7 +40,7 @@ from .trail import (
     NO_RED,
     Time,
     Trail,
-    legal_decisions,
+    decide_in_order,
     propagate_to_fixpoint,
     validate_trail,
 )
@@ -149,42 +148,25 @@ def construct_trail_with_decisions(state: SimState, decisions, start: Trail | No
     A listed literal already assigned in the same polarity is skipped; one
     assigned opposite means the decisions block each other and the partial
     trail is returned as a witness carrier. Conflicts abort the walk as
-    usual. Decision legality under the flexible policy is enforced. The
-    returned trail is never extended, so it keeps no propagation state.
+    usual; ``decide`` enforces the flexible policy. The returned trail is
+    never extended, so it keeps no propagation state.
     """
     trail = start.copy() if start is not None else Trail(ASS_ORD, NO_RED)
     propagate_to_fixpoint(state.work, trail)
-    for lit in decisions:
-        if trail.conflicted:
-            return ConstructResult(CONFLICTED, trail)
-        var = abs(lit)
-        if var in trail.assignment:
-            if trail.assignment[var] == (lit > 0):
-                continue
-            trail.drop_watches()
-            return ConstructResult(BLOCKED, trail, blocked_on=lit)
-        if lit not in legal_decisions(trail, state.work):
-            raise IllegalDecisionError(
-                f"decision {lit} violates the flexible policy in this order"
-            )
-        trail.append_decision(lit)
-        propagate_to_fixpoint(state.work, trail)
+    stopped = decide_in_order(state.work, trail, decisions)
     if trail.conflicted:
         return ConstructResult(CONFLICTED, trail)
     trail.drop_watches()
+    if stopped is not None:
+        return ConstructResult(BLOCKED, trail, blocked_on=stopped)
     return ConstructResult(COMPLETED, trail)
 
 
-@dataclass
-class UnreliableResult:
-    kind: str                  # "empty" | "witness"
-    witness: Witness | None = None
-
-
 def make_unreliable(state: SimState, target: Clause, initial: Trail,
-                    decision_order) -> UnreliableResult:
+                    decision_order) -> Witness | None:
     """Learn/backtrack with a fixed decision order until the order blocks
-    (yielding a witness for ``target``) or the empty clause is learned.
+    (yielding a witness for ``target``) or the empty clause is learned
+    (None; ``state.done`` is then set).
 
     Each round learns with the asserting scheme, backtracks to the learned
     clause's asserting time, and re-extends with the same decisions in the
@@ -203,14 +185,14 @@ def make_unreliable(state: SimState, target: Clause, initial: Trail,
         if picked.clause.is_empty():
             state.done = True
             state.loop_lengths.append(iteration + 1)
-            return UnreliableResult("empty")
+            return None
         state.next_backtrack = picked.time
         prefix_trail = trail.backtrack(picked.time)
         result = construct_trail_with_decisions(state, decision_order, start=prefix_trail)
         if result.kind == BLOCKED:
             state.next_backtrack = (0, 0)
             state.loop_lengths.append(iteration + 1)
-            return UnreliableResult("witness", result.witness_for(target))
+            return result.witness_for(target)
         if result.kind == COMPLETED:
             raise SimulationError(
                 "re-extension completed without conflict or block; "
@@ -234,8 +216,7 @@ def _finish(state: SimState, target: Clause, result: ConstructResult, order) -> 
         state.next_backtrack = (0, 0)
         return result.witness_for(target)
     if result.kind == CONFLICTED:
-        out = make_unreliable(state, target, result.trail, order)
-        return out.witness if out.kind == "witness" else None
+        return make_unreliable(state, target, result.trail, order)
     raise SimulationError(
         f"construction for {target!r} completed; a conflict or block was forced"
     )
@@ -304,10 +285,9 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
         return result.witness_for(resolvent)
     if result.kind == COMPLETED:
         raise SimulationError("pivot-side construction completed unexpectedly")
-    out = make_unreliable(state, left, result.trail, order)
-    if out.kind == "empty":
+    w = make_unreliable(state, left, result.trail, order)
+    if w is None:
         return None
-    w = out.witness
     if -pivot in w.decisions:
         raise SimulationError("block happened after the pivot decision")
     if w.literal != pivot:
@@ -338,10 +318,9 @@ def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witn
         return result.witness_for(reduced)
     if result.kind == COMPLETED:
         raise SimulationError("reduction construction completed unexpectedly")
-    out = make_unreliable(state, source, result.trail, order)
-    if out.kind == "empty":
+    w2 = make_unreliable(state, source, result.trail, order)
+    if w2 is None:
         return None
-    w2 = out.witness
     if any(abs(d) in dropped for d in w2.decisions):
         raise SimulationError("block happened inside the universal tail")
     return w2

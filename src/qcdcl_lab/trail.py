@@ -61,7 +61,7 @@ class Trail:
         self.assignment: dict[int, bool] = {}
         self._level = 0
         self._offset = 0
-        self._satisfied: set[int] = set()   # clause-id cache, monotone per build
+        self._satisfied: set[int] = set()   # unit_scan's clause-id cache, monotone per build
         self._watches: _Watches | None = None  # propagate_to_fixpoint's state
 
     # -- shape ---------------------------------------------------------
@@ -303,21 +303,20 @@ class _Watches:
         out.pending = set(self.pending)
         return out
 
-    def place(self, cid: int, assignment, satisfied: set[int]):
-        """(Re)compute the watches of clause ``cid`` under ``assignment``."""
+    def place(self, cid: int, assignment):
+        """(Re)compute the watches of clause ``cid`` under ``assignment``;
+        a satisfied clause gets none."""
         w = _watch(self.clauses[cid], assignment, self.prefix, self.policy)
         old = self.watching.pop(cid, ())
-        if w is True:
-            satisfied.add(cid)
-        elif w is None:
+        if w is None:
             self.pending.add(cid)
-        else:
+        elif w is not True:
             self.watching[cid] = w
             for l in w:
                 if l not in old:
                     self.lists.setdefault(abs(l), []).append(cid)
 
-    def catch_up(self, entries, assignment, satisfied: set[int]):
+    def catch_up(self, entries, assignment):
         """Visit the watchers of every newly assigned variable, then attach
         the clauses added to the database since the last call."""
         watching = self.watching
@@ -328,12 +327,11 @@ class _Watches:
                 w = watching.get(cid, ())
                 if lit in w:           # a watched literal came true
                     del watching[cid]
-                    satisfied.add(cid)
                 elif -lit in w:
-                    self.place(cid, assignment, satisfied)
+                    self.place(cid, assignment)
         clauses = self.clauses
         while self.attached < len(clauses):
-            self.place(self.attached, assignment, satisfied)
+            self.place(self.attached, assignment)
             self.attached += 1
 
 
@@ -347,10 +345,27 @@ def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
             empty = qcnf.watches[trail.propagation_policy] = _Watches(
                 qcnf, trail.propagation_policy
             )
-        empty.catch_up((), {}, set())
+        empty.catch_up((), {})
         w = trail._watches = empty.fork()
-    w.catch_up(trail.entries, trail.assignment, trail._satisfied)
+    w.catch_up(trail.entries, trail.assignment)
     return w
+
+
+def _next_forced(qcnf: QCNF, trail: Trail):
+    """The (literal, clause id) propagation would take next: the lowest-id
+    conflict (literal 0), else the lowest-id unit; None at quiescence."""
+    w = _trail_watches(qcnf, trail)
+    clauses = qcnf.clauses
+    unit = None
+    for cid in sorted(w.pending):
+        lit, _ = _classify(qcnf, clauses[cid], trail.assignment, trail.propagation_policy)
+        if lit is None:
+            w.pending.discard(cid)   # satisfied since it was found
+        elif lit == 0:
+            return 0, cid
+        elif unit is None:
+            unit = (lit, cid)
+    return unit
 
 
 def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
@@ -369,11 +384,12 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     variables, or a last one that is universal or merged. A clause that
     cannot be watched so is satisfied, unit or falsified: satisfied clauses
     drop out for the rest of the trail, the others join a pending set.
-    Before each choice ``_classify`` re-checks the pending clauses and the
-    rule above picks among them, which is the choice a full ``unit_scan``
-    would give. On its first call a trail forks the database's state for
-    the empty trail and replays its entries; later calls visit only the
-    watchers of newly assigned variables and attach clauses added since.
+    Before each choice ``_next_forced`` re-checks the pending clauses and
+    the rule above picks among them, which is the choice a full
+    ``unit_scan`` would give. On its first call a trail forks the
+    database's state for the empty trail and replays its entries; later
+    calls visit only the watchers of newly assigned variables and attach
+    clauses added since.
     Trails only grow (backtracks, copies and restarts make fresh trails),
     so no watch is ever undone. A conflicted trail drops its state.
     """
@@ -382,18 +398,11 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     clauses = qcnf.clauses
     policy = trail.propagation_policy
     while True:
-        w = _trail_watches(qcnf, trail)
-        unit = None
-        for cid in sorted(w.pending):
-            lit, _ = _classify(qcnf, clauses[cid], trail.assignment, policy)
-            if lit is None:
-                w.pending.discard(cid)   # satisfied since it was found
-            elif lit == 0:
-                trail.append_conflict(cid)
-                trail.drop_watches()
-                return trail
-            elif unit is None:
-                unit = (lit, cid)
+        unit = _next_forced(qcnf, trail)
+        if unit is not None and unit[0] == 0:
+            trail.append_conflict(unit[1])
+            trail.drop_watches()
+            return trail
         if forced and 0 <= forced[0][1] < len(clauses) and _classify(
             qcnf, clauses[forced[0][1]], trail.assignment, policy
         )[0] == forced[0][0]:
@@ -431,16 +440,12 @@ def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
             if prefix.is_existential(v) or prefix.level(v) >= floor
         ]
     elif policy == ASS_R_ORD:
+        # An existential waits until every lower universal is decided: its
+        # level must lie below the lowest level of an undecided universal.
         decided = {abs(d) for d in trail.decisions()}
-        universals = sorted(v for v in prefix.variables if prefix.is_universal(v))
-        allowed = []
-        for v in unassigned:
-            if prefix.is_universal(v):
-                allowed.append(v)
-            elif all(
-                u in decided for u in universals if prefix.level(u) < prefix.level(v)
-            ):
-                allowed.append(v)
+        undecided = [u for u in prefix.variables if u not in decided and prefix.is_universal(u)]
+        gate = min(map(prefix.level, undecided), default=prefix.num_levels + 1)
+        allowed = [v for v in unassigned if prefix.is_universal(v) or prefix.level(v) < gate]
     else:  # pragma: no cover
         raise ValueError(policy)
     return {lit for v in allowed for lit in (v, -v)}
@@ -449,21 +454,39 @@ def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
 def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
     """Open a new decision level with ``lit``.
 
-    Refuses repeated variables and policy violations; naturality forbids
-    deciding while a propagation (or conflict) is still available.
+    Refuses repeated variables and policy violations. Naturality forbids
+    deciding while a propagation (or conflict) is still available; the
+    watch engine answers that, naming the clause propagation would take.
     """
     if abs(lit) in trail.assignment:
         raise IllegalDecisionError(f"variable {abs(lit)} already assigned")
-    scan = unit_scan(qcnf, trail)
-    if scan.entries:
+    pending = _next_forced(qcnf, trail)
+    if pending is not None:
         raise PendingPropagationError(
-            f"cannot decide {lit}: clause {scan.entries[0][0]} is "
-            + ("falsified" if scan.entries[0][1] == 0 else "unit")
+            f"cannot decide {lit}: clause {pending[1]} is "
+            + ("falsified" if pending[0] == 0 else "unit")
         )
     if lit not in legal_decisions(trail, qcnf):
         raise IllegalDecisionError(f"literal {lit} violates policy {trail.decision_policy}")
     trail.append_decision(lit)
     return trail
+
+
+def decide_in_order(qcnf: QCNF, trail: Trail, decisions, forced=None) -> int | None:
+    """Decide the listed literals in order on a trail at fixpoint,
+    propagating (with ``forced``) after each. A literal already true is
+    skipped. The walk stops at a conflict or at a literal already false and
+    returns the literal it stopped before; None if every literal was placed
+    (the trail may then have conflicted).
+    """
+    for lit in decisions:
+        value = trail.assignment.get(abs(lit))
+        if trail.conflicted or value == (lit < 0):   # the literal is false
+            return lit
+        if value is None:
+            decide(trail, lit, qcnf)
+            propagate_to_fixpoint(qcnf, trail, forced=forced)
+    return None
 
 
 # -- validation ------------------------------------------------------------

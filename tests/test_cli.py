@@ -154,3 +154,8 @@ def test_error_exit_code(tmp_path, capsys):
         "--decision", "ass-r-ord", "--propagation", "red",
     )
     assert code == 1 and err.startswith("error: round "), err
+    code, _, err = run(
+        capsys, "solve", "--input", str(formula), "--scheme", "index:99",
+        "--decision", "lev-ord", "--propagation", "red",
+    )
+    assert code == 1 and err.startswith("error: "), err

@@ -20,6 +20,7 @@ from qcdcl_lab import (
     pick_learned,
     propagate_to_fixpoint,
 )
+from qcdcl_lab.errors import QcdclError
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import Clause, make_clause
 from qcdcl_lab.learning import LearningScheme
@@ -148,7 +149,7 @@ class TestPickLearned:
     def test_index_scheme_out_of_range(self, example_phi):
         t = red_example_trail(example_phi)
         seq = learnable_sequence(t, example_phi)
-        with pytest.raises(ValueError):
+        with pytest.raises(QcdclError, match=r"^learn index:99 is beyond the learnable sequence"):
             pick_learned(LearningScheme("index", 99), seq, t, example_phi)
 
 

@@ -25,7 +25,7 @@ from qcdcl_lab import (
     replay,
     solve,
 )
-from qcdcl_lab.errors import QcdclError, ScriptDivergenceError
+from qcdcl_lab.errors import PendingPropagationError, QcdclError, ScriptDivergenceError
 from qcdcl_lab.formula import make_clause
 from qcdcl_lab.goldens import equality_script, lonsing_script, qparity_script, trapdoor_script
 from qcdcl_lab.simulation import run_simulation
@@ -36,6 +36,7 @@ from qcdcl_lab.trail import (
     NO_RED,
     RED,
     Trail,
+    decide,
     legal_decisions,
     propagate_to_fixpoint,
     unit_scan,
@@ -43,7 +44,9 @@ from qcdcl_lab.trail import (
 
 from conftest import ALL_POLICY_PAIRS, random_small_qcnf
 
-ENGINE_USERS = ("qcdcl_lab.solver", "qcdcl_lab.replay", "qcdcl_lab.simulation")
+ENGINE_USERS = (
+    "qcdcl_lab.solver", "qcdcl_lab.replay", "qcdcl_lab.simulation", "qcdcl_lab.trail"
+)
 
 
 def rescan_to_fixpoint(qcnf, trail, forced=None):
@@ -140,7 +143,10 @@ def test_simulations_match_the_rescanning_engine(monkeypatch):
 def test_random_walks_with_added_clauses_and_copies():
     """One trail is extended by decisions, clause additions (possibly unit or
     falsified on arrival, possibly with merged universals), copies and
-    backtracks; after every step the engine's trail equals the oracle's."""
+    backtracks; after every step the engine's trail equals the oracle's.
+    Before each propagation ``decide`` must refuse exactly when the oracle's
+    scan finds a unit or a conflict; when it accepts, the oracle's trail
+    takes the same decision."""
     rng = random.Random(11)
     for _ in range(400):
         f = random_small_qcnf(rng, max_vars=8, max_clauses=10)
@@ -149,6 +155,16 @@ def test_random_walks_with_added_clauses_and_copies():
             ta, tb = Trail(d, r), Trail(d, r)
             variables = sorted(f.prefix.variables)
             for _step in range(12):
+                pending = bool(unit_scan(fb, tb).entries)
+                legal = sorted(legal_decisions(ta, fa))
+                if legal:
+                    try:
+                        decide(ta, legal[0], fa)
+                    except PendingPropagationError:
+                        assert pending, (d, r)
+                    else:
+                        assert not pending, (d, r)
+                        tb.append_decision(legal[0])
                 propagate_to_fixpoint(fa, ta)
                 rescan_to_fixpoint(fb, tb)
                 assert dump_trail(ta) == dump_trail(tb), (d, r)

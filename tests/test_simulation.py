@@ -90,8 +90,7 @@ class TestMakeUnreliable:
         target = make_clause(f.prefix, [-2])
         trail = propagate_to_fixpoint(state.work, Trail(ASS_ORD, NO_RED))
         assert trail.conflicted
-        out = make_unreliable(state, target, trail, [2])
-        assert out.kind == "empty"
+        assert make_unreliable(state, target, trail, [2]) is None
         assert state.done
         assert len(state.rounds) == 1
 
@@ -108,9 +107,9 @@ class TestMakeUnreliable:
         order = [-1, -3]
         result = construct_trail_with_decisions(state, order)
         if result.kind == CONFLICTED:
-            out = make_unreliable(state, target, result.trail, order)
-            if out.kind == "witness":
-                assert witness_valid(state.work, out.witness, target)
+            w = make_unreliable(state, target, result.trail, order)
+            if w is not None:
+                assert witness_valid(state.work, w, target)
         else:
             assert result.kind == BLOCKED
 
@@ -136,10 +135,10 @@ class TestMakeUnreliable:
             return
         n = f.num_vars
         before = len(state.rounds)
-        out = make_unreliable(state, target, result.trail, order)
+        w = make_unreliable(state, target, result.trail, order)
         assert len(state.rounds) - before <= 8 * n * n + 8
-        if out.kind == "witness":
-            assert witness_valid(state.work, out.witness, target)
+        if w is not None:
+            assert witness_valid(state.work, w, target)
 
 
 class TestSpecToys:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from qcdcl_lab import (
@@ -11,6 +13,7 @@ from qcdcl_lab import (
     RED,
     Trail,
     decide,
+    dump_trail,
     legal_decisions,
     parse_qdimacs,
     propagate_to_fixpoint,
@@ -25,6 +28,7 @@ from qcdcl_lab.errors import (
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.trail import backtrack
 
+from conftest import random_small_qcnf
 
 
 def lits(trail):
@@ -107,6 +111,32 @@ class TestLegalDecisions:
         s = 6
         assert -(s + 3) in legal_decisions(t, f)   # the first middle-block var
 
+    def test_ass_r_ord_existential_waits_for_every_lower_universal(self):
+        # The rule taken literally, on random trails that assign variables
+        # by decision or (for universals, malformed) by propagation: an
+        # existential is admissible once every lower universal is decided.
+        rng = random.Random(5)
+        for _ in range(200):
+            f = random_small_qcnf(rng)
+            prefix = f.prefix
+            t = Trail(ASS_R_ORD, NO_RED)
+            order = sorted(prefix.variables)
+            rng.shuffle(order)
+            for v in order:
+                decided = {abs(d) for d in t.decisions()}
+                admitted = {
+                    x for x in prefix.variables - set(t.assignment)
+                    if prefix.is_universal(x) or all(
+                        u in decided for u in prefix.variables
+                        if prefix.is_universal(u) and prefix.level(u) < prefix.level(x)
+                    )
+                }
+                assert legal_decisions(t, f) == {l for x in admitted for l in (x, -x)}
+                if rng.random() < 0.7:
+                    t.append_decision(v)
+                else:
+                    t.append_propagation(v, 0)
+
     def test_ass_ord_universal_floor_is_monotone(self):
         # e 1 a 2 e 3 a 4: after deciding the level-4 universal, the level-2
         # universal is out, existentials stay in.
@@ -141,6 +171,16 @@ class TestDecide:
         t = Trail(LEV_ORD, NO_RED)
         with pytest.raises(PendingPropagationError):
             decide(t, 1, example_phi)
+
+    def test_pending_message_names_the_clause_propagation_takes(self):
+        # After deciding 3, clause 0 is unit and clause 1 falsified: the
+        # conflict has priority, so the refusal names clause 1.
+        f = parse_qdimacs("p cnf 3 2\ne 1 2 3 0\n1 -3 0\n-3 0\n")
+        t = Trail(ANY_ORD, NO_RED)
+        t.append_decision(3)
+        with pytest.raises(PendingPropagationError, match="clause 1 is falsified"):
+            decide(t, 2, f)
+        assert dump_trail(propagate_to_fixpoint(f, t)) == "D 3\nK 1\n"
 
 
 class TestBacktrack:
