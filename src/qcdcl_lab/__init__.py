@@ -53,7 +53,6 @@ from .trail import (
     NO_RED,
     RED,
     Trail,
-    backtrack,
     decide,
     decide_in_order,
     dump_trail,

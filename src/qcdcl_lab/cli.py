@@ -30,8 +30,20 @@ from .trail import DECISION_POLICIES, PROPAGATION_POLICIES
 
 
 def _read(path):
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise QcdclError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _checked(fn, *args, **kwargs):
+    """Call a library function that rejects out-of-range arguments with
+    ``ValueError``, and report that as a ``QcdclError``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise QcdclError(str(exc)) from None
 
 
 def _load_formula(path):
@@ -45,7 +57,7 @@ def _add_policy_args(p):
 
 def cmd_gen(args):
     spec = FamilySpec(args.family, args.n, m=args.m, c=args.c, seed=args.seed)
-    qcnf = generate(spec)
+    qcnf = _checked(generate, spec)
     comments = [f"{spec.label()}", "generated by qcdcl-lab gen"]
     text = serialize_qdimacs(qcnf, comments)
     if args.output:
@@ -58,7 +70,8 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     qcnf = _load_formula(args.input)
-    cfg = SolverConfig(
+    cfg = _checked(
+        SolverConfig,
         decision_policy=args.decision,
         propagation_policy=args.propagation,
         scheme=parse_scheme(args.scheme),
@@ -222,7 +235,8 @@ def cmd_bench(args):
 
 
 def cmd_goldens(args):
-    results = run_goldens(
+    results = _checked(
+        run_goldens,
         qparity_n=args.qparity_n,
         equality_n=args.equality_n,
         trapdoor_n=args.trapdoor_n,

@@ -68,7 +68,7 @@ class LoopBoundExceededError(QcdclError):
 
 
 class WitnessInvalidError(QcdclError):
-    """A recorded unreliability witness no longer re-validates (bug signal)."""
+    """An unreliability witness does not validate when stored (bug signal)."""
 
 
 class SimulationError(QcdclError):

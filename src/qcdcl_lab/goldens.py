@@ -33,7 +33,7 @@ def qparity_script(n: int) -> ReplayScript:
     two trails per index working down from n, flipping the next-lower
     variable in between, then four closing rounds."""
     if n < 2:
-        raise ValueError("needs n >= 2")
+        raise ValueError("qparity script needs n >= 2")
     x = lambda i: i
     rounds: list[ScriptRound] = []
 
@@ -65,7 +65,7 @@ def equality_script(n: int) -> ReplayScript:
     would propagate first (the lowest clause id wins), so those two rounds pin
     the intended antecedent (the pair clause learned first) explicitly."""
     if n < 2:
-        raise ValueError("needs n >= 2")
+        raise ValueError("equality script needs n >= 2")
     x = lambda i: i
     u = lambda i: n + i
     ln_id = 2 * n + 1   # first learned clause (the matrix has 2n+1 clauses)
@@ -96,7 +96,7 @@ def trapdoor_script(n: int) -> ReplayScript:
     Needs n >= 2 (below that the embedded pigeonhole clauses are units and
     conflict at level zero)."""
     if n < 2:
-        raise ValueError("needs n >= 2")
+        raise ValueError("trapdoor script needs n >= 2")
     s = trapdoor_size(n)
     w = s + 1
     first = [i for i in range(1, s + 1)] + [-w]

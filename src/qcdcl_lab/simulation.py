@@ -57,20 +57,25 @@ class Witness:
 
     ``trail`` propagates ``literal`` (an existential literal of the clause)
     while its decisions are contained in the clause's negation minus the
-    literal's complement. ``decisions`` records them in trail order.
+    literal's complement.
     """
 
     trail: Trail
     literal: int
-    decisions: tuple[int, ...]
+
+    @property
+    def decisions(self) -> tuple[int, ...]:
+        """The trail's decisions in trail order."""
+        return tuple(self.trail.decisions())
 
 
 def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause) -> bool:
-    """Re-validate a witness against the current clause set.
+    """Validate a witness against the clause set: its propagation
+    certificates, the policy conditions, and the containment requirements.
 
-    Clause ids are stable and clauses are only ever added, so propagation
-    certificates persist; this re-checks them, the policy conditions, and
-    the containment requirements.
+    A witness trail is never extended, clause ids are stable and clauses
+    are only ever added, so a witness that validates once stays valid as
+    the formula grows.
     """
     t = witness.trail
     if t.conflicted:
@@ -86,35 +91,23 @@ def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause) -> bool:
         return False
     neg = {-l for l in clause.lits}
     neg.discard(-witness.literal)
-    return all(d in neg for d in witness.decisions) and tuple(t.decisions()) == tuple(
-        witness.decisions
-    )
+    return all(d in neg for d in witness.decisions)
 
 
 @dataclass
 class SimState:
     """Mutable simulation state: growing formula, accumulated rounds,
-    and the witness table keyed by clause."""
+    and the witness table keyed by clause, each entry validated by
+    ``store``."""
 
     work: QCNF
     rounds: list[Round] = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
-    next_backtrack: Time = (0, 0)
     done: bool = False   # set once the empty clause is learned
     loop_lengths: list[int] = field(default_factory=list)   # rounds per unreliability loop
 
     def proof(self) -> QcdclProof:
         return QcdclProof(self.rounds, ASS_ORD, NO_RED)
-
-    def lookup(self, clause: Clause) -> Witness | None:
-        w = self.witnesses.get(clause)
-        if w is None:
-            return None
-        if not witness_valid(self.work, w, clause):
-            # Additions cannot invalidate a witness; a failure here means
-            # the recorded trail was broken when stored.
-            raise WitnessInvalidError(f"stored witness for {clause!r} fails re-validation")
-        return w
 
     def store(self, clause: Clause, witness: Witness):
         if not witness_valid(self.work, witness, clause):
@@ -133,13 +126,9 @@ class ConstructResult:
     trail: Trail
     blocked_on: int | None = None    # the scripted literal whose negation arrived
 
-    def witness_for(self, clause: Clause) -> Witness:
+    def witness(self) -> Witness:
         assert self.kind == BLOCKED
-        return Witness(
-            trail=self.trail,
-            literal=-self.blocked_on,
-            decisions=tuple(self.trail.decisions()),
-        )
+        return Witness(self.trail, -self.blocked_on)
 
 
 def construct_trail_with_decisions(state: SimState, decisions, start: Trail | None = None) -> ConstructResult:
@@ -176,23 +165,23 @@ def make_unreliable(state: SimState, target: Clause, initial: Trail,
     n = max(state.work.num_vars, 1)
     bound = LOOP_BOUND_FACTOR * n * n + 8
     trail = initial
+    backtrack: Time = (0, 0)
     for iteration in range(bound):
         if not trail.conflicted:
             raise SimulationError("unreliability loop handed a conflict-free trail")
         seq = learnable_sequence(trail, state.work)
         picked = pick_learned(ASSERTING, seq, trail, state.work)
-        record_round(state.work, state.rounds, trail, seq, picked, state.next_backtrack)
+        record_round(state.work, state.rounds, trail, seq, picked, backtrack)
         if picked.clause.is_empty():
             state.done = True
             state.loop_lengths.append(iteration + 1)
             return None
-        state.next_backtrack = picked.time
+        backtrack = picked.time
         prefix_trail = trail.backtrack(picked.time)
         result = construct_trail_with_decisions(state, decision_order, start=prefix_trail)
         if result.kind == BLOCKED:
-            state.next_backtrack = (0, 0)
             state.loop_lengths.append(iteration + 1)
-            return result.witness_for(target)
+            return result.witness()
         if result.kind == COMPLETED:
             raise SimulationError(
                 "re-extension completed without conflict or block; "
@@ -210,11 +199,10 @@ def _level_sorted(state: SimState, lits) -> list[int]:
 
 
 def _finish(state: SimState, target: Clause, result: ConstructResult, order) -> Witness | None:
-    """Common tail: a construction either blocked (direct witness) or
-    conflicted (enter the unreliability loop)."""
+    """The one outcome path of a construction: a block is a direct witness,
+    a conflict enters the unreliability loop, a completion is a bug."""
     if result.kind == BLOCKED:
-        state.next_backtrack = (0, 0)
-        return result.witness_for(target)
+        return result.witness()
     if result.kind == CONFLICTED:
         return make_unreliable(state, target, result.trail, order)
     raise SimulationError(
@@ -237,8 +225,8 @@ def simulate_resolution(state: SimState, resolvent: Clause, pivot_var: int,
     feeds the unreliability loop; the hard case re-enters with the pivot
     witness after a restart."""
     pivot = pivot_var if pivot_var in left.lits else -pivot_var
-    w1 = state.lookup(left)
-    w2 = state.lookup(right)
+    w1 = state.witnesses.get(left)
+    w2 = state.witnesses.get(right)
     if w1 is None or w2 is None:
         raise SimulationError("premise witness missing; processing order broken")
     return _resolution_cases(state, resolvent, pivot, left, right, w1, w2)
@@ -274,18 +262,13 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
     head = _level_sorted(state, (set(a1) | {-l1}) - {-pivot})
     order = head + [-pivot]
     result = construct_trail_with_decisions(state, order)
-    if result.kind == BLOCKED:
-        if result.blocked_on == -pivot:
-            # The pivot got propagated first: fall back to the union trail.
-            wanted = (set(a1) | set(a2) | {-l1, -l2}) - {pivot, -pivot}
-            order2 = _level_sorted(state, wanted)
-            result2 = construct_trail_with_decisions(state, order2)
-            return _finish(state, resolvent, result2, order2)
-        state.next_backtrack = (0, 0)
-        return result.witness_for(resolvent)
-    if result.kind == COMPLETED:
-        raise SimulationError("pivot-side construction completed unexpectedly")
-    w = make_unreliable(state, left, result.trail, order)
+    if result.kind == BLOCKED and result.blocked_on == -pivot:
+        # The pivot got propagated first: fall back to the union trail.
+        wanted = (set(a1) | set(a2) | {-l1, -l2}) - {pivot, -pivot}
+        order2 = _level_sorted(state, wanted)
+        result2 = construct_trail_with_decisions(state, order2)
+        return _finish(state, resolvent, result2, order2)
+    w = _finish(state, resolvent, result, order)
     if w is None:
         return None
     if -pivot in w.decisions:
@@ -294,7 +277,6 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
         return w
     # The new witness propagates the pivot itself: restart and run the
     # mixed construction with it.
-    state.next_backtrack = (0, 0)
     return _resolution_cases(state, resolvent, pivot, left, right, w, w2)
 
 
@@ -302,7 +284,7 @@ def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witn
     """Decide the source clause's negation with the dropped universal
     literals last; blocks can only hit existential positions, so a witness
     for the source restricted this way is one for the reduced clause."""
-    w = state.lookup(source)
+    w = state.witnesses.get(source)
     if w is None:
         raise SimulationError("premise witness missing; processing order broken")
     if source == reduced:
@@ -313,12 +295,7 @@ def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witn
     tail = _level_sorted(state, [l for l in wanted if abs(l) in dropped])
     order = head + tail
     result = construct_trail_with_decisions(state, order)
-    if result.kind == BLOCKED:
-        state.next_backtrack = (0, 0)
-        return result.witness_for(reduced)
-    if result.kind == COMPLETED:
-        raise SimulationError("reduction construction completed unexpectedly")
-    w2 = make_unreliable(state, source, result.trail, order)
+    w2 = _finish(state, reduced, result, order)
     if w2 is None:
         return None
     if any(abs(d) in dropped for d in w2.decisions):
@@ -330,10 +307,7 @@ def simulate_clause(state: SimState, step, computed: dict) -> None:
     """Process one input-refutation step, extending the state with rounds
     and (unless the empty clause was derived) a witness for its clause."""
     clause = computed[step.step_id]
-    if state.done:
-        return
-    existing = state.lookup(clause)
-    if existing is not None:
+    if state.done or clause in state.witnesses:
         return
     if step.kind == AXIOM:
         w = simulate_axiom(state, clause)
@@ -360,7 +334,6 @@ def run_simulation(qcnf: QCNF, derivation: Derivation) -> SimState:
         raise InputNotRefutationError(f"input does not check: {verdict.failures[:3]}")
     state = SimState(work=qcnf.copy())
     for step in derivation.steps:
-        state.next_backtrack = (0, 0)
         simulate_clause(state, step, verdict.clauses)
         if state.done:
             break

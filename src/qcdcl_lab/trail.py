@@ -137,10 +137,6 @@ class Trail:
         return t
 
 
-def backtrack(trail: Trail, time: Time) -> Trail:
-    return trail.backtrack(time)
-
-
 def dump_trail(trail: Trail) -> str:
     """One entry per line for golden comparisons: tag D (decision),
     P (propagation) or K (conflict), the literal, and the antecedent

@@ -136,16 +136,23 @@ def test_error_exit_code(tmp_path, capsys):
         "--decision", "lev-ord", "--propagation", "red",
     )
     assert code == 1 and "error" in err
+    formula, script = tmp_path / "eq.qdimacs", tmp_path / "eq.script"
+    run(capsys, "gen", "--family", "equality", "--n", "2", "-o", str(formula))
     bench = ["bench", "--family", "qparity", "--n", "3", "--policies", "lev-ord/red"]
+    solve = ["solve", "--input", str(formula), "--decision", "lev-ord", "--propagation", "red"]
     for argv in (
         bench[:-1] + ["foo"],
         bench[:-1] + ["foo/bar"],
         bench[:4] + ["x..3"] + bench[5:],
+        ["gen", "--family", "qparity", "--n", "1"],
+        ["gen", "--family", "random", "--n", "3"],
+        ["gen", "--family", "php", "--n", "0"],
+        ["goldens", "--qparity-n", "1"],
+        solve + ["--max-conflicts", "0"],
+        solve[:2] + [str(tmp_path / "missing.q")] + solve[3:],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv
-    formula, script = tmp_path / "eq.qdimacs", tmp_path / "eq.script"
-    run(capsys, "gen", "--family", "equality", "--n", "2", "-o", str(formula))
     script.write_text(
         serialize_script(equality_script(2)).replace("index:1", "index:99", 1)
     )

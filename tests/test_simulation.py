@@ -12,8 +12,8 @@ from qcdcl_lab import (
     parse_qdimacs,
     simulate_refutation,
 )
-from qcdcl_lab.errors import InputNotRefutationError
-from qcdcl_lab.formula import QRES
+from qcdcl_lab.errors import InputNotRefutationError, WitnessInvalidError
+from qcdcl_lab.formula import QRES, make_clause
 from qcdcl_lab.goldens import fig_trapdoor_refutation
 from qcdcl_lab.proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE
 from qcdcl_lab.simulation import (
@@ -21,12 +21,14 @@ from qcdcl_lab.simulation import (
     COMPLETED,
     CONFLICTED,
     SimState,
+    Witness,
     construct_trail_with_decisions,
     make_unreliable,
+    run_simulation,
     witness_valid,
 )
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import ASS_ORD, NO_RED, Trail, propagate_to_fixpoint
+from qcdcl_lab.trail import ANY_ORD, ASS_ORD, LEV_ORD, NO_RED, Trail, propagate_to_fixpoint
 
 from conftest import check_refutation, random_small_qcnf
 
@@ -70,13 +72,52 @@ class TestConstructTrail:
         result = construct_trail_with_decisions(state, [1, 2, 3])
         assert result.kind == BLOCKED
         assert result.blocked_on == 3
-        clause = f.clauses[0].__class__(lits=(-1, -2, -3))   # -x or -u or -y
-        from qcdcl_lab.formula import make_clause
-
-        target = make_clause(f.prefix, [-1, -2, -3])
-        w = result.witness_for(target)
+        target = make_clause(f.prefix, [-1, -2, -3])   # -x or -u or -y
+        w = result.witness()
         assert w.literal == -3
+        assert w.decisions == (1, 2)
         assert witness_valid(state.work, w, target)
+
+
+class TestStore:
+    def test_store_rejects_a_literal_outside_the_clause(self):
+        f = parse_qdimacs(
+            "p cnf 4 2\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 4 0\n-4 -3 0\n"
+        )
+        state = state_for(f)
+        w = construct_trail_with_decisions(state, [1, 2, 3]).witness()
+        other = make_clause(f.prefix, [-1, -2, 3])
+        with pytest.raises(WitnessInvalidError):
+            state.store(other, w)
+        assert other not in state.witnesses
+        target = make_clause(f.prefix, [-1, -2, -3])
+        state.store(target, w)
+        assert state.witnesses[target] is w
+
+    def test_store_rejects_a_conflicted_trail(self):
+        f = parse_qdimacs(
+            "p cnf 4 3\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 -3 4 0\n-1 -2 4 0\n-1 -2 -4 0\n"
+        )
+        state = state_for(f)
+        result = construct_trail_with_decisions(state, [1, 2, 3])
+        assert result.kind == CONFLICTED
+        target = make_clause(f.prefix, [-1, -2, 4])
+        with pytest.raises(WitnessInvalidError):
+            state.store(target, Witness(result.trail, 4))
+        assert state.witnesses == {}
+
+    @pytest.mark.parametrize(
+        "family, n, decision", [("php", 4, ANY_ORD), ("qparity", 6, LEV_ORD)]
+    )
+    def test_stored_witnesses_stay_valid_as_the_formula_grows(self, family, n, decision):
+        # ``store`` is the only validation: every witness it accepted must
+        # still validate against the final, grown clause set.
+        f = generate(FamilySpec(family, n))
+        refutation = glue_qcdcl_proof(f, solve(f, SolverConfig(decision, NO_RED)).proof)
+        state = run_simulation(f, refutation)
+        assert state.witnesses and len(state.work.clauses) > len(f.clauses)
+        for clause, w in state.witnesses.items():
+            assert witness_valid(state.work, w, clause), clause
 
 
 class TestMakeUnreliable:
@@ -85,8 +126,6 @@ class TestMakeUnreliable:
         # one round, no decisions involved.
         f = parse_qdimacs("p cnf 2 2\ne 1 2 0\n1 0\n-1 0\n")
         state = state_for(f)
-        from qcdcl_lab.formula import make_clause
-
         target = make_clause(f.prefix, [-2])
         trail = propagate_to_fixpoint(state.work, Trail(ASS_ORD, NO_RED))
         assert trail.conflicted
@@ -101,8 +140,6 @@ class TestMakeUnreliable:
             "p cnf 3 3\ne 1 2 3 0\n1 2 0\n-2 3 0\n-1 3 0\n"
         )
         state = state_for(f)
-        from qcdcl_lab.formula import make_clause
-
         target = make_clause(f.prefix, [1, 3])
         order = [-1, -3]
         result = construct_trail_with_decisions(state, order)
@@ -121,8 +158,6 @@ class TestMakeUnreliable:
         variables = sorted(f.prefix.variables)
         chosen = rng.sample(variables, min(3, len(variables)))
         lits = [v * rng.choice((1, -1)) for v in chosen]
-        from qcdcl_lab.formula import make_clause
-
         target = make_clause(f.prefix, lits)
         order = sorted(
             (-l for l in lits), key=lambda l: (f.prefix.level(l), abs(l))
@@ -145,7 +180,6 @@ class TestSpecToys:
     def test_unit_axiom_blocks_into_a_witness(self, example_phi):
         # The unit axiom's literal propagates before its negation can be
         # decided, handing over the witness without any conflict round.
-        from qcdcl_lab.formula import make_clause
         from qcdcl_lab.simulation import simulate_axiom
 
         state = state_for(example_phi)

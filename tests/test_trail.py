@@ -26,7 +26,6 @@ from qcdcl_lab.errors import (
     PendingPropagationError,
 )
 from qcdcl_lab.families import FamilySpec, generate
-from qcdcl_lab.trail import backtrack
 
 from conftest import random_small_qcnf
 
@@ -186,26 +185,26 @@ class TestDecide:
 class TestBacktrack:
     def test_restart_is_empty(self, example_phi):
         t = propagate_to_fixpoint(example_phi, Trail(LEV_ORD, RED))
-        assert lits(backtrack(t, (0, 0))) == []
+        assert lits(t.backtrack((0, 0))) == []
 
     def test_identity_at_current_end(self, example_phi):
         t = propagate_to_fixpoint(example_phi, Trail(LEV_ORD, NO_RED))
         decide(t, 1, example_phi)
         propagate_to_fixpoint(example_phi, t)
-        back = backtrack(t, (1, 2))
+        back = t.backtrack((1, 2))
         assert lits(back) == lits(t)
 
     def test_mid_trail_subtrail(self, example_phi):
         t = propagate_to_fixpoint(example_phi, Trail(LEV_ORD, NO_RED))
         decide(t, 1, example_phi)
         propagate_to_fixpoint(example_phi, t)
-        assert lits(backtrack(t, (1, 0))) == [-3, 1]
-        assert lits(backtrack(t, (0, 1))) == [-3]
+        assert lits(t.backtrack((1, 0))) == [-3, 1]
+        assert lits(t.backtrack((0, 1))) == [-3]
 
     def test_invalid_time(self, example_phi):
         t = propagate_to_fixpoint(example_phi, Trail(LEV_ORD, RED))
         with pytest.raises(InvalidTimeError):
-            backtrack(t, (5, 1))
+            t.backtrack((5, 1))
 
 
 class TestValidator:
