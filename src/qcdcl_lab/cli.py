@@ -37,6 +37,14 @@ def _read(path):
         raise QcdclError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise QcdclError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _checked(fn, *args, **kwargs):
     """Call a library function that rejects out-of-range arguments with
     ``ValueError``, and report that as a ``QcdclError``."""
@@ -61,8 +69,7 @@ def cmd_gen(args):
     comments = [f"{spec.label()}", "generated by qcdcl-lab gen"]
     text = serialize_qdimacs(qcnf, comments)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -87,11 +94,9 @@ def cmd_solve(args):
         stats["pi_size"] = len(glued.steps)
         stats["reductions"] = count_reductions(glued)
         if args.emit_proof:
-            with open(args.emit_proof, "w") as fh:
-                fh.write(serialize_proof(glued))
+            _write(args.emit_proof, serialize_proof(glued))
     if args.emit_stats:
-        with open(args.emit_stats, "w") as fh:
-            json.dump(stats, fh, indent=2, sort_keys=True)
+        _write(args.emit_stats, json.dumps(stats, indent=2, sort_keys=True))
     print(json.dumps(stats, sort_keys=True))
     return 0 if result.refuted else 2
 
@@ -102,8 +107,7 @@ def cmd_replay(args):
     proof = replay(qcnf, script, args.decision, args.propagation)
     glued = glue_qcdcl_proof(qcnf, proof)
     if args.emit_proof:
-        with open(args.emit_proof, "w") as fh:
-            fh.write(serialize_proof(glued))
+        _write(args.emit_proof, serialize_proof(glued))
     print(
         json.dumps(
             {
@@ -137,8 +141,7 @@ def cmd_simulate(args):
     proof = simulate_refutation(qcnf, derivation)
     glued = glue_qcdcl_proof(qcnf, proof)
     if args.emit_proof:
-        with open(args.emit_proof, "w") as fh:
-            fh.write(serialize_proof(glued))
+        _write(args.emit_proof, serialize_proof(glued))
     if args.emit_rounds:
         lines = []
         for i, rnd in enumerate(proof.rounds):
@@ -146,8 +149,7 @@ def cmd_simulate(args):
                 f"round {i} backtrack {rnd.backtrack[0]} {rnd.backtrack[1]} "
                 f"learned {' '.join(map(str, rnd.learned.all_literals()))} 0"
             )
-        with open(args.emit_rounds, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(args.emit_rounds, "\n".join(lines) + "\n")
     print(
         json.dumps(
             {"rounds": len(proof.rounds), "iota_size": proof.size,
@@ -227,8 +229,7 @@ def cmd_bench(args):
     plan = ExperimentPlan(cells, repetitions=args.reps, stable_timing=args.stable_timing)
     _, text = run_plan(plan, jobs=args.jobs)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -10,6 +10,9 @@ antecedent, the last element is the fully folded clause.
 Resolution runs in long-distance mode when the trail propagates through
 reduction and in plain mode otherwise; with plain propagation no tautology
 can ever arise, so a tautology error here signals a trail bug.
+
+``learn`` is the one learn step every driver runs: analyse, pick, add the
+clause to the database and record the round.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import IllegalTautologyError, InternalTautologyError, QcdclError
 from .formula import Clause, LDQRES, QCNF, QRES, reduce_clause, resolve_clauses
-from .proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE
+from .proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE, Round
 from .trail import RED, Time, Trail, _classify
 
 
@@ -153,32 +156,51 @@ def pick_learned(scheme: LearningScheme, seq: LearnableSequence, trail: Trail,
     element. The returned time is the clause's asserting time when it has
     one and (0, 0) — a restart — otherwise.
     """
-    if not seq.elements:
+    elements = seq.elements
+    if not elements:
         raise ValueError("empty learnable sequence")
+    if scheme.kind == "asserting":
+        for i, c in enumerate(elements):
+            if c.is_empty():
+                return Picked(c, (0, 0), i)
+        for i, c in enumerate(elements):
+            time = asserting_time(c, trail, qcnf)
+            if time is not None:
+                return Picked(c, time, i)
+        return Picked(elements[-1], (0, 0), len(elements) - 1)
     if scheme.kind == "dec":
-        index = len(seq.elements) - 1
+        index = len(elements) - 1
     elif scheme.kind == "index":
-        if not 0 <= scheme.k < len(seq.elements):
+        if not 0 <= scheme.k < len(elements):
             raise QcdclError(
                 f"learn {scheme} is beyond the learnable sequence "
-                f"(length {len(seq.elements)})"
+                f"(length {len(elements)})"
             )
         index = scheme.k
-    elif scheme.kind == "asserting":
-        index = None
-        for i, c in enumerate(seq.elements):
-            if c.is_empty():
-                index = i
-                break
-        if index is None:
-            for i, c in enumerate(seq.elements):
-                if asserting_time(c, trail, qcnf) is not None:
-                    index = i
-                    break
-        if index is None:
-            index = len(seq.elements) - 1
     else:
         raise ValueError(f"unknown scheme kind {scheme.kind!r}")
-    clause = seq.elements[index]
+    clause = elements[index]
     time = asserting_time(clause, trail, qcnf) if not clause.is_empty() else None
     return Picked(clause, time or (0, 0), index)
+
+
+def learn(scheme: LearningScheme, trail: Trail, work: QCNF,
+          rounds: list[Round]) -> tuple[Round, Picked]:
+    """The learn step of a round: analyse the conflicting trail, pick an
+    element of its learnable sequence with ``scheme``, add it to ``work``
+    and append the round, with its derivation, to ``rounds``. The round's
+    backtrack time is the time the trail was resumed at."""
+    seq = learnable_sequence(trail, work)
+    picked = pick_learned(scheme, seq, trail, work)
+    clause_id, duplicate = work.add_clause(picked.clause)
+    rnd = Round(
+        trail=trail,
+        learned=picked.clause,
+        clause_id=clause_id,
+        derivation=seq.derivation_for(picked.index),
+        backtrack=trail.resumed_at,
+        picked_index=picked.index,
+        duplicate=duplicate,
+    )
+    rounds.append(rnd)
+    return rnd, picked

@@ -54,23 +54,6 @@ class Derivation:
     mode: str
     conclusion: int
 
-    def conclusion_clause(self) -> Clause:
-        return self.step(self.conclusion).clause
-
-    def step(self, step_id: int) -> ProofStep:
-        s = self._by_id.get(step_id)
-        if s is None:
-            raise KeyError(f"no step {step_id}")
-        return s
-
-    @property
-    def _by_id(self):
-        cache = getattr(self, "_id_cache", None)
-        if cache is None or len(cache) != len(self.steps):
-            cache = {s.step_id: s for s in self.steps}
-            self._id_cache = cache
-        return cache
-
     def __len__(self):
         return len(self.steps)
 
@@ -183,25 +166,6 @@ class Round:
     duplicate: bool = False
 
 
-def record_round(work: QCNF, rounds: list[Round], trail: Trail, seq, picked,
-                 backtrack: Time) -> Round:
-    """Record one round: add the picked element of the learnable sequence
-    ``seq`` to ``work`` and append the round, with its derivation, to
-    ``rounds``. ``backtrack`` is the time the trail was resumed from."""
-    clause_id, duplicate = work.add_clause(picked.clause)
-    rnd = Round(
-        trail=trail,
-        learned=picked.clause,
-        clause_id=clause_id,
-        derivation=seq.derivation_for(picked.index),
-        backtrack=backtrack,
-        picked_index=picked.index,
-        duplicate=duplicate,
-    )
-    rounds.append(rnd)
-    return rnd
-
-
 @dataclass
 class QcdclProof:
     rounds: list[Round]
@@ -233,45 +197,30 @@ def glue_qcdcl_proof(qcnf: QCNF, proof: QcdclProof) -> Derivation:
     """
     mode = LDQRES if proof.propagation_policy == RED else QRES
     out: list[ProofStep] = []
-    next_id = 0
-    matrix_axiom: dict[int, int] = {}
-    learned_to_step: dict[int, int] = {}
-
-    def emit(step: ProofStep) -> int:
-        nonlocal next_id
-        out.append(step)
-        next_id += 1
-        return next_id - 1
-
+    # Clause id -> the glued step deriving it: the matrix axiom once
+    # emitted, a learned clause's concluding step. Ids never overlap.
+    glued: dict[int, int] = {}
     for rnd in proof.rounds:
         local_to_global: dict[int, int] = {}
         for s in rnd.derivation.steps:
-            if s.kind == AXIOM and s.source is not None and s.source in learned_to_step:
-                local_to_global[s.step_id] = learned_to_step[s.source]
-                continue
-            if s.kind == AXIOM and s.source is not None and s.source in matrix_axiom:
-                local_to_global[s.step_id] = matrix_axiom[s.source]
-                continue
+            gid = len(out)
             if s.kind == AXIOM:
-                gid = emit(ProofStep(next_id, AXIOM, s.clause, source=s.source))
+                if s.source in glued:
+                    local_to_global[s.step_id] = glued[s.source]
+                    continue
+                out.append(ProofStep(gid, AXIOM, s.clause, source=s.source))
                 if s.source is not None:
-                    matrix_axiom[s.source] = gid
+                    glued[s.source] = gid
             elif s.kind == RESOLVE:
-                gid = emit(
-                    ProofStep(
-                        next_id,
-                        RESOLVE,
-                        s.clause,
-                        pivot=s.pivot,
-                        left=local_to_global[s.left],
-                        right=local_to_global[s.right],
-                    )
-                )
+                out.append(ProofStep(
+                    gid, RESOLVE, s.clause, pivot=s.pivot,
+                    left=local_to_global[s.left], right=local_to_global[s.right],
+                ))
             else:
-                gid = emit(ProofStep(next_id, REDUCE, s.clause, src=local_to_global[s.src]))
+                out.append(ProofStep(gid, REDUCE, s.clause, src=local_to_global[s.src]))
             local_to_global[s.step_id] = gid
-        learned_to_step[rnd.clause_id] = local_to_global[rnd.derivation.conclusion]
-    return Derivation(out, mode, learned_to_step[proof.rounds[-1].clause_id])
+        glued[rnd.clause_id] = local_to_global[rnd.derivation.conclusion]
+    return Derivation(out, mode, glued[proof.rounds[-1].clause_id])
 
 
 def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
@@ -321,7 +270,7 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
         verdict = check_derivation(work, rnd.derivation)
         if not verdict:
             problems.append(f"{tag}: derivation invalid: {verdict.failures[:3]}")
-        elif rnd.derivation.conclusion_clause() != rnd.learned:
+        elif verdict.clauses[rnd.derivation.conclusion] != rnd.learned:
             problems.append(f"{tag}: derivation does not conclude the learned clause")
         clause_id, duplicate = work.add_clause(rnd.learned)
         if rnd.clause_id != clause_id:

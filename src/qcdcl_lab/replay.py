@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 from .errors import NON_DECIMAL, QcdclError, ScriptDivergenceError, non_decimal
 from .formula import QCNF
-from .learning import learnable_sequence, parse_scheme, pick_learned
-from .proofs import QcdclProof, Round, record_round
+from .learning import learn, parse_scheme
+from .proofs import QcdclProof, Round
 from .trail import Time, Trail, decide_in_order, propagate_to_fixpoint
 
 
@@ -115,7 +115,6 @@ def replay(qcnf: QCNF, script: ReplayScript, decision_policy: str,
     work = qcnf.copy()
     rounds: list[Round] = []
     trail = Trail(decision_policy, propagation_policy)
-    start_time: Time = (0, 0)
     for rno, rnd in enumerate(script.rounds):
         forced = deque(rnd.forced)
         propagate_to_fixpoint(work, trail, forced=forced)
@@ -130,13 +129,10 @@ def replay(qcnf: QCNF, script: ReplayScript, decision_policy: str,
             raise ScriptDivergenceError(f"round {rno}: no conflict after the decisions")
         if forced:
             raise ScriptDivergenceError(f"round {rno}: unused propagation overrides")
-        seq = learnable_sequence(trail, work)
-        scheme = parse_scheme(rnd.learn)
         try:
-            picked = pick_learned(scheme, seq, trail, work)
+            _, picked = learn(parse_scheme(rnd.learn), trail, work, rounds)
         except QcdclError as exc:
-            raise ScriptDivergenceError(f"round {rno}: {exc}") from None
-        record_round(work, rounds, trail, seq, picked, start_time)
+            raise ScriptDivergenceError(f"round {rno}: {exc}") from exc
         if picked.clause.is_empty():
             break
         if rnd.back == "restart":
@@ -145,7 +141,6 @@ def replay(qcnf: QCNF, script: ReplayScript, decision_policy: str,
             target = picked.time
         else:
             target = rnd.back
-        start_time = target
         trail = trail.backtrack(target)
     else:
         raise ScriptDivergenceError("script ended without learning the empty clause")

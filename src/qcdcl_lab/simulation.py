@@ -24,21 +24,11 @@ from .errors import (
     WitnessInvalidError,
 )
 from .formula import Clause, QCNF, QRES
-from .learning import ASSERTING, learnable_sequence, pick_learned
-from .proofs import (
-    AXIOM,
-    Derivation,
-    QcdclProof,
-    REDUCE,
-    RESOLVE,
-    Round,
-    check_derivation,
-    record_round,
-)
+from .learning import ASSERTING, learn
+from .proofs import AXIOM, Derivation, QcdclProof, REDUCE, RESOLVE, Round, check_derivation
 from .trail import (
     ASS_ORD,
     NO_RED,
-    Time,
     Trail,
     decide_in_order,
     propagate_to_fixpoint,
@@ -137,10 +127,11 @@ def construct_trail_with_decisions(state: SimState, decisions, start: Trail | No
     A listed literal already assigned in the same polarity is skipped; one
     assigned opposite means the decisions block each other and the partial
     trail is returned as a witness carrier. Conflicts abort the walk as
-    usual; ``decide`` enforces the flexible policy. The returned trail is
-    never extended, so it keeps no propagation state.
+    usual; ``decide`` enforces the flexible policy. ``start`` is extended in
+    place. The returned trail is never extended, so it keeps no propagation
+    state.
     """
-    trail = start.copy() if start is not None else Trail(ASS_ORD, NO_RED)
+    trail = start if start is not None else Trail(ASS_ORD, NO_RED)
     propagate_to_fixpoint(state.work, trail)
     stopped = decide_in_order(state.work, trail, decisions)
     if trail.conflicted:
@@ -165,20 +156,17 @@ def make_unreliable(state: SimState, target: Clause, initial: Trail,
     n = max(state.work.num_vars, 1)
     bound = LOOP_BOUND_FACTOR * n * n + 8
     trail = initial
-    backtrack: Time = (0, 0)
     for iteration in range(bound):
         if not trail.conflicted:
             raise SimulationError("unreliability loop handed a conflict-free trail")
-        seq = learnable_sequence(trail, state.work)
-        picked = pick_learned(ASSERTING, seq, trail, state.work)
-        record_round(state.work, state.rounds, trail, seq, picked, backtrack)
+        _, picked = learn(ASSERTING, trail, state.work, state.rounds)
         if picked.clause.is_empty():
             state.done = True
             state.loop_lengths.append(iteration + 1)
             return None
-        backtrack = picked.time
-        prefix_trail = trail.backtrack(picked.time)
-        result = construct_trail_with_decisions(state, decision_order, start=prefix_trail)
+        result = construct_trail_with_decisions(
+            state, decision_order, start=trail.backtrack(picked.time)
+        )
         if result.kind == BLOCKED:
             state.loop_lengths.append(iteration + 1)
             return result.witness()

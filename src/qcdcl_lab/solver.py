@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass, field
 
 from .formula import QCNF
-from .learning import ASSERTING, LearningScheme, learnable_sequence, pick_learned
-from .proofs import QcdclProof, Round, record_round
+from .learning import ASSERTING, LearningScheme, learn
+from .proofs import QcdclProof, Round
 from .trail import (
     DECISION_POLICIES,
     PROPAGATION_POLICIES,
@@ -70,12 +70,11 @@ def _pick_decision(trail, qcnf, cfg, flip_counter, rng):
     # Minimal (level, id) legal variable: prefix-order exploration is legal
     # under every decision policy and, combined with the polarity counter,
     # guarantees a conflicting branch is reached on false inputs.
+    # legal_decisions admits both polarities, and every level >= 1 opens
+    # with one decision, so the trail's last level is the decision depth.
     prefix = qcnf.prefix
     var = min({abs(l) for l in legal}, key=lambda v: (prefix.level(v), v))
-    depth = len(trail.decisions())
-    negative = (flip_counter >> depth) & 1
-    want = -var if negative else var
-    return want if want in legal else -want
+    return -var if (flip_counter >> trail.last_level) & 1 else var
 
 
 def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
@@ -96,7 +95,6 @@ def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
         return out
 
     trail = Trail(cfg.decision_policy, cfg.propagation_policy)
-    start_time = (0, 0)
     while True:
         propagate_to_fixpoint(work, trail)
         if not trail.conflicted:
@@ -111,13 +109,10 @@ def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
             if saturation_streak >= 2 ** min(work.num_vars, 16):
                 return SolveResult(SATURATED, None, stats())
             trail = Trail(cfg.decision_policy, cfg.propagation_policy)
-            start_time = (0, 0)
             continue
 
         saturation_streak = 0
-        seq = learnable_sequence(trail, work)
-        picked = pick_learned(cfg.scheme, seq, trail, work)
-        rnd = record_round(work, rounds, trail, seq, picked, start_time)
+        rnd, picked = learn(cfg.scheme, trail, work, rounds)
         if picked.clause.is_empty():
             proof = QcdclProof(rounds, cfg.decision_policy, cfg.propagation_policy)
             return SolveResult(REFUTED, proof, stats())
@@ -125,8 +120,6 @@ def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
             return SolveResult(BUDGET_EXHAUSTED, None, stats())
         if rnd.duplicate:
             flip_counter += 1
-            start_time = (0, 0)
             trail = Trail(cfg.decision_policy, cfg.propagation_policy)
         else:
-            start_time = picked.time
             trail = trail.backtrack(picked.time)

@@ -61,6 +61,7 @@ class Trail:
         self.assignment: dict[int, bool] = {}
         self._level = 0
         self._offset = 0
+        self.resumed_at: Time = (0, 0)     # the backtrack time this trail continues from
         self._satisfied: set[int] = set()   # unit_scan's clause-id cache, monotone per build
         self._watches: _Watches | None = None  # propagate_to_fixpoint's state
 
@@ -79,9 +80,6 @@ class Trail:
 
     def decisions(self) -> list[int]:
         return [e.lit for e in self.entries if e.is_decision]
-
-    def literals(self) -> list[int]:
-        return [e.lit for e in self.entries if e.lit != 0]
 
     def position_of_time(self, time: Time) -> int:
         """Index of the last entry of the subtrail at ``time`` (-1 for (0,0))."""
@@ -116,6 +114,7 @@ class Trail:
         t.assignment = dict(self.assignment)
         t._level = self._level
         t._offset = self._offset
+        t.resumed_at = self.resumed_at
         t._satisfied = set(self._satisfied)
         return t
 
@@ -124,9 +123,10 @@ class Trail:
         self._watches = None
 
     def backtrack(self, time: Time) -> "Trail":
-        """The subtrail at ``time`` as a fresh trail."""
+        """The subtrail at ``time`` as a fresh trail resumed at ``time``."""
         pos = self.position_of_time(time)
         t = Trail(self.decision_policy, self.propagation_policy)
+        t.resumed_at = time
         for e in self.entries[: pos + 1]:
             t.entries.append(e)
             if e.lit != 0:

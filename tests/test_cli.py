@@ -5,9 +5,12 @@ import io
 import json
 
 from qcdcl_lab.cli import main
+from qcdcl_lab.families import FamilySpec
 from qcdcl_lab.goldens import equality_script
 from qcdcl_lab.harness import CSV_HEADER, ExperimentPlan, run_plan
 from qcdcl_lab.replay import serialize_script
+from qcdcl_lab.solver import SolverConfig
+from qcdcl_lab.trail import LEV_ORD, RED
 
 
 def run(capsys, *argv):
@@ -121,6 +124,18 @@ def test_bench_cli_schema(tmp_path, capsys):
     assert outcomes == {"refuted"}
 
 
+def test_worker_processes_give_the_same_csv():
+    cells = [
+        (FamilySpec(family, n), SolverConfig(LEV_ORD, RED))
+        for family, n in (("equality", 2), ("equality", 3), ("qparity", 3), ("qparity", 4))
+    ]
+    plan = ExperimentPlan(cells, stable_timing=True)
+    _, serial = run_plan(plan, jobs=1)
+    _, pooled = run_plan(plan, jobs=2)
+    assert pooled == serial
+    assert serial.count("refuted") == 4
+
+
 def test_empty_plan_gives_header_only():
     records, text = run_plan(ExperimentPlan(cells=[]))
     assert records == []
@@ -150,6 +165,9 @@ def test_error_exit_code(tmp_path, capsys):
         ["goldens", "--qparity-n", "1"],
         solve + ["--max-conflicts", "0"],
         solve[:2] + [str(tmp_path / "missing.q")] + solve[3:],
+        ["gen", "--family", "equality", "--n", "2", "-o", str(tmp_path / "no" / "x.q")],
+        solve + ["--emit-stats", str(tmp_path / "no" / "s.json")],
+        bench + ["-o", str(tmp_path / "no" / "b.csv")],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import qcdcl_lab.learning as learning
 from qcdcl_lab import (
     ANY_ORD,
     ASSERTING,
@@ -145,6 +146,35 @@ class TestPickLearned:
         picked = pick_learned(ASSERTING, seq, t, f)
         assert picked.clause == make_clause(f.prefix, [-1, -2])
         assert picked.time == (0, 0)
+
+    def test_asserting_times_each_element_once(self, monkeypatch):
+        """The asserting scan times the elements from the conflict side up
+        to the one it picks, each once, and never times the pick again."""
+        timed = []
+
+        def counting(clause, trail, qcnf):
+            timed.append(clause)
+            return asserting_time(clause, trail, qcnf)
+
+        f = generate(FamilySpec("qparity", 4))
+        proof = solve(f.copy(), SolverConfig(LEV_ORD, RED)).proof
+        fallback = parse_qdimacs(ALL_PAIRS_FALSE)
+        t = Trail(ANY_ORD, NO_RED)
+        decide(t, 2, fallback)
+        decide(t, 1, fallback)
+        propagate_to_fixpoint(fallback, t)
+        cases = [(t, fallback, None)] + [
+            (rnd.trail, _formula_at(f, proof, rnd), rnd.picked_index)
+            for rnd in proof.rounds if not rnd.learned.is_empty()
+        ]
+        assert len(cases) > 2
+        monkeypatch.setattr(learning, "asserting_time", counting)
+        for trail, work, index in cases:
+            seq = learnable_sequence(trail, work)
+            timed.clear()
+            picked = pick_learned(ASSERTING, seq, trail, work)
+            assert index in (None, picked.index)
+            assert timed == seq.elements[: picked.index + 1]
 
     def test_index_scheme_out_of_range(self, example_phi):
         t = red_example_trail(example_phi)

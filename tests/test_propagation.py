@@ -127,8 +127,8 @@ def test_golden_replays_match_the_rescanning_engine(monkeypatch):
 
 
 def test_simulations_match_the_rescanning_engine(monkeypatch):
-    """The simulation continues ``trail.copy()`` snapshots of backtracked
-    trails, so fresh state is built mid-trail."""
+    """The simulation continues backtracked trails, which carry no watch
+    state, so fresh state is built mid-trail."""
     for family, n, d in (("php", 3, ANY_ORD), ("qparity", 4, LEV_ORD)):
         f = generate(FamilySpec(family, n))
         derivation = glue_qcdcl_proof(f, solve(f, SolverConfig(d, NO_RED)).proof)

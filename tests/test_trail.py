@@ -206,6 +206,17 @@ class TestBacktrack:
         with pytest.raises(InvalidTimeError):
             t.backtrack((5, 1))
 
+    def test_resumed_at(self, example_phi):
+        t = propagate_to_fixpoint(example_phi, Trail(LEV_ORD, NO_RED))
+        assert t.resumed_at == (0, 0)
+        decide(t, 1, example_phi)
+        propagate_to_fixpoint(example_phi, t)
+        back = t.backtrack((1, 0))
+        assert back.resumed_at == (1, 0)
+        assert t.resumed_at == (0, 0)
+        assert back.copy().resumed_at == (1, 0)
+        assert back.backtrack((0, 0)).resumed_at == (0, 0)
+
 
 class TestValidator:
     def test_good_trail_passes(self, example_phi):
