@@ -206,6 +206,8 @@ def _parse_policies(text):
 
 
 def cmd_bench(args):
+    if args.reps < 1:
+        raise QcdclError("--reps must be at least 1")
     scheme = parse_scheme(args.scheme)
     pairs = _parse_policies(args.policies)
     seeds = _parse_range(args.seeds)
@@ -216,7 +218,8 @@ def cmd_bench(args):
                 cells.append(
                     (
                         FamilySpec(args.family, n, m=args.m, c=args.c, seed=args.seed),
-                        SolverConfig(
+                        _checked(
+                            SolverConfig,
                             decision_policy=pol_d,
                             propagation_policy=pol_r,
                             scheme=scheme,

@@ -53,6 +53,10 @@ class Prefix:
                 self._level[v] = idx
                 self._quant[v] = quant
         self.variables = frozenset(self._level)
+        # Signed literal -> its variable's position in (level, variable)
+        # order: the sort key of every clause's normal form.
+        ranked = [v for _, variables in self.blocks for v in variables]
+        self.rank = {l: i for i, v in enumerate(ranked) for l in (v, -v)}
 
     @property
     def num_levels(self):
@@ -157,11 +161,8 @@ def make_clause(prefix: Prefix, lits, merged=()) -> Clause:
     for l in plain:
         if abs(l) not in prefix:
             raise ValueError(f"variable {abs(l)} not bound by the prefix")
-    order = lambda v: (prefix.level(v), v)
-    return Clause(
-        lits=tuple(sorted(plain, key=lambda l: order(abs(l)))),
-        merged=tuple(sorted(merged_vars, key=order)),
-    )
+    key = prefix.rank.__getitem__
+    return Clause(lits=tuple(sorted(plain, key=key)), merged=tuple(sorted(merged_vars, key=key)))
 
 
 def clause_from_raw(lits) -> Clause:
@@ -190,25 +191,15 @@ def reduce_clause(c: Clause, prefix: Prefix) -> Clause:
     A clause without existential literals reduces to the empty clause.
     Idempotent, and never removes existential literals.
     """
-    ex_levels = [prefix.level(l) for l in c.lits if prefix.is_existential(l)]
-    if not ex_levels:
+    level = prefix.level
+    cut = max((level(l) for l in c.lits if prefix.is_existential(l)), default=0)
+    if not cut:
         return Clause()
-    cut = max(ex_levels)
-    lits = tuple(
-        l for l in c.lits if prefix.is_existential(l) or prefix.level(l) <= cut
+    # Every existential literal lies at or below the cut.
+    return Clause(
+        lits=tuple(l for l in c.lits if level(l) <= cut),
+        merged=tuple(v for v in c.merged if level(v) <= cut),
     )
-    merged = tuple(v for v in c.merged if prefix.level(v) <= cut)
-    return Clause(lits=lits, merged=merged)
-
-
-def _polarities(c: Clause, var: int) -> frozenset[int]:
-    if var in c.merged:
-        return frozenset((1, -1))
-    if var in c.lits:
-        return frozenset((1,))
-    if -var in c.lits:
-        return frozenset((-1,))
-    return frozenset()
 
 
 def resolve_clauses(c1: Clause, c2: Clause, pivot: int, mode: str, prefix: Prefix) -> Clause:
@@ -227,28 +218,36 @@ def resolve_clauses(c1: Clause, c2: Clause, pivot: int, mode: str, prefix: Prefi
         raise PivotMissingError(f"pivot variable {pv} is not existential")
     if pivot not in c1.lits or -pivot not in c2.lits:
         raise PivotMissingError(f"pivot {pivot} not present with both polarities")
-    lits, merged = [], []
-    for v in (c1.variables() | c2.variables()) - {pv}:
-        signs = _polarities(c1, v) | _polarities(c2, v)
-        if len(signs) == 1:
-            lits.append(v if 1 in signs else -v)
-            continue
+    # Variable -> its literal in the resolvent, 0 once both polarities occur.
+    out = {abs(l): l for l in c1.lits}
+    for v in c1.merged:
+        out[v] = 0
+    crossed = []   # variables that occur in both premises and merge there
+    for l in c2.lits:
+        v = abs(l)
+        if out.setdefault(v, l) != l:
+            out[v] = 0
+            crossed.append(v)
+    for v in c2.merged:
+        if v in out:
+            crossed.append(v)
+        out[v] = 0
+    del out[pv]
+    merged = [v for v, l in out.items() if not l]
+    for v in merged:
         if mode == QRES or prefix.is_existential(v):
             raise IllegalTautologyError(
                 f"resolvent tautological in variable {v} (mode {mode})"
             )
-        both_sides = v in c1.variables() and v in c2.variables()
-        if both_sides and prefix.level(v) <= prefix.level(pv):
+    for v in crossed:
+        if v != pv and prefix.level(v) <= prefix.level(pv):
             raise IllegalTautologyError(
                 f"universal merge on {v} blocked: level {prefix.level(v)} "
                 f"not greater than pivot level {prefix.level(pv)}"
             )
-        merged.append(v)
-    order = lambda v: (prefix.level(v), v)
-    return Clause(
-        lits=tuple(sorted(lits, key=lambda l: order(abs(l)))),
-        merged=tuple(sorted(merged, key=order)),
-    )
+    key = prefix.rank.__getitem__
+    merged.sort(key=key)
+    return Clause(lits=tuple(sorted(filter(None, out.values()), key=key)), merged=tuple(merged))
 
 
 def assignment_from_literals(literals) -> dict[int, bool]:

@@ -72,8 +72,7 @@ def _pick_decision(trail, qcnf, cfg, flip_counter, rng):
     # guarantees a conflicting branch is reached on false inputs.
     # legal_decisions admits both polarities, and every level >= 1 opens
     # with one decision, so the trail's last level is the decision depth.
-    prefix = qcnf.prefix
-    var = min({abs(l) for l in legal}, key=lambda v: (prefix.level(v), v))
+    var = abs(min(legal, key=qcnf.prefix.rank.__getitem__))
     return -var if (flip_counter >> trail.last_level) & 1 else var
 
 

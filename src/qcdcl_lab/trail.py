@@ -20,7 +20,7 @@ from .errors import (
     PendingPropagationError,
     ScriptDivergenceError,
 )
-from .formula import QCNF
+from .formula import FORALL, QCNF
 
 LEV_ORD = "lev-ord"
 ASS_ORD = "ass-ord"
@@ -420,14 +420,20 @@ def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
     """The literals the trail's decision policy admits as the next decision."""
     policy = trail.decision_policy
     prefix = qcnf.prefix
-    unassigned = sorted(prefix.variables - set(trail.assignment))
+    assigned = trail.assignment
+    if policy == LEV_ORD:
+        # Blocks are in level order: the first block with an unassigned
+        # variable holds all of the lowest level's.
+        for _, block in prefix.blocks:
+            allowed = [v for v in block if v not in assigned]
+            if allowed:
+                return {lit for v in allowed for lit in (v, -v)}
+        return set()
+    unassigned = [v for _, block in prefix.blocks for v in block if v not in assigned]
     if not unassigned:
         return set()
     if policy == ANY_ORD:
         allowed = unassigned
-    elif policy == LEV_ORD:
-        lowest = min(prefix.level(v) for v in unassigned)
-        allowed = [v for v in unassigned if prefix.level(v) == lowest]
     elif policy == ASS_ORD:
         floor = max((prefix.level(d) for d in trail.decisions()), default=0)
         allowed = [
@@ -439,8 +445,11 @@ def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
         # An existential waits until every lower universal is decided: its
         # level must lie below the lowest level of an undecided universal.
         decided = {abs(d) for d in trail.decisions()}
-        undecided = [u for u in prefix.variables if u not in decided and prefix.is_universal(u)]
-        gate = min(map(prefix.level, undecided), default=prefix.num_levels + 1)
+        gate = next(
+            (lev for lev, (quant, block) in enumerate(prefix.blocks, start=1)
+             if quant == FORALL and not decided.issuperset(block)),
+            prefix.num_levels + 1,
+        )
         allowed = [v for v in unassigned if prefix.is_universal(v) or prefix.level(v) < gate]
     else:  # pragma: no cover
         raise ValueError(policy)

@@ -168,6 +168,8 @@ def test_error_exit_code(tmp_path, capsys):
         ["gen", "--family", "equality", "--n", "2", "-o", str(tmp_path / "no" / "x.q")],
         solve + ["--emit-stats", str(tmp_path / "no" / "s.json")],
         bench + ["-o", str(tmp_path / "no" / "b.csv")],
+        bench + ["--max-conflicts", "0"],
+        bench + ["--reps", "0"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv

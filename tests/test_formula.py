@@ -191,3 +191,172 @@ def test_qres_resolvent_never_tautological(pcc):
             continue
         assert not r.merged
         assert not any(-l in r.lits for l in r.lits)
+
+
+# -- the kernels against the frozenset implementations they replaced ---------
+
+
+def _reference_polarities(c: Clause, var: int) -> frozenset[int]:
+    if var in c.merged:
+        return frozenset((1, -1))
+    if var in c.lits:
+        return frozenset((1,))
+    if -var in c.lits:
+        return frozenset((-1,))
+    return frozenset()
+
+
+def reference_resolve(c1, c2, pivot, mode, prefix):
+    """``resolve_clauses`` as it was before the rank table: per-variable
+    polarity sets and a (level, variable) sort."""
+    if mode not in (QRES, LDQRES):
+        raise ValueError(f"unknown mode {mode!r}")
+    pv = abs(pivot)
+    if not prefix.is_existential(pv):
+        raise PivotMissingError(f"pivot variable {pv} is not existential")
+    if pivot not in c1.lits or -pivot not in c2.lits:
+        raise PivotMissingError(f"pivot {pivot} not present with both polarities")
+    lits, merged = [], []
+    for v in (c1.variables() | c2.variables()) - {pv}:
+        signs = _reference_polarities(c1, v) | _reference_polarities(c2, v)
+        if len(signs) == 1:
+            lits.append(v if 1 in signs else -v)
+            continue
+        if mode == QRES or prefix.is_existential(v):
+            raise IllegalTautologyError(f"resolvent tautological in variable {v}")
+        both_sides = v in c1.variables() and v in c2.variables()
+        if both_sides and prefix.level(v) <= prefix.level(pv):
+            raise IllegalTautologyError(f"universal merge on {v} blocked")
+        merged.append(v)
+    order = lambda v: (prefix.level(v), v)
+    return Clause(
+        lits=tuple(sorted(lits, key=lambda l: order(abs(l)))),
+        merged=tuple(sorted(merged, key=order)),
+    )
+
+
+def reference_make_clause(prefix, lits, merged=()):
+    pol: dict[int, set[int]] = {}
+    for l in lits:
+        if l == 0:
+            raise ValueError("0 is not a literal")
+        pol.setdefault(abs(l), set()).add(1 if l > 0 else -1)
+    merged_vars = set(abs(v) for v in merged)
+    plain = []
+    for v, signs in pol.items():
+        if len(signs) == 2:
+            merged_vars.add(v)
+        else:
+            plain.append(v if 1 in signs else -v)
+    for v in merged_vars:
+        if v not in prefix:
+            raise ValueError(f"variable {v} not bound by the prefix")
+        if not prefix.is_universal(v):
+            raise ValueError(f"existential variable {v} cannot be merged")
+        if v in pol and len(pol[v]) == 1:
+            plain = [l for l in plain if abs(l) != v]
+    for l in plain:
+        if abs(l) not in prefix:
+            raise ValueError(f"variable {abs(l)} not bound by the prefix")
+    order = lambda v: (prefix.level(v), v)
+    return Clause(
+        lits=tuple(sorted(plain, key=lambda l: order(abs(l)))),
+        merged=tuple(sorted(merged_vars, key=order)),
+    )
+
+
+def reference_reduce(c, prefix):
+    ex_levels = [prefix.level(l) for l in c.lits if prefix.is_existential(l)]
+    if not ex_levels:
+        return Clause()
+    cut = max(ex_levels)
+    lits = tuple(l for l in c.lits if prefix.is_existential(l) or prefix.level(l) <= cut)
+    merged = tuple(v for v in c.merged if prefix.level(v) <= cut)
+    return Clause(lits=lits, merged=merged)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:   # compared by type only
+        return type(exc)
+
+
+@st.composite
+def shuffled_prefix(draw):
+    """A prefix whose variable ids are out of level order."""
+    ids = draw(st.lists(st.integers(1, 12), min_size=1, max_size=7, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, len(ids) - 1), max_size=4))) if len(ids) > 1 else []
+    quant = draw(st.sampled_from([EXISTS, FORALL]))
+    blocks, prev = [], 0
+    for cut in cuts + [len(ids)]:
+        blocks.append((quant, ids[prev:cut]))
+        quant = EXISTS if quant == FORALL else FORALL
+        prev = cut
+    return Prefix(blocks)
+
+
+@st.composite
+def premises(draw):
+    """A shuffled prefix and two normal-form clauses that may carry merged
+    universals."""
+    prefix = draw(shuffled_prefix())
+    variables = sorted(prefix.variables)
+
+    def one_clause():
+        lits, merged = [], []
+        for v in variables:
+            state = draw(st.sampled_from(("absent", "pos", "neg", "merged")))
+            if state == "pos":
+                lits.append(v)
+            elif state == "neg":
+                lits.append(-v)
+            elif state == "merged" and prefix.is_universal(v):
+                merged.append(v)
+        return make_clause(prefix, lits, merged)
+
+    return prefix, one_clause(), one_clause()
+
+
+@given(premises())
+@settings(max_examples=300)
+def test_resolve_matches_reference(pcc):
+    prefix, c1, c2 = pcc
+    for mode in (QRES, LDQRES):
+        for v in prefix.variables:
+            for pivot in (v, -v):
+                for a, b in ((c1, c2), (c2, c1)):
+                    new = outcome(resolve_clauses, a, b, pivot, mode, prefix)
+                    assert new == outcome(reference_resolve, a, b, pivot, mode, prefix)
+
+
+@given(shuffled_prefix(), st.data())
+@settings(max_examples=300)
+def test_make_clause_matches_reference(prefix, data):
+    variables = sorted(prefix.variables)
+    # Duplicate or opposite literals and, now and then, 0 or an unbound id
+    # reach every error path.
+    signed = variables + [-v for v in variables]
+    lits = data.draw(st.lists(st.sampled_from(signed), max_size=10))
+    lits += data.draw(st.lists(st.integers(-13, 13), max_size=1))
+    merged = data.draw(st.lists(st.sampled_from(variables), max_size=2))
+    made = outcome(make_clause, prefix, lits, merged)
+    assert made == outcome(reference_make_clause, prefix, lits, merged)
+
+
+@given(premises(), st.data())
+@settings(max_examples=300)
+def test_reduce_matches_reference(pcc, data):
+    prefix, c1, _ = pcc
+    # reduce_clause is public: it must not rely on the clause's order.
+    shuffled = tuple(data.draw(st.permutations(c1.lits)))
+    for lits in (c1.lits, c1.lits[::-1], shuffled):
+        c = Clause(lits=lits, merged=c1.merged[::-1])
+        assert reduce_clause(c, prefix) == reference_reduce(c, prefix)
+
+
+@given(shuffled_prefix())
+def test_rank_is_level_then_variable_order(prefix):
+    by_rank = sorted(prefix.variables, key=prefix.rank.__getitem__)
+    assert by_rank == sorted(prefix.variables, key=lambda v: (prefix.level(v), v))
+    assert all(prefix.rank[v] == prefix.rank[-v] for v in prefix.variables)
