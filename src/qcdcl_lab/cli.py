@@ -184,13 +184,14 @@ def cmd_eval(args):
 
 
 def _parse_range(text):
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in text.split(",")]
+        values = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in text.split(",")]
     except ValueError:
         raise QcdclError(f"bad range or list {text!r}") from None
+    if not values:
+        raise QcdclError(f"empty range {text!r}")
+    return values
 
 
 def _parse_policies(text):

@@ -98,6 +98,8 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     The conflict case counts as unit: under reduction-aware propagation a
     restriction left with only universal literals is as good as falsified.
     A satisfied clause forces nothing, so the forced literal alone decides.
+    The clause's status changes only when one of its variables is assigned,
+    so only those entries are looked at.
     """
     if clause.is_empty():
         return None
@@ -108,12 +110,16 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     assignment: dict[int, bool] = {}
     if _classify(qcnf, clause, assignment, policy)[0] is not None:
         return (0, 0)
+    own = {abs(l) for l in clause.lits}
+    own.update(clause.merged)
     for e in trail.entries:
         if e.level >= r:   # positions at the conflict level are too late
             break
-        assignment[abs(e.lit)] = e.lit > 0
-        if _classify(qcnf, clause, assignment, policy)[0] is not None:
-            return (e.level, e.offset)
+        v = abs(e.lit)
+        if v in own:
+            assignment[v] = e.lit > 0
+            if _classify(qcnf, clause, assignment, policy)[0] is not None:
+                return (e.level, e.offset)
     return None
 
 

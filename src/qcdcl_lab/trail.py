@@ -62,7 +62,6 @@ class Trail:
         self._level = 0
         self._offset = 0
         self.resumed_at: Time = (0, 0)     # the backtrack time this trail continues from
-        self._satisfied: set[int] = set()   # unit_scan's clause-id cache, monotone per build
         self._watches: _Watches | None = None  # propagate_to_fixpoint's state
 
     # -- shape ---------------------------------------------------------
@@ -115,7 +114,6 @@ class Trail:
         t._level = self._level
         t._offset = self._offset
         t.resumed_at = self.resumed_at
-        t._satisfied = set(self._satisfied)
         return t
 
     def drop_watches(self):
@@ -212,18 +210,14 @@ def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
 
     Under NO-RED a clause shrunk to a single universal literal is neither
     unit nor a conflict; under RED reduction applies first, so the same
-    clause is a conflict.
+    clause is a conflict. Every clause is classified on every call: this is
+    the reference the incremental checks are tested against.
     """
     policy = trail.propagation_policy
     entries = []
     conflict = False
     for cid, clause in enumerate(qcnf.clauses):
-        if cid in trail._satisfied:
-            continue
-        forced, satisfied = _classify(qcnf, clause, trail.assignment, policy)
-        if satisfied:
-            trail._satisfied.add(cid)
-            continue
+        forced, _ = _classify(qcnf, clause, trail.assignment, policy)
         if forced is None:
             continue
         entries.append((cid, forced))
@@ -416,44 +410,50 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
 # -- decisions -------------------------------------------------------------
 
 
-def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
-    """The literals the trail's decision policy admits as the next decision."""
+def _admitted_levels(trail: Trail, prefix):
+    """The quantifier levels whose unassigned variables the trail's decision
+    policy admits next: the one place the four policies are written."""
     policy = trail.decision_policy
-    prefix = qcnf.prefix
-    assigned = trail.assignment
+    blocks = prefix.blocks
     if policy == LEV_ORD:
         # Blocks are in level order: the first block with an unassigned
-        # variable holds all of the lowest level's.
-        for _, block in prefix.blocks:
-            allowed = [v for v in block if v not in assigned]
-            if allowed:
-                return {lit for v in allowed for lit in (v, -v)}
-        return set()
-    unassigned = [v for _, block in prefix.blocks for v in block if v not in assigned]
-    if not unassigned:
-        return set()
+        # variable is the one level open.
+        assigned = trail.assignment
+        for lev, (_, block) in enumerate(blocks, start=1):
+            for v in block:
+                if v not in assigned:
+                    return (lev,)
+        return ()
     if policy == ANY_ORD:
-        allowed = unassigned
-    elif policy == ASS_ORD:
+        return range(1, len(blocks) + 1)
+    if policy == ASS_ORD:
+        # No universal below the deepest decision so far.
         floor = max((prefix.level(d) for d in trail.decisions()), default=0)
-        allowed = [
-            v
-            for v in unassigned
-            if prefix.is_existential(v) or prefix.level(v) >= floor
-        ]
-    elif policy == ASS_R_ORD:
+        return [lev for lev, (quant, _) in enumerate(blocks, start=1)
+                if quant != FORALL or lev >= floor]
+    if policy == ASS_R_ORD:
         # An existential waits until every lower universal is decided: its
         # level must lie below the lowest level of an undecided universal.
         decided = {abs(d) for d in trail.decisions()}
-        gate = next(
-            (lev for lev, (quant, block) in enumerate(prefix.blocks, start=1)
-             if quant == FORALL and not decided.issuperset(block)),
-            prefix.num_levels + 1,
-        )
-        allowed = [v for v in unassigned if prefix.is_universal(v) or prefix.level(v) < gate]
-    else:  # pragma: no cover
-        raise ValueError(policy)
-    return {lit for v in allowed for lit in (v, -v)}
+        gate = next((lev for lev, (quant, block) in enumerate(blocks, start=1)
+                     if quant == FORALL and not decided.issuperset(block)), len(blocks) + 1)
+        return [lev for lev, (quant, _) in enumerate(blocks, start=1)
+                if quant == FORALL or lev < gate]
+    raise ValueError(policy)  # pragma: no cover
+
+
+def _admits(trail: Trail, lit: int, prefix) -> bool:
+    """``lit in legal_decisions(trail, ...)``, testing only ``lit``: its
+    variable is bound, unassigned and at an admitted level."""
+    return (lit in prefix and abs(lit) not in trail.assignment
+            and prefix.level(lit) in _admitted_levels(trail, prefix))
+
+
+def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
+    """The literals the trail's decision policy admits as the next decision."""
+    blocks, assigned = qcnf.prefix.blocks, trail.assignment
+    return {lit for lev in _admitted_levels(trail, qcnf.prefix)
+            for v in blocks[lev - 1][1] if v not in assigned for lit in (v, -v)}
 
 
 def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
@@ -471,7 +471,7 @@ def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
             f"cannot decide {lit}: clause {pending[1]} is "
             + ("falsified" if pending[0] == 0 else "unit")
         )
-    if lit not in legal_decisions(trail, qcnf):
+    if not _admits(trail, lit, qcnf.prefix):
         raise IllegalDecisionError(f"literal {lit} violates policy {trail.decision_policy}")
     trail.append_decision(lit)
     return trail
@@ -510,19 +510,41 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     legality and shape conditions are always enforced. Positions before
     ``natural_from`` belong to an inherited backtrack prefix, whose
     propagations were natural with respect to an earlier clause set.
+    From there on each entry reclassifies (with ``_classify`` alone) only the
+    clauses holding its negation; a satisfied clause drops out for good.
     """
     problems = []
-    shadow = Trail(trail.decision_policy, trail.propagation_policy)
+    policy = trail.propagation_policy
+    shadow = Trail(trail.decision_policy, policy)
+    units, falsified, satisfied = set(), set(), set()   # clause ids
+    occurs = None   # literal of a later entry -> ids of the unsatisfied clauses holding it
+
+    def classify(cid):
+        forced, sat = _classify(qcnf, qcnf.clauses[cid], shadow.assignment, policy)
+        units.discard(cid)
+        falsified.discard(cid)
+        if sat:
+            satisfied.add(cid)
+        elif forced == 0:
+            falsified.add(cid)
+        elif forced is not None:
+            units.add(cid)
+
     for pos, e in enumerate(trail.entries):
         natural_here = pos >= natural_from
-        scan = None
-        if natural_here:
-            scan = unit_scan(qcnf, shadow)
+        if natural_here and occurs is None:
+            occurs = {l: [] for f in trail.entries[pos:] for l in (f.lit, -f.lit)}
+            for cid, clause in enumerate(qcnf.clauses):
+                classify(cid)
+                if cid not in satisfied:
+                    for l in clause.all_literals():
+                        if l in occurs:
+                            occurs[l].append(cid)
         if e.lit == 0:
             if pos != len(trail.entries) - 1:
                 problems.append(f"entry {pos}: conflict marker not rightmost")
             if e.antecedent is None or not _certifies(
-                qcnf, e.antecedent, shadow.assignment, 0, trail.propagation_policy
+                qcnf, e.antecedent, shadow.assignment, 0, policy
             ):
                 problems.append(f"entry {pos}: antecedent does not certify the conflict")
             shadow.append_conflict(e.antecedent or 0)
@@ -531,9 +553,9 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
             problems.append(f"entry {pos}: variable {abs(e.lit)} repeated")
             break
         if e.is_decision:
-            if natural_here and scan.entries:
+            if natural_here and (units or falsified):
                 problems.append(f"entry {pos}: decision skips pending propagation")
-            if e.lit not in legal_decisions(shadow, qcnf):
+            if not _admits(shadow, e.lit, qcnf.prefix):
                 problems.append(
                     f"entry {pos}: decision {e.lit} violates {trail.decision_policy}"
                 )
@@ -542,12 +564,20 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
             if not qcnf.prefix.is_existential(e.lit):
                 problems.append(f"entry {pos}: propagated literal {e.lit} not existential")
             if e.antecedent is None or not _certifies(
-                qcnf, e.antecedent, shadow.assignment, e.lit, trail.propagation_policy
+                qcnf, e.antecedent, shadow.assignment, e.lit, policy
             ):
                 problems.append(f"entry {pos}: antecedent does not certify {e.lit}")
-            if natural_here and scan.conflict_present:
+            if natural_here and falsified:
                 problems.append(f"entry {pos}: propagation taken while a conflict exists")
             shadow.append_propagation(e.lit, e.antecedent or 0)
+        if occurs is not None:
+            for cid in occurs.pop(e.lit, ()):   # satisfied now
+                satisfied.add(cid)
+                units.discard(cid)
+                falsified.discard(cid)
+            for cid in occurs.pop(-e.lit, ()):
+                if cid not in satisfied:
+                    classify(cid)
         if (e.level, e.offset) != (shadow.entries[-1].level, shadow.entries[-1].offset):
             problems.append(f"entry {pos}: level/offset bookkeeping mismatch")
     return problems

@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from qcdcl_lab import (
     NO_RED,
     QCNF,
+    FamilySpec,
+    SolverConfig,
+    Trail,
     check_derivation,
+    generate,
     glue_qcdcl_proof,
     parse_qdimacs,
+    replay,
+    solve,
     validate_qcdcl_proof,
 )
 from qcdcl_lab.formula import EXISTS, FORALL, Prefix, make_clause
+from qcdcl_lab.goldens import equality_script, lonsing_script, qparity_script, trapdoor_script
+from qcdcl_lab.simulation import run_simulation
+from qcdcl_lab.trail import DECISION_POLICIES, PROPAGATION_POLICIES, TrailEntry
 
 # The one-alternation example used throughout: variables x=1, u=2, y=3, z=4.
 EXAMPLE_PHI = """p cnf 4 4
@@ -104,3 +115,101 @@ ALL_POLICY_PAIRS = [
     for r in ("red", "no-red")
     if (d, r) not in (("ass-ord", "red"), ("ass-r-ord", "no-red"))
 ]
+
+EVERY_POLICY_PAIR = [(d, r) for d in DECISION_POLICIES for r in PROPAGATION_POLICIES]
+
+
+def _round_trails(base: QCNF, rounds):
+    """Each round's trail with the formula it is validated against: the
+    base plus the clauses learned in earlier rounds."""
+    work = base.copy()
+    out = []
+    for rnd in rounds:
+        out.append((work.copy(), rnd.trail))
+        work.add_clause(rnd.learned)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def trail_corpus() -> tuple:
+    """(formula, trail) pairs from solver runs under all eight policy
+    pairs, golden replays, and a simulation (its rounds and witnesses)."""
+    corpus = []
+    rng = random.Random(20261018)
+    for _ in range(6):
+        f = random_small_qcnf(rng, max_vars=6, max_clauses=10)
+        for d, r in EVERY_POLICY_PAIR:
+            result = solve(f.copy(), SolverConfig(d, r, max_conflicts=4 ** f.num_vars))
+            if result.proof is not None:
+                corpus += _round_trails(f, result.proof.rounds)
+    for family, script, d, r in (
+        ("qparity", qparity_script, "lev-ord", "red"),
+        ("equality", equality_script, "ass-r-ord", "red"),
+        ("trapdoor", trapdoor_script, "lev-ord", "no-red"),
+        ("lonsing", lonsing_script, "ass-r-ord", "red"),
+    ):
+        f = generate(FamilySpec(family, 3))
+        corpus += _round_trails(f, replay(f, script(3), d, r).rounds)
+    f = generate(FamilySpec("qparity", 3))
+    proof = solve(f, SolverConfig("lev-ord", NO_RED)).proof
+    state = run_simulation(f, glue_qcdcl_proof(f, proof))
+    corpus += _round_trails(f, state.rounds)
+    corpus += [(state.work, w.trail) for w in state.witnesses.values()]
+    return tuple(corpus)
+
+
+MUTATIONS = ("none", "delete", "swap", "negate", "replace", "remove")
+
+
+def mutated_trail(qcnf: QCNF, trail, pair, kind, i, j, cid, relevel) -> Trail:
+    """A copy of ``trail`` under the policy ``pair`` with one mutation at
+    entry ``i``: the entry deleted, swapped with entry ``j``, its literal
+    negated, its antecedent replaced by clause ``cid`` or removed (which
+    makes it a decision). With ``relevel`` the entries get fresh levels and
+    offsets; otherwise each keeps its original one."""
+    entries = list(trail.entries)
+    if entries:
+        i, j = i % len(entries), j % len(entries)
+        e = entries[i]
+        if kind == "delete":
+            del entries[i]
+        elif kind == "swap":
+            entries[i], entries[j] = entries[j], e
+        elif kind == "negate":
+            entries[i] = TrailEntry(-e.lit, e.antecedent, e.level, e.offset)
+        elif kind == "replace":
+            entries[i] = TrailEntry(e.lit, cid % len(qcnf.clauses), e.level, e.offset)
+        elif kind == "remove":
+            entries[i] = TrailEntry(e.lit, None, e.level, e.offset)
+    out = Trail(*pair)
+    for e in entries:
+        if not relevel:
+            out.entries.append(e)
+            if e.lit != 0:
+                out.assignment[abs(e.lit)] = e.lit > 0
+            out._level = e.level
+        elif e.lit == 0:
+            out.append_conflict(e.antecedent)
+        elif e.antecedent is None:
+            out.append_decision(e.lit)
+        else:
+            out.append_propagation(e.lit, e.antecedent)
+    return out
+
+
+@st.composite
+def corpus_cases(draw):
+    """(formula, corpus trail, mutated copy under a drawn policy pair)."""
+    corpus = trail_corpus()
+    qcnf, trail = corpus[draw(st.integers(0, len(corpus) - 1))]
+    n = max(len(trail), 1)
+    mutant = mutated_trail(
+        qcnf, trail,
+        draw(st.sampled_from(EVERY_POLICY_PAIR)),
+        draw(st.sampled_from(MUTATIONS)),
+        draw(st.integers(0, n - 1)),
+        draw(st.integers(0, n - 1)),
+        draw(st.integers(0, len(qcnf.clauses) - 1)),
+        draw(st.booleans()),
+    )
+    return qcnf, trail, mutant

@@ -170,6 +170,8 @@ def test_error_exit_code(tmp_path, capsys):
         bench + ["-o", str(tmp_path / "no" / "b.csv")],
         bench + ["--max-conflicts", "0"],
         bench + ["--reps", "0"],
+        bench[:4] + ["3..2"] + bench[5:],
+        bench + ["--seeds", "5..1"],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error: "), argv

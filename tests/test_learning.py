@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import qcdcl_lab.learning as learning
 from qcdcl_lab import (
@@ -26,8 +27,9 @@ from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import Clause, make_clause
 from qcdcl_lab.learning import LearningScheme
 from qcdcl_lab.solver import SolverConfig, solve
+from qcdcl_lab.trail import _classify
 
-from conftest import ALL_PAIRS_FALSE, random_small_qcnf
+from conftest import ALL_PAIRS_FALSE, corpus_cases, random_small_qcnf
 
 
 def red_example_trail(qcnf):
@@ -117,6 +119,17 @@ class TestAssertingTime:
         c_n = seq.elements[1]
         assert c_n == make_clause(f.prefix, [n, 2 * n - 1, n + 1])
         assert asserting_time(c_n, t, f) == (n - 1, 1)
+
+    def test_an_assigned_merged_variable_satisfies_the_clause(self):
+        # (u* y) with u < y under reduction: y false leaves only the merged
+        # u, which reduces away, unless u was assigned first.
+        f = parse_qdimacs("p cnf 3 1\ne 1 0\na 2 0\ne 3 0\n1 3 0\n")
+        c = make_clause(f.prefix, [3], merged=[2])
+        for decisions, expect in (([2, -3, 1], None), ([-3, 1], (1, 0))):
+            t = Trail(ANY_ORD, RED)
+            for lit in decisions:
+                t.append_decision(lit)
+            assert asserting_time(c, t, f) == expect, decisions
 
     def test_empty_clause_has_no_time(self, example_phi):
         t = red_example_trail(example_phi)
@@ -226,3 +239,38 @@ def _formula_at(base, proof, rnd):
             break
         work.add_clause(earlier.learned)
     return work
+
+
+def reference_asserting_time(clause, trail, qcnf):
+    """The whole-trail walk: the clause is reclassified after every entry
+    below the conflict level, whatever variable the entry assigns."""
+    if clause.is_empty():
+        return None
+    policy = trail.propagation_policy
+    r = trail.last_level
+    if r == 0:
+        return None
+    assignment = {}
+    if _classify(qcnf, clause, assignment, policy)[0] is not None:
+        return (0, 0)
+    for e in trail.entries:
+        if e.level >= r:
+            break
+        assignment[abs(e.lit)] = e.lit > 0
+        if _classify(qcnf, clause, assignment, policy)[0] is not None:
+            return (e.level, e.offset)
+    return None
+
+
+@given(corpus_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_asserting_time_matches_the_whole_trail_walk(case):
+    """Every clause of the formula and, for a conflicting trail, every
+    element of its learnable sequence (which may carry merged universals)
+    gets the reference's time on a relabelled, mutated copy of the trail."""
+    qcnf, original, trail = case
+    clauses = list(qcnf.clauses)
+    if original.conflicted:
+        clauses += learnable_sequence(original, qcnf).elements
+    for c in clauses:
+        assert asserting_time(c, trail, qcnf) == reference_asserting_time(c, trail, qcnf), c

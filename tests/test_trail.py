@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from qcdcl_lab import (
     ANY_ORD,
@@ -26,8 +27,10 @@ from qcdcl_lab.errors import (
     PendingPropagationError,
 )
 from qcdcl_lab.families import FamilySpec, generate
+from qcdcl_lab.formula import FORALL
+from qcdcl_lab.trail import _admits, _classify
 
-from conftest import random_small_qcnf
+from conftest import corpus_cases, random_small_qcnf
 
 
 def lits(trail):
@@ -237,3 +240,134 @@ class TestValidator:
         t = Trail(ANY_ORD, NO_RED)
         t.append_decision(1)
         assert validate_trail(example_phi, t, natural_from=1) == []
+
+
+# -- references: the rescanning checks the incremental ones must match ------
+
+
+def reference_legal_decisions(trail, qcnf):
+    """Every admitted literal, listed per policy from the unassigned
+    variables."""
+    policy = trail.decision_policy
+    prefix = qcnf.prefix
+    assigned = trail.assignment
+    if policy == LEV_ORD:
+        for _, block in prefix.blocks:
+            allowed = [v for v in block if v not in assigned]
+            if allowed:
+                return {lit for v in allowed for lit in (v, -v)}
+        return set()
+    unassigned = [v for _, block in prefix.blocks for v in block if v not in assigned]
+    if not unassigned:
+        return set()
+    if policy == ANY_ORD:
+        allowed = unassigned
+    elif policy == ASS_ORD:
+        floor = max((prefix.level(d) for d in trail.decisions()), default=0)
+        allowed = [
+            v for v in unassigned if prefix.is_existential(v) or prefix.level(v) >= floor
+        ]
+    else:
+        decided = {abs(d) for d in trail.decisions()}
+        gate = next(
+            (lev for lev, (quant, block) in enumerate(prefix.blocks, start=1)
+             if quant == FORALL and not decided.issuperset(block)),
+            prefix.num_levels + 1,
+        )
+        allowed = [v for v in unassigned if prefix.is_universal(v) or prefix.level(v) < gate]
+    return {lit for v in allowed for lit in (v, -v)}
+
+
+def reference_validate_trail(qcnf, trail, natural_from=0):
+    """One full ``unit_scan`` per natural position, and the policy test
+    through the whole set of admitted literals."""
+    problems = []
+    shadow = Trail(trail.decision_policy, trail.propagation_policy)
+
+    def certifies(cid, lit):
+        return cid is not None and _classify(
+            qcnf, qcnf.clauses[cid], shadow.assignment, trail.propagation_policy
+        )[0] == lit
+
+    for pos, e in enumerate(trail.entries):
+        natural_here = pos >= natural_from
+        scan = unit_scan(qcnf, shadow) if natural_here else None
+        if e.lit == 0:
+            if pos != len(trail.entries) - 1:
+                problems.append(f"entry {pos}: conflict marker not rightmost")
+            if not certifies(e.antecedent, 0):
+                problems.append(f"entry {pos}: antecedent does not certify the conflict")
+            shadow.append_conflict(e.antecedent or 0)
+            continue
+        if abs(e.lit) in shadow.assignment:
+            problems.append(f"entry {pos}: variable {abs(e.lit)} repeated")
+            break
+        if e.is_decision:
+            if natural_here and scan.entries:
+                problems.append(f"entry {pos}: decision skips pending propagation")
+            if e.lit not in reference_legal_decisions(shadow, qcnf):
+                problems.append(
+                    f"entry {pos}: decision {e.lit} violates {trail.decision_policy}"
+                )
+            shadow.append_decision(e.lit)
+        else:
+            if not qcnf.prefix.is_existential(e.lit):
+                problems.append(f"entry {pos}: propagated literal {e.lit} not existential")
+            if not certifies(e.antecedent, e.lit):
+                problems.append(f"entry {pos}: antecedent does not certify {e.lit}")
+            if natural_here and scan.conflict_present:
+                problems.append(f"entry {pos}: propagation taken while a conflict exists")
+            shadow.append_propagation(e.lit, e.antecedent or 0)
+        if (e.level, e.offset) != (shadow.entries[-1].level, shadow.entries[-1].offset):
+            problems.append(f"entry {pos}: level/offset bookkeeping mismatch")
+    return problems
+
+
+@given(corpus_cases())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_validate_trail_matches_the_rescanning_reference(case):
+    """Solver, replay and simulation trails, relabelled under every policy
+    pair and mutated once, give the same problems in the same order."""
+    qcnf, _, trail = case
+    for natural_from in (0, len(trail) // 2, len(trail)):
+        got = validate_trail(qcnf, trail, natural_from)
+        assert got == reference_validate_trail(qcnf, trail, natural_from), natural_from
+
+
+@given(corpus_cases())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_one_literal_legality_matches_the_admitted_set(case):
+    """At every prefix of the trail and under every decision policy, the
+    admitted set equals the reference's and the one-literal test agrees
+    with it on every literal of the prefix, 0 and an unbound variable.
+    Under the trail's own policy ``decide`` refuses exactly the literals
+    outside it once no propagation is pending."""
+    qcnf, _, trail = case
+    prefix = qcnf.prefix
+    lits = [l for v in sorted(prefix.variables) for l in (v, -v)]
+    lits += [0, max(prefix.variables) + 1]
+    shadow = Trail(trail.decision_policy, trail.propagation_policy)
+    for e in [*trail.entries, None]:
+        for policy in (LEV_ORD, ASS_ORD, ASS_R_ORD, ANY_ORD):
+            shadow.decision_policy = policy
+            legal = legal_decisions(shadow, qcnf)
+            assert legal == reference_legal_decisions(shadow, qcnf), policy
+            for lit in lits:
+                assert _admits(shadow, lit, prefix) == (lit in legal), (policy, lit)
+        shadow.decision_policy = trail.decision_policy
+        legal = legal_decisions(shadow, qcnf)
+        for lit in lits:
+            try:
+                decide(shadow.copy(), lit, qcnf)
+            except PendingPropagationError:
+                pass
+            except IllegalDecisionError:
+                assert lit not in legal, lit
+            else:
+                assert lit in legal, lit
+        if e is None or e.lit == 0 or abs(e.lit) in shadow.assignment:
+            break
+        if e.is_decision:
+            shadow.append_decision(e.lit)
+        else:
+            shadow.append_propagation(e.lit, e.antecedent)
