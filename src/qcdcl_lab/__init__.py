@@ -11,7 +11,6 @@ from .formula import (
     make_clause,
     reduce_clause,
     resolve_clauses,
-    restrict_clause,
 )
 from .learning import (
     ASSERTING,
@@ -58,7 +57,6 @@ from .trail import (
     dump_trail,
     legal_decisions,
     propagate_to_fixpoint,
-    unit_scan,
     validate_trail,
 )
 

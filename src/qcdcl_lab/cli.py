@@ -231,7 +231,7 @@ def cmd_bench(args):
                     )
                 )
     plan = ExperimentPlan(cells, repetitions=args.reps, stable_timing=args.stable_timing)
-    _, text = run_plan(plan, jobs=args.jobs)
+    _, text = run_plan(plan)
     if args.output:
         _write(args.output, text)
     else:
@@ -322,7 +322,6 @@ def build_parser():
     p.add_argument("--seeds", default="0", help="solver seeds, range or list")
     p.add_argument("--max-conflicts", type=int, default=100_000)
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--stable-timing", action="store_true",
                    help="write ms=0 so identical runs produce identical CSVs")
     p.add_argument("-o", "--output")

@@ -58,10 +58,6 @@ class Prefix:
         ranked = [v for _, variables in self.blocks for v in variables]
         self.rank = {l: i for i, v in enumerate(ranked) for l in (v, -v)}
 
-    @property
-    def num_levels(self):
-        return len(self.blocks)
-
     def level(self, var: int) -> int:
         return self._level[abs(var)]
 
@@ -248,40 +244,6 @@ def resolve_clauses(c1: Clause, c2: Clause, pivot: int, mode: str, prefix: Prefi
     key = prefix.rank.__getitem__
     merged.sort(key=key)
     return Clause(lits=tuple(sorted(filter(None, out.values()), key=key)), merged=tuple(merged))
-
-
-def assignment_from_literals(literals) -> dict[int, bool]:
-    sigma: dict[int, bool] = {}
-    for l in literals:
-        v = abs(l)
-        val = l > 0
-        if sigma.get(v, val) != val:
-            raise ValueError(f"tautological assignment on variable {v}")
-        sigma[v] = val
-    return sigma
-
-
-def restrict_clause(c: Clause, assignment) -> Clause | None:
-    """Restrict a clause by a partial assignment.
-
-    Returns None when the clause is satisfied, otherwise the clause with all
-    falsified literals removed. ``assignment`` maps variable -> bool; an
-    iterable of literals is also accepted. A merged variable is satisfied by
-    either polarity, so it survives restriction or satisfies the clause.
-    """
-    if not isinstance(assignment, dict):
-        assignment = assignment_from_literals(assignment)
-    for v in c.merged:
-        if v in assignment:
-            return None
-    lits = []
-    for l in c.lits:
-        val = assignment.get(abs(l))
-        if val is None:
-            lits.append(l)
-        elif val == (l > 0):
-            return None
-    return Clause(lits=tuple(lits), merged=c.merged)
 
 
 class QCNF:

@@ -1,9 +1,9 @@
 """Experiment orchestration: policy sweeps over families with CSV output.
 
 One record per (instance, config) cell and repetition. Cells never abort the
-sweep: failures are recorded in the outcome column. Workers are processes;
-records are merged back in cell order, so output is deterministic given the
-seeds (timing excluded; see ``stable_timing``).
+sweep: failures are recorded in the outcome column. Cells run in order in
+this process, so output is deterministic given the seeds (timing excluded;
+see ``stable_timing``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .families import FamilySpec, generate
@@ -65,8 +64,7 @@ class RunRecord:
         ]
 
 
-def run_cell(args):
-    spec, cfg, stable = args
+def run_cell(spec: FamilySpec, cfg: SolverConfig, stable: bool) -> RunRecord:
     started = time.perf_counter()
     try:
         qcnf = generate(spec)
@@ -88,17 +86,12 @@ def run_cell(args):
         return RunRecord(spec, cfg, f"error:{type(exc).__name__}", 0, 0, 0, 0, ms)
 
 
-def run_plan(plan: ExperimentPlan, jobs: int = 1) -> tuple[list[RunRecord], str]:
-    tasks = [
-        (spec, cfg, plan.stable_timing)
+def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], str]:
+    records = [
+        run_cell(spec, cfg, plan.stable_timing)
         for spec, cfg in plan.cells
         for _ in range(plan.repetitions)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(run_cell, tasks))
-    else:
-        records = [run_cell(t) for t in tasks]
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)

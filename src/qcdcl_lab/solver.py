@@ -21,6 +21,7 @@ from .trail import (
     DECISION_POLICIES,
     PROPAGATION_POLICIES,
     Trail,
+    _admitted_levels,
     legal_decisions,
     propagate_to_fixpoint,
 )
@@ -62,18 +63,21 @@ class SolveResult:
 
 
 def _pick_decision(trail, qcnf, cfg, flip_counter, rng):
-    legal = legal_decisions(trail, qcnf)
-    if not legal:
-        return None
     if cfg.heuristic == "random":
-        return rng.choice(sorted(legal))
+        legal = legal_decisions(trail, qcnf)
+        return rng.choice(sorted(legal)) if legal else None
     # Minimal (level, id) legal variable: prefix-order exploration is legal
     # under every decision policy and, combined with the polarity counter,
-    # guarantees a conflicting branch is reached on false inputs.
-    # legal_decisions admits both polarities, and every level >= 1 opens
-    # with one decision, so the trail's last level is the decision depth.
-    var = abs(min(legal, key=qcnf.prefix.rank.__getitem__))
-    return -var if (flip_counter >> trail.last_level) & 1 else var
+    # guarantees a conflicting branch is reached on false inputs. Admitted
+    # levels ascend and blocks are sorted, so it is the first unassigned
+    # variable of the first admitted level that has one. Every level >= 1
+    # opens with one decision, so the trail's last level is the decision depth.
+    blocks, assigned = qcnf.prefix.blocks, trail.assignment
+    for lev in _admitted_levels(trail, qcnf.prefix):
+        for var in blocks[lev - 1][1]:
+            if var not in assigned:
+                return -var if (flip_counter >> trail.last_level) & 1 else var
+    return None
 
 
 def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:

@@ -48,7 +48,11 @@ class TrailEntry:
 
 
 class Trail:
-    """Mutable trail builder; snapshots via ``copy()`` are value-like."""
+    """Mutable trail builder; ``backtrack`` makes value-like subtrails.
+
+    ``starts[s]`` is the entry index of the decision opening level s, and
+    -1 for level 0, so the entry at time (s, t) sits at ``starts[s] + t``.
+    """
 
     def __init__(self, decision_policy: str, propagation_policy: str):
         if decision_policy not in DECISION_POLICIES:
@@ -59,8 +63,7 @@ class Trail:
         self.propagation_policy = propagation_policy
         self.entries: list[TrailEntry] = []
         self.assignment: dict[int, bool] = {}
-        self._level = 0
-        self._offset = 0
+        self.starts: list[int] = [-1]
         self.resumed_at: Time = (0, 0)     # the backtrack time this trail continues from
         self._watches: _Watches | None = None  # propagate_to_fixpoint's state
 
@@ -68,7 +71,7 @@ class Trail:
 
     @property
     def last_level(self) -> int:
-        return self._level
+        return self.entries[-1].level if self.entries else 0
 
     @property
     def conflicted(self) -> bool:
@@ -78,43 +81,37 @@ class Trail:
         return len(self.entries)
 
     def decisions(self) -> list[int]:
-        return [e.lit for e in self.entries if e.is_decision]
+        return [self.entries[i].lit for i in self.starts[1:]]
 
     def position_of_time(self, time: Time) -> int:
         """Index of the last entry of the subtrail at ``time`` (-1 for (0,0))."""
         s, t = time
-        if (s, t) == (0, 0):
-            return -1
-        for pos, e in enumerate(self.entries):
-            if e.level == s and e.offset == t:
+        starts = self.starts
+        if 0 <= s < len(starts) and t >= 0:
+            pos = starts[s] + t
+            if pos < (starts[s + 1] if s + 1 < len(starts) else len(self.entries)):
                 return pos
         raise InvalidTimeError(f"time {time} not on the trail")
 
     # -- construction ----------------------------------------------------
 
     def append_decision(self, lit: int):
-        self._level += 1
-        self._offset = 0
-        self.entries.append(TrailEntry(lit, None, self._level, 0))
+        self.starts.append(len(self.entries))
+        self.entries.append(TrailEntry(lit, None, len(self.starts) - 1, 0))
         self.assignment[abs(lit)] = lit > 0
 
     def append_propagation(self, lit: int, antecedent: int):
-        self._offset += 1
-        self.entries.append(TrailEntry(lit, antecedent, self._level, self._offset))
+        starts = self.starts
+        self.entries.append(
+            TrailEntry(lit, antecedent, len(starts) - 1, len(self.entries) - starts[-1])
+        )
         self.assignment[abs(lit)] = lit > 0
 
     def append_conflict(self, antecedent: int):
-        self._offset += 1
-        self.entries.append(TrailEntry(0, antecedent, self._level, self._offset))
-
-    def copy(self) -> "Trail":
-        t = Trail(self.decision_policy, self.propagation_policy)
-        t.entries = list(self.entries)
-        t.assignment = dict(self.assignment)
-        t._level = self._level
-        t._offset = self._offset
-        t.resumed_at = self.resumed_at
-        return t
+        starts = self.starts
+        self.entries.append(
+            TrailEntry(0, antecedent, len(starts) - 1, len(self.entries) - starts[-1])
+        )
 
     def drop_watches(self):
         """Free the propagation state of a trail that will not be extended."""
@@ -125,13 +122,9 @@ class Trail:
         pos = self.position_of_time(time)
         t = Trail(self.decision_policy, self.propagation_policy)
         t.resumed_at = time
-        for e in self.entries[: pos + 1]:
-            t.entries.append(e)
-            if e.lit != 0:
-                t.assignment[abs(e.lit)] = e.lit > 0
-        if t.entries:
-            t._level = t.entries[-1].level
-            t._offset = t.entries[-1].offset
+        t.entries = self.entries[: pos + 1]
+        t.starts = self.starts[: time[0] + 1]
+        t.assignment = {abs(e.lit): e.lit > 0 for e in t.entries if e.lit}
         return t
 
 
@@ -150,21 +143,7 @@ def dump_trail(trail: Trail) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# -- unit scanning --------------------------------------------------------
-
-
-@dataclass
-class UnitScanResult:
-    """Clauses forcing a literal (or the conflict 0) under the current trail."""
-
-    entries: tuple[tuple[int, int], ...]   # (clause id, forced literal or 0)
-    conflict_present: bool
-
-    def conflicts(self):
-        return [cid for cid, lit in self.entries if lit == 0]
-
-    def units(self):
-        return [(cid, lit) for cid, lit in self.entries if lit != 0]
+# -- clause status ---------------------------------------------------------
 
 
 def _classify(qcnf: QCNF, clause, assignment, policy):
@@ -203,26 +182,6 @@ def _classify(qcnf: QCNF, clause, assignment, policy):
     if len(alive) == 1 and not merged_alive and prefix.is_existential(alive[0]):
         return alive[0], False
     return None, False
-
-
-def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
-    """Enumerate every clause that is unit or falsified under the trail.
-
-    Under NO-RED a clause shrunk to a single universal literal is neither
-    unit nor a conflict; under RED reduction applies first, so the same
-    clause is a conflict. Every clause is classified on every call: this is
-    the reference the incremental checks are tested against.
-    """
-    policy = trail.propagation_policy
-    entries = []
-    conflict = False
-    for cid, clause in enumerate(qcnf.clauses):
-        forced, _ = _classify(qcnf, clause, trail.assignment, policy)
-        if forced is None:
-            continue
-        entries.append((cid, forced))
-        conflict = conflict or forced == 0
-    return UnitScanResult(tuple(entries), conflict)
 
 
 def _watch(clause, assignment, prefix, policy):
@@ -375,12 +334,12 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     cannot be watched so is satisfied, unit or falsified: satisfied clauses
     drop out for the rest of the trail, the others join a pending set.
     Before each choice ``_next_forced`` re-checks the pending clauses and
-    the rule above picks among them, which is the choice a full
-    ``unit_scan`` would give. On its first call a trail forks the
+    the rule above picks among them, which is the choice a rescan of every
+    clause would give. On its first call a trail forks the
     database's state for the empty trail and replays its entries; later
     calls visit only the watchers of newly assigned variables and attach
     clauses added since.
-    Trails only grow (backtracks, copies and restarts make fresh trails),
+    Trails only grow (backtracks and restarts make fresh trails),
     so no watch is ever undone. A conflicted trail drops its state.
     """
     if trail.conflicted:
@@ -551,6 +510,9 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
             continue
         if abs(e.lit) in shadow.assignment:
             problems.append(f"entry {pos}: variable {abs(e.lit)} repeated")
+            break
+        if e.lit not in qcnf.prefix:
+            problems.append(f"entry {pos}: variable {abs(e.lit)} not bound by the prefix")
             break
         if e.is_decision:
             if natural_here and (units or falsified):

@@ -184,17 +184,30 @@ def mutated_trail(qcnf: QCNF, trail, pair, kind, i, j, cid, relevel) -> Trail:
     out = Trail(*pair)
     for e in entries:
         if not relevel:
+            if e.is_decision:
+                out.starts.append(len(out.entries))
             out.entries.append(e)
             if e.lit != 0:
                 out.assignment[abs(e.lit)] = e.lit > 0
-            out._level = e.level
         elif e.lit == 0:
             out.append_conflict(e.antecedent)
         elif e.antecedent is None:
             out.append_decision(e.lit)
         else:
             out.append_propagation(e.lit, e.antecedent)
+    # asserting_time reads last_level; a mutant that kept its original
+    # levels must still report the level of its last entry.
+    assert out.last_level == (out.entries[-1].level if out.entries else 0)
     return out
+
+
+def last_time(trail) -> tuple[int, int]:
+    """The time of the trail's last entry: backtracking to it copies the
+    trail onto a fresh one."""
+    if not trail.entries:
+        return (0, 0)
+    e = trail.entries[-1]
+    return (e.level, e.offset)
 
 
 @st.composite

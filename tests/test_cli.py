@@ -5,12 +5,9 @@ import io
 import json
 
 from qcdcl_lab.cli import main
-from qcdcl_lab.families import FamilySpec
 from qcdcl_lab.goldens import equality_script
 from qcdcl_lab.harness import CSV_HEADER, ExperimentPlan, run_plan
 from qcdcl_lab.replay import serialize_script
-from qcdcl_lab.solver import SolverConfig
-from qcdcl_lab.trail import LEV_ORD, RED
 
 
 def run(capsys, *argv):
@@ -122,18 +119,6 @@ def test_bench_cli_schema(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 2
     outcomes = {r[7] for r in rows[1:]}
     assert outcomes == {"refuted"}
-
-
-def test_worker_processes_give_the_same_csv():
-    cells = [
-        (FamilySpec(family, n), SolverConfig(LEV_ORD, RED))
-        for family, n in (("equality", 2), ("equality", 3), ("qparity", 3), ("qparity", 4))
-    ]
-    plan = ExperimentPlan(cells, stable_timing=True)
-    _, serial = run_plan(plan, jobs=1)
-    _, pooled = run_plan(plan, jobs=2)
-    assert pooled == serial
-    assert serial.count("refuted") == 4
 
 
 def test_empty_plan_gives_header_only():

@@ -15,7 +15,6 @@ from qcdcl_lab.formula import (
     make_clause,
     reduce_clause,
     resolve_clauses,
-    restrict_clause,
 )
 
 
@@ -110,30 +109,6 @@ class TestResolve:
         c2 = make_clause(p, [2])
         with pytest.raises(PivotMissingError):
             resolve_clauses(c1, c2, 1, QRES, p)
-
-
-class TestRestrict:
-    def test_worked_example(self):
-        # C = t or x or y or -z under {-x, z, w}: t or y remains.
-        p = Prefix([(EXISTS, [1, 2, 3, 4, 5])])  # t=1 x=2 y=3 z=4 w=5
-        c = make_clause(p, [1, 2, 3, -4])
-        out = restrict_clause(c, {2: False, 4: True, 5: True})
-        assert out == make_clause(p, [1, 3])
-
-    def test_satisfied(self):
-        p = Prefix([(EXISTS, [1, 2])])
-        assert restrict_clause(make_clause(p, [1, 2]), {1: True}) is None
-
-    def test_all_falsified_gives_empty(self):
-        p = Prefix([(EXISTS, [1, 2])])
-        out = restrict_clause(make_clause(p, [1, 2]), {1: False, 2: False})
-        assert out is not None and out.is_empty()
-
-    def test_merged_variable_satisfies_either_way(self):
-        c = Clause(lits=(1,), merged=(2,))
-        assert restrict_clause(c, {2: True}) is None
-        assert restrict_clause(c, {2: False}) is None
-        assert restrict_clause(c, {1: False}) == Clause(lits=(), merged=(2,))
 
 
 # -- properties --------------------------------------------------------------

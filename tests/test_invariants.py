@@ -11,7 +11,6 @@ from qcdcl_lab import (
     dump_trail,
     learnable_sequence,
     propagate_to_fixpoint,
-    unit_scan,
 )
 from qcdcl_lab.formula import Prefix, QCNF, EXISTS, make_clause
 from qcdcl_lab.learning import asserting_time
@@ -19,6 +18,7 @@ from qcdcl_lab.solver import SolverConfig, solve
 from qcdcl_lab.trail import ANY_ORD, ASS_ORD, ASS_R_ORD, LEV_ORD, NO_RED, RED
 
 from conftest import random_small_qcnf
+from test_trail import unit_scan
 
 
 def purely_existential(rng, max_vars=6):

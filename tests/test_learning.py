@@ -70,16 +70,13 @@ class TestWorkedSequences:
         assert seq.elements == [make_clause(f.prefix, [-1, -2])]
 
     def test_every_element_falsified_by_the_full_trail(self, example_phi):
-        from qcdcl_lab import reduce_clause, restrict_clause
-
         for trail in (red_example_trail(example_phi), nored_example_trail(example_phi)):
             seq = learnable_sequence(trail, example_phi)
             for c in seq.elements:
-                rc = restrict_clause(c, trail.assignment)
-                assert rc is not None
-                if trail.propagation_policy == RED:
-                    rc = reduce_clause(rc, example_phi.prefix)
-                assert rc.is_empty()
+                # Not satisfied, and nothing left after (under red) reduction.
+                assert _classify(
+                    example_phi, c, trail.assignment, trail.propagation_policy
+                ) == (0, False)
 
     def test_derivations_check_in_their_mode(self, example_phi):
         for trail in (red_example_trail(example_phi), nored_example_trail(example_phi)):

@@ -39,10 +39,10 @@ from qcdcl_lab.trail import (
     decide,
     legal_decisions,
     propagate_to_fixpoint,
-    unit_scan,
 )
 
-from conftest import ALL_POLICY_PAIRS, random_small_qcnf
+from conftest import ALL_POLICY_PAIRS, last_time, random_small_qcnf
+from test_trail import unit_scan
 
 ENGINE_USERS = (
     "qcdcl_lab.solver", "qcdcl_lab.replay", "qcdcl_lab.simulation", "qcdcl_lab.trail"
@@ -142,11 +142,11 @@ def test_simulations_match_the_rescanning_engine(monkeypatch):
 
 def test_random_walks_with_added_clauses_and_copies():
     """One trail is extended by decisions, clause additions (possibly unit or
-    falsified on arrival, possibly with merged universals), copies and
-    backtracks; after every step the engine's trail equals the oracle's.
-    Before each propagation ``decide`` must refuse exactly when the oracle's
-    scan finds a unit or a conflict; when it accepts, the oracle's trail
-    takes the same decision."""
+    falsified on arrival, possibly with merged universals), copies (a
+    backtrack to the trail's own last time) and backtracks; after every
+    step the engine's trail equals the oracle's. Before each propagation
+    ``decide`` must refuse exactly when the oracle's scan finds a unit or a
+    conflict; when it accepts, the oracle's trail takes the same decision."""
     rng = random.Random(11)
     for _ in range(400):
         f = random_small_qcnf(rng, max_vars=8, max_clauses=10)
@@ -179,7 +179,7 @@ def test_random_walks_with_added_clauses_and_copies():
                     fa.add_clause(c)
                     fb.add_clause(c)
                 elif move < 0.4:
-                    ta, tb = ta.copy(), tb.copy()
+                    ta, tb = ta.backtrack(last_time(ta)), tb.backtrack(last_time(tb))
                 elif move < 0.5 and ta.last_level > 0:
                     time = (rng.randint(0, ta.last_level - 1), 0)
                     ta, tb = ta.backtrack(time), tb.backtrack(time)

@@ -14,7 +14,7 @@ from qcdcl_lab.formula import EXISTS, FORALL
 def test_basic_three_level_parse():
     text = "p cnf 3 2\ne 1 0\na 2 0\ne 3 0\n1 2 3 0\n-1 -3 0\n"
     f = parse_qdimacs(text)
-    assert f.prefix.num_levels == 3
+    assert len(f.prefix.blocks) == 3
     assert len(f.clauses) == 2
     assert f.prefix.quant(1) == EXISTS
     assert f.prefix.quant(2) == FORALL

@@ -11,10 +11,17 @@ from qcdcl_lab import (
     serialize_proof,
 )
 from qcdcl_lab.learning import ASSERTING, DEC
-from qcdcl_lab.solver import BUDGET_EXHAUSTED, REFUTED, SATURATED, SolverConfig, solve
-from qcdcl_lab.trail import LEV_ORD, NO_RED, RED
+from qcdcl_lab.solver import (
+    BUDGET_EXHAUSTED,
+    REFUTED,
+    SATURATED,
+    SolverConfig,
+    _pick_decision,
+    solve,
+)
+from qcdcl_lab.trail import DECISION_POLICIES, LEV_ORD, NO_RED, RED, Trail, legal_decisions
 
-from conftest import ALL_POLICY_PAIRS, check_refutation, random_small_qcnf
+from conftest import ALL_POLICY_PAIRS, check_refutation, random_small_qcnf, trail_corpus
 
 
 class TestBasics:
@@ -116,3 +123,29 @@ class TestSoundnessSweep:
         total = len(result.proof.rounds)
         # duplicates are possible in principle but must be rare
         assert len(dups) <= total // 4
+
+
+def test_fixed_pick_is_the_lowest_ranked_legal_variable():
+    """At every prefix of every corpus trail and under every decision
+    policy, the fixed heuristic picks the legal variable of lowest
+    (level, id) rank, or nothing when none is legal; the polarity
+    counter's bit at the decision depth negates it."""
+    for qcnf, trail in trail_corpus():
+        rank = qcnf.prefix.rank.__getitem__
+        shadow = Trail(trail.decision_policy, trail.propagation_policy)
+        for e in [*trail.entries, None]:
+            for policy in DECISION_POLICIES:
+                shadow.decision_policy = policy
+                cfg = SolverConfig(policy, trail.propagation_policy)
+                legal = legal_decisions(shadow, qcnf)
+                var = abs(min(legal, key=rank)) if legal else None
+                assert _pick_decision(shadow, qcnf, cfg, 0, None) == var, policy
+                if var is not None:
+                    flip = 1 << shadow.last_level
+                    assert _pick_decision(shadow, qcnf, cfg, flip, None) == -var, policy
+            if e is None or e.lit == 0:
+                break
+            if e.is_decision:
+                shadow.append_decision(e.lit)
+            else:
+                shadow.append_propagation(e.lit, e.antecedent)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from qcdcl_lab import (
     legal_decisions,
     parse_qdimacs,
     propagate_to_fixpoint,
-    unit_scan,
     validate_trail,
 )
 from qcdcl_lab.errors import (
@@ -27,10 +27,10 @@ from qcdcl_lab.errors import (
     PendingPropagationError,
 )
 from qcdcl_lab.families import FamilySpec, generate
-from qcdcl_lab.formula import FORALL
+from qcdcl_lab.formula import FORALL, QCNF
 from qcdcl_lab.trail import _admits, _classify
 
-from conftest import corpus_cases, random_small_qcnf
+from conftest import corpus_cases, last_time, random_small_qcnf, trail_corpus
 
 
 def lits(trail):
@@ -217,7 +217,7 @@ class TestBacktrack:
         back = t.backtrack((1, 0))
         assert back.resumed_at == (1, 0)
         assert t.resumed_at == (0, 0)
-        assert back.copy().resumed_at == (1, 0)
+        assert back.backtrack(last_time(back)).resumed_at == (1, 0)
         assert back.backtrack((0, 0)).resumed_at == (0, 0)
 
 
@@ -241,8 +241,55 @@ class TestValidator:
         t.append_decision(1)
         assert validate_trail(example_phi, t, natural_from=1) == []
 
+    def test_unbound_variable_is_a_problem_and_ends_the_walk(self):
+        f = parse_qdimacs("p cnf 3 2\ne 1 2 0\na 3 0\n1 2 0\n-1 3 0\n")
+        decided = Trail(ASS_ORD, NO_RED)
+        for lit in (2, 9, 3):   # 3 would meet the ass-ord floor of 9
+            decided.append_decision(lit)
+        propagated = Trail(ANY_ORD, NO_RED)
+        propagated.append_propagation(9, 0)
+        for trail, pos in ((decided, 1), (propagated, 0)):
+            expected = [f"entry {pos}: variable 9 not bound by the prefix"]
+            assert validate_trail(f, trail) == expected
+            assert reference_validate_trail(f, trail) == expected
+
 
 # -- references: the rescanning checks the incremental ones must match ------
+
+
+@dataclass
+class UnitScanResult:
+    """Clauses forcing a literal (or the conflict 0) under the current trail."""
+
+    entries: tuple[tuple[int, int], ...]   # (clause id, forced literal or 0)
+    conflict_present: bool
+
+    def conflicts(self):
+        return [cid for cid, lit in self.entries if lit == 0]
+
+    def units(self):
+        return [(cid, lit) for cid, lit in self.entries if lit != 0]
+
+
+def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
+    """Enumerate every clause that is unit or falsified under the trail.
+
+    Under NO-RED a clause shrunk to a single universal literal is neither
+    unit nor a conflict; under RED reduction applies first, so the same
+    clause is a conflict. Every clause is classified on every call: this is
+    the reference the watch engine and the incremental checks are tested
+    against.
+    """
+    policy = trail.propagation_policy
+    entries = []
+    conflict = False
+    for cid, clause in enumerate(qcnf.clauses):
+        forced, _ = _classify(qcnf, clause, trail.assignment, policy)
+        if forced is None:
+            continue
+        entries.append((cid, forced))
+        conflict = conflict or forced == 0
+    return UnitScanResult(tuple(entries), conflict)
 
 
 def reference_legal_decisions(trail, qcnf):
@@ -272,7 +319,7 @@ def reference_legal_decisions(trail, qcnf):
         gate = next(
             (lev for lev, (quant, block) in enumerate(prefix.blocks, start=1)
              if quant == FORALL and not decided.issuperset(block)),
-            prefix.num_levels + 1,
+            len(prefix.blocks) + 1,
         )
         allowed = [v for v in unassigned if prefix.is_universal(v) or prefix.level(v) < gate]
     return {lit for v in allowed for lit in (v, -v)}
@@ -302,6 +349,9 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
         if abs(e.lit) in shadow.assignment:
             problems.append(f"entry {pos}: variable {abs(e.lit)} repeated")
             break
+        if e.lit not in qcnf.prefix:
+            problems.append(f"entry {pos}: variable {abs(e.lit)} not bound by the prefix")
+            break
         if e.is_decision:
             if natural_here and scan.entries:
                 problems.append(f"entry {pos}: decision skips pending propagation")
@@ -321,6 +371,57 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
         if (e.level, e.offset) != (shadow.entries[-1].level, shadow.entries[-1].offset):
             problems.append(f"entry {pos}: level/offset bookkeeping mismatch")
     return problems
+
+
+def reference_position_of_time(trail, time):
+    """The linear scan for the entry whose (level, offset) is ``time``."""
+    if time == (0, 0):
+        return -1
+    for pos, e in enumerate(trail.entries):
+        if (e.level, e.offset) == time:
+            return pos
+    raise InvalidTimeError(f"time {time} not on the trail")
+
+
+def reference_backtrack(trail, time):
+    """The subtrail at ``time``, rebuilt by appending its entries one by one."""
+    back = Trail(trail.decision_policy, trail.propagation_policy)
+    back.resumed_at = time
+    for e in trail.entries[: reference_position_of_time(trail, time) + 1]:
+        if e.lit == 0:
+            back.append_conflict(e.antecedent)
+        elif e.is_decision:
+            back.append_decision(e.lit)
+        else:
+            back.append_propagation(e.lit, e.antecedent)
+    return back
+
+
+def test_level_starts_match_the_linear_scan():
+    """On every corpus trail each entry's time and (0, 0) sit where the
+    linear scan finds them, times off the trail are refused by both,
+    ``decisions()`` lists the decision entries, and ``backtrack`` gives the
+    per-entry rebuild."""
+    for _, trail in trail_corpus():
+        last = {}   # level -> its highest offset
+        for e in trail.entries:
+            last[e.level] = e.offset
+        for time in [(0, 0), *((e.level, e.offset) for e in trail.entries)]:
+            assert trail.position_of_time(time) == reference_position_of_time(trail, time)
+            back, ref = trail.backtrack(time), reference_backtrack(trail, time)
+            assert dump_trail(back) == dump_trail(ref)
+            assert (back.entries, back.starts) == (ref.entries, ref.starts)
+            assert list(back.assignment.items()) == list(ref.assignment.items())
+            assert (back.last_level, back.resumed_at) == (ref.last_level, ref.resumed_at)
+        levels = range(trail.last_level + 1)
+        off = [(trail.last_level + 1, 0), (-1, 0)]
+        off += [(s, -1) for s in levels] + [(s, last.get(s, 0) + 1) for s in levels]
+        for time in off:
+            with pytest.raises(InvalidTimeError):
+                trail.position_of_time(time)
+            with pytest.raises(InvalidTimeError):
+                reference_position_of_time(trail, time)
+        assert trail.decisions() == [e.lit for e in trail.entries if e.is_decision]
 
 
 @given(corpus_cases())
@@ -358,7 +459,7 @@ def test_one_literal_legality_matches_the_admitted_set(case):
         legal = legal_decisions(shadow, qcnf)
         for lit in lits:
             try:
-                decide(shadow.copy(), lit, qcnf)
+                decide(shadow.backtrack(last_time(shadow)), lit, qcnf)
             except PendingPropagationError:
                 pass
             except IllegalDecisionError:
