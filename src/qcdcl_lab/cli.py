@@ -31,10 +31,12 @@ from .trail import DECISION_POLICIES, PROPAGATION_POLICIES
 
 def _read(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise QcdclError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise QcdclError(f"cannot read {path}: byte {exc.start} is not UTF-8") from None
 
 
 def _write(path, text):

@@ -1,6 +1,6 @@
 """Experiment orchestration: policy sweeps over families with CSV output.
 
-One record per (instance, config) cell and repetition. Cells never abort the
+One CSV row per (instance, config) cell and repetition. Cells never abort the
 sweep: failures are recorded in the outcome column. Cells run in order in
 this process, so output is deterministic given the seeds (timing excluded;
 see ``stable_timing``).
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .families import FamilySpec, generate
 from .proofs import count_reductions, glue_qcdcl_proof
@@ -30,41 +30,8 @@ class ExperimentPlan:
     stable_timing: bool = False   # write ms=0 for byte-reproducible CSVs
 
 
-@dataclass
-class RunRecord:
-    spec: FamilySpec
-    config: SolverConfig
-    outcome: str
-    conflicts: int
-    iota_size: int
-    pi_size: int
-    reductions: int
-    ms: float
-
-    def row(self):
-        params = []
-        if self.spec.m is not None:
-            params.append(f"m={self.spec.m}")
-        if self.spec.c is not None:
-            params.append(f"c={self.spec.c}")
-        return [
-            self.spec.family,
-            self.spec.n,
-            ";".join(params),
-            self.config.decision_policy,
-            self.config.propagation_policy,
-            str(self.config.scheme),
-            self.config.seed,
-            self.outcome,
-            self.conflicts,
-            self.iota_size,
-            self.pi_size,
-            self.reductions,
-            f"{self.ms:.1f}",
-        ]
-
-
-def run_cell(spec: FamilySpec, cfg: SolverConfig, stable: bool) -> RunRecord:
+def run_cell(spec: FamilySpec, cfg: SolverConfig, stable: bool) -> list:
+    """The CSV row of one cell, in ``CSV_HEADER`` order."""
     started = time.perf_counter()
     try:
         qcnf = generate(spec)
@@ -74,27 +41,24 @@ def run_cell(spec: FamilySpec, cfg: SolverConfig, stable: bool) -> RunRecord:
             glued = glue_qcdcl_proof(qcnf, result.proof)
             pi_size = len(glued.steps)
             reductions = count_reductions(glued)
-        ms = 0.0 if stable else (time.perf_counter() - started) * 1000
-        return RunRecord(
-            spec, cfg, result.status,
-            result.stats.get("conflicts", 0),
-            result.stats.get("iota_size", 0),
-            pi_size, reductions, ms,
-        )
+        counts = [result.status, result.stats.get("conflicts", 0),
+                  result.stats.get("iota_size", 0), pi_size, reductions]
     except Exception as exc:   # record, never abort the sweep
-        ms = 0.0 if stable else (time.perf_counter() - started) * 1000
-        return RunRecord(spec, cfg, f"error:{type(exc).__name__}", 0, 0, 0, 0, ms)
+        counts = [f"error:{type(exc).__name__}", 0, 0, 0, 0]
+    ms = 0.0 if stable else (time.perf_counter() - started) * 1000
+    params = [f"{k}={v}" for k, v in (("m", spec.m), ("c", spec.c)) if v is not None]
+    return [
+        spec.family, spec.n, ";".join(params), cfg.decision_policy,
+        cfg.propagation_policy, str(cfg.scheme), cfg.seed, *counts, f"{ms:.1f}",
+    ]
 
 
-def run_plan(plan: ExperimentPlan) -> tuple[list[RunRecord], str]:
-    records = [
+def run_plan(plan: ExperimentPlan) -> tuple[list[list], str]:
+    rows = [
         run_cell(spec, cfg, plan.stable_timing)
         for spec, cfg in plan.cells
         for _ in range(plan.repetitions)
     ]
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.row())
-    return records, out.getvalue()
+    csv.writer(out).writerows([CSV_HEADER, *rows])
+    return rows, out.getvalue()

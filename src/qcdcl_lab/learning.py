@@ -18,6 +18,7 @@ clause to the database and record the round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import IllegalTautologyError, InternalTautologyError, QcdclError
 from .formula import Clause, LDQRES, QCNF, QRES, reduce_clause, resolve_clauses
@@ -99,12 +100,15 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     restriction left with only universal literals is as good as falsified.
     A satisfied clause forces nothing, so the forced literal alone decides.
     The clause's status changes only when one of its variables is assigned,
-    so only those entries are looked at.
+    so only those entries are looked at. Positions from the conflict
+    level's decision on are too late; the walk counts the decisions it
+    passes, so the entry at ``pos`` has time ``(level, pos - starts[level])``.
     """
     if clause.is_empty():
         return None
     policy = trail.propagation_policy
-    r = trail.last_level
+    starts = trail.starts
+    r = len(starts) - 1
     if r == 0:
         return None
     assignment: dict[int, bool] = {}
@@ -112,14 +116,15 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
         return (0, 0)
     own = {abs(l) for l in clause.lits}
     own.update(clause.merged)
-    for e in trail.entries:
-        if e.level >= r:   # positions at the conflict level are too late
-            break
+    level = 0
+    for pos, e in enumerate(islice(trail.entries, starts[r])):
+        if e.antecedent is None:
+            level += 1
         v = abs(e.lit)
         if v in own:
             assignment[v] = e.lit > 0
             if _classify(qcnf, clause, assignment, policy)[0] is not None:
-                return (e.level, e.offset)
+                return (level, pos - starts[level])
     return None
 
 
@@ -194,8 +199,8 @@ def learn(scheme: LearningScheme, trail: Trail, work: QCNF,
           rounds: list[Round]) -> tuple[Round, Picked]:
     """The learn step of a round: analyse the conflicting trail, pick an
     element of its learnable sequence with ``scheme``, add it to ``work``
-    and append the round, with its derivation, to ``rounds``. The round's
-    backtrack time is the time the trail was resumed at."""
+    and append the round, with its derivation, to ``rounds``. The round
+    reads its backtrack time from the trail (``Trail.resumed_at``)."""
     seq = learnable_sequence(trail, work)
     picked = pick_learned(scheme, seq, trail, work)
     clause_id, duplicate = work.add_clause(picked.clause)
@@ -204,7 +209,6 @@ def learn(scheme: LearningScheme, trail: Trail, work: QCNF,
         learned=picked.clause,
         clause_id=clause_id,
         derivation=seq.derivation_for(picked.index),
-        backtrack=trail.resumed_at,
         picked_index=picked.index,
         duplicate=duplicate,
     )

@@ -151,19 +151,21 @@ def count_reductions(d: Derivation) -> int:
 
 @dataclass
 class Round:
-    """One conflict/learn/backtrack cycle of a QCDCL run.
-
-    ``backtrack`` names the agreement time with the previous round's trail
-    (restarts use (0, 0); the first round always carries (0, 0)).
-    """
+    """One conflict/learn/backtrack cycle of a QCDCL run."""
 
     trail: Trail
     learned: Clause
     clause_id: int
     derivation: Derivation
-    backtrack: Time
     picked_index: int
     duplicate: bool = False
+
+    @property
+    def backtrack(self) -> Time:
+        """The agreement time with the previous round's trail: the time
+        this round's trail was resumed at, (0, 0) for a restart. The first
+        round must carry (0, 0)."""
+        return self.trail.resumed_at
 
 
 @dataclass

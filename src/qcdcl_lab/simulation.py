@@ -105,41 +105,25 @@ class SimState:
         self.witnesses[clause] = witness
 
 
-COMPLETED = "completed"
-CONFLICTED = "conflicted"
-BLOCKED = "blocked"
-
-
-@dataclass
-class ConstructResult:
-    kind: str
-    trail: Trail
-    blocked_on: int | None = None    # the scripted literal whose negation arrived
-
-    def witness(self) -> Witness:
-        assert self.kind == BLOCKED
-        return Witness(self.trail, -self.blocked_on)
-
-
-def construct_trail_with_decisions(state: SimState, decisions, start: Trail | None = None) -> ConstructResult:
-    """Build a natural trail deciding the listed literals in order.
+def construct_trail_with_decisions(state: SimState, decisions,
+                                   start: Trail | None = None) -> tuple[Trail, int | None]:
+    """Build a natural trail deciding the listed literals in order; returns
+    the trail and the literal the walk stopped before (None if it placed
+    every literal).
 
     A listed literal already assigned in the same polarity is skipped; one
-    assigned opposite means the decisions block each other and the partial
-    trail is returned as a witness carrier. Conflicts abort the walk as
-    usual; ``decide`` enforces the flexible policy. ``start`` is extended in
-    place. The returned trail is never extended, so it keeps no propagation
-    state.
+    assigned opposite means the decisions block each other: the walk stops
+    there, and the partial trail, unless it conflicted, witnesses that the
+    stopped literal's negation propagated.
+    Conflicts abort the walk as usual; ``decide`` enforces the flexible
+    policy. ``start`` is extended in place. The returned trail is never
+    extended, so it keeps no propagation state.
     """
     trail = start if start is not None else Trail(ASS_ORD, NO_RED)
     propagate_to_fixpoint(state.work, trail)
     stopped = decide_in_order(state.work, trail, decisions)
-    if trail.conflicted:
-        return ConstructResult(CONFLICTED, trail)
     trail.drop_watches()
-    if stopped is not None:
-        return ConstructResult(BLOCKED, trail, blocked_on=stopped)
-    return ConstructResult(COMPLETED, trail)
+    return trail, stopped
 
 
 def make_unreliable(state: SimState, target: Clause, initial: Trail,
@@ -150,32 +134,28 @@ def make_unreliable(state: SimState, target: Clause, initial: Trail,
 
     Each round learns with the asserting scheme, backtracks to the learned
     clause's asserting time, and re-extends with the same decisions in the
-    same order. Rounds are appended to the state. The loop is quadratically
-    bounded in the variable count; exceeding the ceiling raises.
+    same order; a re-extension that does not conflict ends the loop through
+    ``_finish``. Rounds are appended to the state. The loop is
+    quadratically bounded in the variable count; exceeding the ceiling
+    raises.
     """
+    if not initial.conflicted:
+        raise SimulationError("unreliability loop handed a conflict-free trail")
     n = max(state.work.num_vars, 1)
     bound = LOOP_BOUND_FACTOR * n * n + 8
     trail = initial
     for iteration in range(bound):
-        if not trail.conflicted:
-            raise SimulationError("unreliability loop handed a conflict-free trail")
         _, picked = learn(ASSERTING, trail, state.work, state.rounds)
         if picked.clause.is_empty():
             state.done = True
             state.loop_lengths.append(iteration + 1)
             return None
-        result = construct_trail_with_decisions(
+        trail, stopped = construct_trail_with_decisions(
             state, decision_order, start=trail.backtrack(picked.time)
         )
-        if result.kind == BLOCKED:
+        if not trail.conflicted:
             state.loop_lengths.append(iteration + 1)
-            return result.witness()
-        if result.kind == COMPLETED:
-            raise SimulationError(
-                "re-extension completed without conflict or block; "
-                "the premise witnesses must have been wrong"
-            )
-        trail = result.trail
+            return _finish(state, target, decision_order, trail, stopped)
     raise LoopBoundExceededError(
         f"unreliability loop exceeded {bound} rounds on {target!r}"
     )
@@ -186,24 +166,24 @@ def _level_sorted(state: SimState, lits) -> list[int]:
     return sorted(set(lits), key=lambda l: (prefix.level(l), abs(l)))
 
 
-def _finish(state: SimState, target: Clause, result: ConstructResult, order) -> Witness | None:
-    """The one outcome path of a construction: a block is a direct witness,
-    a conflict enters the unreliability loop, a completion is a bug."""
-    if result.kind == BLOCKED:
-        return result.witness()
-    if result.kind == CONFLICTED:
-        return make_unreliable(state, target, result.trail, order)
-    raise SimulationError(
-        f"construction for {target!r} completed; a conflict or block was forced"
-    )
+def _finish(state: SimState, target: Clause, order, trail: Trail,
+            stopped: int | None) -> Witness | None:
+    """The one outcome path of a construction: a conflict enters the
+    unreliability loop, a block is a direct witness, a completion is a bug."""
+    if trail.conflicted:
+        return make_unreliable(state, target, trail, order)
+    if stopped is None:
+        raise SimulationError(
+            f"construction for {target!r} completed; a conflict or block was forced"
+        )
+    return Witness(trail, -stopped)
 
 
 def simulate_axiom(state: SimState, clause: Clause) -> Witness | None:
     """Decide the clause's negation level-ordered; the clause itself forces
     a conflict at the latest when all decisions are placed."""
     order = _level_sorted(state, [-l for l in clause.all_literals()])
-    result = construct_trail_with_decisions(state, order)
-    return _finish(state, clause, result, order)
+    return _finish(state, clause, order, *construct_trail_with_decisions(state, order))
 
 
 def simulate_resolution(state: SimState, resolvent: Clause, pivot_var: int,
@@ -226,8 +206,7 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
 
     if l1 == pivot and l2 == -pivot:
         order = _level_sorted(state, list(a1) + list(a2))
-        result = construct_trail_with_decisions(state, order)
-        return _finish(state, resolvent, result, order)
+        return _finish(state, resolvent, order, *construct_trail_with_decisions(state, order))
 
     if l1 == pivot or l2 == -pivot:
         if l2 == -pivot:   # mirror so the pivot-side witness is w1
@@ -238,8 +217,7 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
         wanted.discard(pivot)
         wanted.discard(-pivot)
         order = _level_sorted(state, wanted)
-        result = construct_trail_with_decisions(state, order)
-        return _finish(state, resolvent, result, order)
+        return _finish(state, resolvent, order, *construct_trail_with_decisions(state, order))
 
     # Neither witness literal is the pivot.
     if -pivot not in a1:
@@ -249,14 +227,13 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
 
     head = _level_sorted(state, (set(a1) | {-l1}) - {-pivot})
     order = head + [-pivot]
-    result = construct_trail_with_decisions(state, order)
-    if result.kind == BLOCKED and result.blocked_on == -pivot:
+    trail, stopped = construct_trail_with_decisions(state, order)
+    if not trail.conflicted and stopped == -pivot:
         # The pivot got propagated first: fall back to the union trail.
         wanted = (set(a1) | set(a2) | {-l1, -l2}) - {pivot, -pivot}
         order2 = _level_sorted(state, wanted)
-        result2 = construct_trail_with_decisions(state, order2)
-        return _finish(state, resolvent, result2, order2)
-    w = _finish(state, resolvent, result, order)
+        return _finish(state, resolvent, order2, *construct_trail_with_decisions(state, order2))
+    w = _finish(state, resolvent, order, trail, stopped)
     if w is None:
         return None
     if -pivot in w.decisions:
@@ -282,8 +259,7 @@ def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witn
     head = _level_sorted(state, [l for l in wanted if abs(l) not in dropped])
     tail = _level_sorted(state, [l for l in wanted if abs(l) in dropped])
     order = head + tail
-    result = construct_trail_with_decisions(state, order)
-    w2 = _finish(state, reduced, result, order)
+    w2 = _finish(state, reduced, order, *construct_trail_with_decisions(state, order))
     if w2 is None:
         return None
     if any(abs(d) in dropped for d in w2.decisions):

@@ -39,8 +39,6 @@ Time = tuple[int, int]
 class TrailEntry:
     lit: int                 # 0 marks the conflict
     antecedent: int | None   # clause id; None exactly for decisions
-    level: int
-    offset: int              # 0 for decisions, 1.. for propagations
 
     @property
     def is_decision(self) -> bool:
@@ -52,6 +50,7 @@ class Trail:
 
     ``starts[s]`` is the entry index of the decision opening level s, and
     -1 for level 0, so the entry at time (s, t) sits at ``starts[s] + t``.
+    It is the only record of the trail's levels: entries carry none.
     """
 
     def __init__(self, decision_policy: str, propagation_policy: str):
@@ -71,7 +70,7 @@ class Trail:
 
     @property
     def last_level(self) -> int:
-        return self.entries[-1].level if self.entries else 0
+        return len(self.starts) - 1
 
     @property
     def conflicted(self) -> bool:
@@ -97,21 +96,15 @@ class Trail:
 
     def append_decision(self, lit: int):
         self.starts.append(len(self.entries))
-        self.entries.append(TrailEntry(lit, None, len(self.starts) - 1, 0))
+        self.entries.append(TrailEntry(lit, None))
         self.assignment[abs(lit)] = lit > 0
 
     def append_propagation(self, lit: int, antecedent: int):
-        starts = self.starts
-        self.entries.append(
-            TrailEntry(lit, antecedent, len(starts) - 1, len(self.entries) - starts[-1])
-        )
+        self.entries.append(TrailEntry(lit, antecedent))
         self.assignment[abs(lit)] = lit > 0
 
     def append_conflict(self, antecedent: int):
-        starts = self.starts
-        self.entries.append(
-            TrailEntry(0, antecedent, len(starts) - 1, len(self.entries) - starts[-1])
-        )
+        self.entries.append(TrailEntry(0, antecedent))
 
     def drop_watches(self):
         """Free the propagation state of a trail that will not be extended."""
@@ -540,6 +533,4 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
             for cid in occurs.pop(-e.lit, ()):
                 if cid not in satisfied:
                     classify(cid)
-        if (e.level, e.offset) != (shadow.entries[-1].level, shadow.entries[-1].offset):
-            problems.append(f"entry {pos}: level/offset bookkeeping mismatch")
     return problems

@@ -161,12 +161,11 @@ def trail_corpus() -> tuple:
 MUTATIONS = ("none", "delete", "swap", "negate", "replace", "remove")
 
 
-def mutated_trail(qcnf: QCNF, trail, pair, kind, i, j, cid, relevel) -> Trail:
+def mutated_trail(qcnf: QCNF, trail, pair, kind, i, j, cid) -> Trail:
     """A copy of ``trail`` under the policy ``pair`` with one mutation at
     entry ``i``: the entry deleted, swapped with entry ``j``, its literal
     negated, its antecedent replaced by clause ``cid`` or removed (which
-    makes it a decision). With ``relevel`` the entries get fresh levels and
-    offsets; otherwise each keeps its original one."""
+    makes it a decision)."""
     entries = list(trail.entries)
     if entries:
         i, j = i % len(entries), j % len(entries)
@@ -176,38 +175,39 @@ def mutated_trail(qcnf: QCNF, trail, pair, kind, i, j, cid, relevel) -> Trail:
         elif kind == "swap":
             entries[i], entries[j] = entries[j], e
         elif kind == "negate":
-            entries[i] = TrailEntry(-e.lit, e.antecedent, e.level, e.offset)
+            entries[i] = TrailEntry(-e.lit, e.antecedent)
         elif kind == "replace":
-            entries[i] = TrailEntry(e.lit, cid % len(qcnf.clauses), e.level, e.offset)
+            entries[i] = TrailEntry(e.lit, cid % len(qcnf.clauses))
         elif kind == "remove":
-            entries[i] = TrailEntry(e.lit, None, e.level, e.offset)
+            entries[i] = TrailEntry(e.lit, None)
     out = Trail(*pair)
     for e in entries:
-        if not relevel:
-            if e.is_decision:
-                out.starts.append(len(out.entries))
-            out.entries.append(e)
-            if e.lit != 0:
-                out.assignment[abs(e.lit)] = e.lit > 0
-        elif e.lit == 0:
+        if e.lit == 0:
             out.append_conflict(e.antecedent)
         elif e.antecedent is None:
             out.append_decision(e.lit)
         else:
             out.append_propagation(e.lit, e.antecedent)
-    # asserting_time reads last_level; a mutant that kept its original
-    # levels must still report the level of its last entry.
-    assert out.last_level == (out.entries[-1].level if out.entries else 0)
     return out
+
+
+def entry_times(trail) -> list[tuple[int, int]]:
+    """Each entry's time (level, offset), counted from the decisions before
+    it: a decision opens the next level at offset 0, every other entry
+    (the conflict marker too, even one a mutation left without its
+    antecedent) takes the next offset of the current level."""
+    times, level, offset = [], 0, 0
+    for e in trail.entries:
+        opens = e.is_decision and e.lit != 0
+        level, offset = (level + 1, 0) if opens else (level, offset + 1)
+        times.append((level, offset))
+    return times
 
 
 def last_time(trail) -> tuple[int, int]:
     """The time of the trail's last entry: backtracking to it copies the
     trail onto a fresh one."""
-    if not trail.entries:
-        return (0, 0)
-    e = trail.entries[-1]
-    return (e.level, e.offset)
+    return entry_times(trail)[-1] if trail.entries else (0, 0)
 
 
 @st.composite
@@ -223,6 +223,5 @@ def corpus_cases(draw):
         draw(st.integers(0, n - 1)),
         draw(st.integers(0, n - 1)),
         draw(st.integers(0, len(qcnf.clauses) - 1)),
-        draw(st.booleans()),
     )
     return qcnf, trail, mutant

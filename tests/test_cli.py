@@ -140,7 +140,11 @@ def test_error_exit_code(tmp_path, capsys):
     run(capsys, "gen", "--family", "equality", "--n", "2", "-o", str(formula))
     bench = ["bench", "--family", "qparity", "--n", "3", "--policies", "lev-ord/red"]
     solve = ["solve", "--input", str(formula), "--decision", "lev-ord", "--propagation", "red"]
+    not_utf8 = tmp_path / "not-utf8.txt"
+    not_utf8.write_bytes(b"p cnf 1 1\ne 1 0\n1 0\nc \xff\n")
     for argv in (
+        ["eval", "--input", str(not_utf8)],
+        ["check", "--input", str(formula), "--proof", str(not_utf8)],
         bench[:-1] + ["foo"],
         bench[:-1] + ["foo/bar"],
         bench[:4] + ["x..3"] + bench[5:],

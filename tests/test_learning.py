@@ -29,7 +29,7 @@ from qcdcl_lab.learning import LearningScheme
 from qcdcl_lab.solver import SolverConfig, solve
 from qcdcl_lab.trail import _classify
 
-from conftest import ALL_PAIRS_FALSE, corpus_cases, random_small_qcnf
+from conftest import ALL_PAIRS_FALSE, corpus_cases, entry_times, random_small_qcnf
 
 
 def red_example_trail(qcnf):
@@ -244,18 +244,19 @@ def reference_asserting_time(clause, trail, qcnf):
     if clause.is_empty():
         return None
     policy = trail.propagation_policy
-    r = trail.last_level
+    times = entry_times(trail)
+    r = times[-1][0] if times else 0
     if r == 0:
         return None
     assignment = {}
     if _classify(qcnf, clause, assignment, policy)[0] is not None:
         return (0, 0)
-    for e in trail.entries:
-        if e.level >= r:
+    for e, time in zip(trail.entries, times):
+        if time[0] >= r:
             break
         assignment[abs(e.lit)] = e.lit > 0
         if _classify(qcnf, clause, assignment, policy)[0] is not None:
-            return (e.level, e.offset)
+            return time
     return None
 
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from qcdcl_lab import (
+    ANY_ORD,
     LEV_ORD,
     RED,
     Trail,
@@ -25,7 +28,7 @@ from qcdcl_lab.learning import DEC
 from qcdcl_lab.proofs import AXIOM, Derivation, ProofStep, QcdclProof, RESOLVE, Round
 from qcdcl_lab.solver import SolverConfig, solve
 
-from conftest import PSI_TRUE
+from conftest import PSI_TRUE, entry_times, last_time, mutated_trail
 
 
 class TestCheckDerivation:
@@ -75,7 +78,7 @@ class TestGlue:
         assert picked.clause.is_empty()
         proof = QcdclProof(
             [Round(trail, picked.clause, 4, seq.derivation_for(picked.index),
-                   (0, 0), picked.index)],
+                   picked.index)],
             LEV_ORD,
             RED,
         )
@@ -104,6 +107,52 @@ class TestGlue:
         assert result.refuted
         glued = glue_qcdcl_proof(f, result.proof)
         assert len(glued.steps) <= 6 * result.proof.size
+
+
+class TestValidateQcdclProof:
+    def test_each_problem_is_reported(self):
+        """A valid multi-round proof with backjumps passes; one mutation per
+        kind of problem gets that problem's message. Backtrack times are
+        mutated through the round's trail, which records them."""
+        f = generate(FamilySpec("qparity", 4))
+        proof = solve(f.copy(), SolverConfig(LEV_ORD, RED)).proof
+        assert validate_qcdcl_proof(f, proof) == []
+        assert len(proof.rounds) == 8
+        assert [r.backtrack for r in proof.rounds][1:3] == [(3, 1), (2, 1)]
+
+        def problems(idx=0, policy=LEV_ORD, **changes):
+            rounds = list(proof.rounds)
+            rounds[idx] = replace(rounds[idx], **changes)
+            return validate_qcdcl_proof(f, QcdclProof(rounds, policy, RED))
+
+        def resumed_at_end(idx):
+            trail = proof.rounds[idx].trail
+            return trail.backtrack(last_time(trail))
+
+        first, third = proof.rounds[0], proof.rounds[3]
+        unconflicted = third.trail.backtrack(entry_times(third.trail)[-2])
+        short = Derivation(first.derivation.steps[1:], LDQRES, first.derivation.conclusion)
+        cut = Derivation(first.derivation.steps[:1], LDQRES, 0)
+        freed = mutated_trail(f, first.trail, (LEV_ORD, RED), "remove", 2, 0, 0)
+        cases = [
+            (problems(policy=ANY_ORD), "round 0: trail policies differ from the proof's"),
+            (problems(3, trail=unconflicted), "round 3: trail has no conflict"),
+            (problems(trail=resumed_at_end(0)), "round 0: first round must start from scratch"),
+            (problems(1, trail=resumed_at_end(1)), "round 1: backtrack time (3, 4) invalid"),
+            (problems(2, trail=resumed_at_end(2)),
+             "round 2: trail disagrees with predecessor before backtrack point"),
+            (problems(picked_index=99), "round 0: picked index 99 out of range"),
+            (problems(picked_index=first.picked_index - 1),
+             "round 0: learned clause is not the recorded sequence element"),
+            (problems(derivation=short), "round 0: derivation invalid: "),
+            (problems(derivation=cut), "round 0: derivation does not conclude the learned clause"),
+            (problems(clause_id=first.clause_id + 1),
+             f"round 0: clause id {first.clause_id + 1} out of sequence"),
+            (problems(duplicate=True), "round 0: duplicate flag wrong"),
+            (problems(trail=freed), "round 0: entry 2: "),
+        ]
+        for got, message in cases:
+            assert got and got[0].startswith(message), (message, got)
 
 
 class TestPurelyExistential:

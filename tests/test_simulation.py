@@ -17,9 +17,6 @@ from qcdcl_lab.formula import QRES, make_clause
 from qcdcl_lab.goldens import fig_trapdoor_refutation
 from qcdcl_lab.proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE
 from qcdcl_lab.simulation import (
-    BLOCKED,
-    COMPLETED,
-    CONFLICTED,
     SimState,
     Witness,
     construct_trail_with_decisions,
@@ -42,38 +39,37 @@ class TestConstructTrail:
 
     def test_plain_completion(self):
         f = parse_qdimacs("p cnf 4 1\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 -3 4 0\n")
-        result = construct_trail_with_decisions(state_for(f), [1, 2, 3])
-        assert result.kind == COMPLETED
-        assert [e.lit for e in result.trail.entries] == [1, 2, 3, 4]
-        assert result.trail.decisions() == [1, 2, 3]
+        trail, stopped = construct_trail_with_decisions(state_for(f), [1, 2, 3])
+        assert not trail.conflicted and stopped is None
+        assert [e.lit for e in trail.entries] == [1, 2, 3, 4]
+        assert trail.decisions() == [1, 2, 3]
 
     def test_decision_skipped_when_propagated_first(self):
         f = parse_qdimacs(
             "p cnf 4 2\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 -3 4 0\n-1 -2 3 0\n"
         )
-        result = construct_trail_with_decisions(state_for(f), [1, 2, 3])
-        assert result.kind == COMPLETED
-        assert [e.lit for e in result.trail.entries] == [1, 2, 3, 4]
-        assert result.trail.decisions() == [1, 2]   # y arrived by propagation
+        trail, stopped = construct_trail_with_decisions(state_for(f), [1, 2, 3])
+        assert not trail.conflicted and stopped is None
+        assert [e.lit for e in trail.entries] == [1, 2, 3, 4]
+        assert trail.decisions() == [1, 2]   # y arrived by propagation
 
     def test_conflict_aborts_the_walk(self):
         f = parse_qdimacs(
             "p cnf 4 3\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 -3 4 0\n-1 -2 4 0\n-1 -2 -4 0\n"
         )
-        result = construct_trail_with_decisions(state_for(f), [1, 2, 3])
-        assert result.kind == CONFLICTED
-        assert 3 not in result.trail.assignment
+        trail, _ = construct_trail_with_decisions(state_for(f), [1, 2, 3])
+        assert trail.conflicted
+        assert 3 not in trail.assignment
 
     def test_blocked_yields_a_witness(self):
         f = parse_qdimacs(
             "p cnf 4 2\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 4 0\n-4 -3 0\n"
         )
         state = state_for(f)
-        result = construct_trail_with_decisions(state, [1, 2, 3])
-        assert result.kind == BLOCKED
-        assert result.blocked_on == 3
+        trail, stopped = construct_trail_with_decisions(state, [1, 2, 3])
+        assert not trail.conflicted and stopped == 3
         target = make_clause(f.prefix, [-1, -2, -3])   # -x or -u or -y
-        w = result.witness()
+        w = Witness(trail, -stopped)
         assert w.literal == -3
         assert w.decisions == (1, 2)
         assert witness_valid(state.work, w, target)
@@ -85,7 +81,8 @@ class TestStore:
             "p cnf 4 2\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 4 0\n-4 -3 0\n"
         )
         state = state_for(f)
-        w = construct_trail_with_decisions(state, [1, 2, 3]).witness()
+        trail, stopped = construct_trail_with_decisions(state, [1, 2, 3])
+        w = Witness(trail, -stopped)
         other = make_clause(f.prefix, [-1, -2, 3])
         with pytest.raises(WitnessInvalidError):
             state.store(other, w)
@@ -99,11 +96,11 @@ class TestStore:
             "p cnf 4 3\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 -3 4 0\n-1 -2 4 0\n-1 -2 -4 0\n"
         )
         state = state_for(f)
-        result = construct_trail_with_decisions(state, [1, 2, 3])
-        assert result.kind == CONFLICTED
+        trail, _ = construct_trail_with_decisions(state, [1, 2, 3])
+        assert trail.conflicted
         target = make_clause(f.prefix, [-1, -2, 4])
         with pytest.raises(WitnessInvalidError):
-            state.store(target, Witness(result.trail, 4))
+            state.store(target, Witness(trail, 4))
         assert state.witnesses == {}
 
     @pytest.mark.parametrize(
@@ -142,13 +139,13 @@ class TestMakeUnreliable:
         state = state_for(f)
         target = make_clause(f.prefix, [1, 3])
         order = [-1, -3]
-        result = construct_trail_with_decisions(state, order)
-        if result.kind == CONFLICTED:
-            w = make_unreliable(state, target, result.trail, order)
+        trail, stopped = construct_trail_with_decisions(state, order)
+        if trail.conflicted:
+            w = make_unreliable(state, target, trail, order)
             if w is not None:
                 assert witness_valid(state.work, w, target)
         else:
-            assert result.kind == BLOCKED
+            assert stopped is not None
 
     @pytest.mark.parametrize("seed", range(8))
     def test_round_bound_on_random_targets(self, seed):
@@ -163,14 +160,14 @@ class TestMakeUnreliable:
             (-l for l in lits), key=lambda l: (f.prefix.level(l), abs(l))
         )
         try:
-            result = construct_trail_with_decisions(state, order)
+            trail, _ = construct_trail_with_decisions(state, order)
         except Exception:
             return   # the random order may violate the flexible policy
-        if result.kind != CONFLICTED:
+        if not trail.conflicted:
             return
         n = f.num_vars
         before = len(state.rounds)
-        w = make_unreliable(state, target, result.trail, order)
+        w = make_unreliable(state, target, trail, order)
         assert len(state.rounds) - before <= 8 * n * n + 8
         if w is not None:
             assert witness_valid(state.work, w, target)

@@ -30,7 +30,7 @@ from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import FORALL, QCNF
 from qcdcl_lab.trail import _admits, _classify
 
-from conftest import corpus_cases, last_time, random_small_qcnf, trail_corpus
+from conftest import corpus_cases, entry_times, last_time, random_small_qcnf, trail_corpus
 
 
 def lits(trail):
@@ -330,6 +330,7 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
     through the whole set of admitted literals."""
     problems = []
     shadow = Trail(trail.decision_policy, trail.propagation_policy)
+    times = entry_times(trail)
 
     def certifies(cid, lit):
         return cid is not None and _classify(
@@ -368,8 +369,9 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
             if natural_here and scan.conflict_present:
                 problems.append(f"entry {pos}: propagation taken while a conflict exists")
             shadow.append_propagation(e.lit, e.antecedent or 0)
-        if (e.level, e.offset) != (shadow.entries[-1].level, shadow.entries[-1].offset):
-            problems.append(f"entry {pos}: level/offset bookkeeping mismatch")
+        # The shadow's level-start index puts each entry's time, counted
+        # from the decisions before it, at the entry's position.
+        assert shadow.position_of_time(times[pos]) == pos
     return problems
 
 
@@ -377,8 +379,8 @@ def reference_position_of_time(trail, time):
     """The linear scan for the entry whose (level, offset) is ``time``."""
     if time == (0, 0):
         return -1
-    for pos, e in enumerate(trail.entries):
-        if (e.level, e.offset) == time:
+    for pos, entry_time in enumerate(entry_times(trail)):
+        if entry_time == time:
             return pos
     raise InvalidTimeError(f"time {time} not on the trail")
 
@@ -400,21 +402,22 @@ def reference_backtrack(trail, time):
 def test_level_starts_match_the_linear_scan():
     """On every corpus trail each entry's time and (0, 0) sit where the
     linear scan finds them, times off the trail are refused by both,
-    ``decisions()`` lists the decision entries, and ``backtrack`` gives the
-    per-entry rebuild."""
+    ``last_level`` is the level of the last entry, ``decisions()`` lists the
+    decision entries, and ``backtrack`` gives the per-entry rebuild."""
     for _, trail in trail_corpus():
-        last = {}   # level -> its highest offset
-        for e in trail.entries:
-            last[e.level] = e.offset
-        for time in [(0, 0), *((e.level, e.offset) for e in trail.entries)]:
+        times = entry_times(trail)
+        last = dict(times)   # level -> its highest offset
+        for time in [(0, 0), *times]:
             assert trail.position_of_time(time) == reference_position_of_time(trail, time)
             back, ref = trail.backtrack(time), reference_backtrack(trail, time)
             assert dump_trail(back) == dump_trail(ref)
             assert (back.entries, back.starts) == (ref.entries, ref.starts)
             assert list(back.assignment.items()) == list(ref.assignment.items())
             assert (back.last_level, back.resumed_at) == (ref.last_level, ref.resumed_at)
-        levels = range(trail.last_level + 1)
-        off = [(trail.last_level + 1, 0), (-1, 0)]
+        top = last_time(trail)[0]
+        assert trail.last_level == top
+        levels = range(top + 1)
+        off = [(top + 1, 0), (-1, 0)]
         off += [(s, -1) for s in levels] + [(s, last.get(s, 0) + 1) for s in levels]
         for time in off:
             with pytest.raises(InvalidTimeError):
