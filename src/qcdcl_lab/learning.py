@@ -5,7 +5,9 @@ propagated literals are resolved in, walking the trail right to left and
 skipping positions whose pivot is absent from the running clause. Universal
 reduction applies after every resolution and at the start. The sequence is
 indexed from the conflict side: element 0 is the reduced conflict
-antecedent, the last element is the fully folded clause.
+antecedent, the last element is the fully folded clause. The walk stops
+as soon as the learning scheme's pick is settled (see
+``learnable_sequence``): elements past the pick are not built.
 
 Resolution runs in long-distance mode when the trail propagates through
 reduction and in plain mode otherwise; with plain propagation no tautology
@@ -17,8 +19,9 @@ clause to the database and record the round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
+from typing import Callable
 
 from .errors import IllegalTautologyError, InternalTautologyError, QcdclError
 from .formula import Clause, LDQRES, QCNF, QRES, reduce_clause, resolve_clauses
@@ -32,17 +35,37 @@ class LearnableSequence:
     steps: list[ProofStep]
     conclusion_ids: list[int]   # per element, the step concluding it
     mode: str
+    # Asserting times of the first len(times) elements, in order, as the
+    # asserting scheme's stop rule computed them; ``pick_learned`` reuses them.
+    times: list[Time | None] = field(default_factory=list)
 
     def derivation_for(self, index: int) -> Derivation:
         end = self.conclusion_ids[index]
-        cut = [s for s in self.steps if s.step_id <= end]
-        return Derivation(cut, self.mode, end)
+        return Derivation(self.steps[: end + 1], self.mode, end)   # step ids are positions
 
     def __len__(self):
         return len(self.elements)
 
 
-def learnable_sequence(trail: Trail, qcnf: QCNF) -> LearnableSequence:
+def learnable_sequence(trail: Trail, qcnf: QCNF,
+                       scheme: LearningScheme | None = None) -> LearnableSequence:
+    """The learnable sequence of a conflicting trail, from the conflict side
+    up to the element where ``scheme``'s pick is settled.
+
+    Without a scheme, and under ``dec``, the walk reaches the first
+    decision. Under ``index:k`` it stops after element k. Under
+    ``asserting`` it stops at an empty element, which is the pick, or at
+    the first asserting element at or after the first element that holds
+    an existential literal on a decided variable. No element after that one
+    can be empty: a decided variable is never a pivot, universal reduction
+    never drops an existential literal, and resolution would raise rather
+    than merge an existential. So the empty-clause preference cannot pick a
+    later element, and neither can the first-asserting rule. Nothing is
+    timed before the walk reaches that element; from there elements are
+    timed in order from the first, each once, up to the first asserting
+    one. These are exactly the calls ``pick_learned`` makes on the whole
+    sequence, and it reuses the times (``LearnableSequence.times``).
+    """
     if not trail.conflicted:
         raise ValueError("clause learning needs a conflicting trail")
     mode = LDQRES if trail.propagation_policy == RED else QRES
@@ -68,11 +91,14 @@ def learnable_sequence(trail: Trail, qcnf: QCNF) -> LearnableSequence:
 
     conflict = trail.entries[-1]
     cur_id, cur = reduced_axiom(conflict.antecedent)
-    elements = [cur]
-    conclusions = [cur_id]
+    seq = LearnableSequence([cur], steps, [cur_id], mode)
+    elements, conclusions = seq.elements, seq.conclusion_ids
+    settled = _stop_rule(scheme, seq, trail, qcnf)
     for entry in reversed(trail.entries[:-1]):
         if entry.is_decision:
             continue
+        if settled is not None and settled():
+            break
         p = entry.lit
         if -p in cur.lits:
             ante_id, ante = reduced_axiom(entry.antecedent)
@@ -88,7 +114,44 @@ def learnable_sequence(trail: Trail, qcnf: QCNF) -> LearnableSequence:
                 cur_id = add(REDUCE, cur, src=cur_id)
         elements.append(cur)
         conclusions.append(cur_id)
-    return LearnableSequence(elements, steps, conclusions, mode)
+    return seq
+
+
+def _stop_rule(scheme: LearningScheme | None, seq: LearnableSequence, trail: Trail,
+               qcnf: QCNF) -> Callable[[], bool] | None:
+    """The test ``learnable_sequence`` runs before it builds another
+    element: is ``scheme``'s pick among the elements so far? None walks
+    the whole trail."""
+    if scheme is None or scheme.kind not in ("index", "asserting"):
+        return None
+    elements = seq.elements
+    if scheme.kind == "index":
+        k = scheme.k
+        return lambda: len(elements) > k
+    is_existential = qcnf.prefix.is_existential
+    entries = trail.entries
+    anchors = {v for v in (abs(entries[i].lit) for i in trail.starts[1:])
+               if is_existential(v)}
+    times = seq.times
+    safe = False
+
+    def settled() -> bool:
+        nonlocal safe
+        if not safe:
+            last = elements[-1]
+            if last.is_empty():
+                return True
+            if anchors.isdisjoint(map(abs, last.lits)):
+                return False
+            safe = True
+        for c in elements[len(times):]:
+            time = asserting_time(c, trail, qcnf)
+            times.append(time)
+            if time is not None:
+                return True
+        return False
+
+    return settled
 
 
 def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
@@ -165,7 +228,8 @@ def pick_learned(scheme: LearningScheme, seq: LearnableSequence, trail: Trail,
     The asserting scheme prefers the empty clause, then the first asserting
     element scanning from the conflict side, and falls back to the last
     element. The returned time is the clause's asserting time when it has
-    one and (0, 0) — a restart — otherwise.
+    one and (0, 0) — a restart — otherwise. Times the sequence already
+    holds (``LearnableSequence.times``) are not computed again.
     """
     elements = seq.elements
     if not elements:
@@ -174,8 +238,9 @@ def pick_learned(scheme: LearningScheme, seq: LearnableSequence, trail: Trail,
         for i, c in enumerate(elements):
             if c.is_empty():
                 return Picked(c, (0, 0), i)
+        times = seq.times
         for i, c in enumerate(elements):
-            time = asserting_time(c, trail, qcnf)
+            time = times[i] if i < len(times) else asserting_time(c, trail, qcnf)
             if time is not None:
                 return Picked(c, time, i)
         return Picked(elements[-1], (0, 0), len(elements) - 1)
@@ -199,9 +264,10 @@ def learn(scheme: LearningScheme, trail: Trail, work: QCNF,
           rounds: list[Round]) -> tuple[Round, Picked]:
     """The learn step of a round: analyse the conflicting trail, pick an
     element of its learnable sequence with ``scheme``, add it to ``work``
-    and append the round, with its derivation, to ``rounds``. The round
-    reads its backtrack time from the trail (``Trail.resumed_at``)."""
-    seq = learnable_sequence(trail, work)
+    and append the round, with its derivation, to ``rounds``. The analysis
+    stops where ``scheme``'s pick is settled. The round reads its backtrack
+    time from the trail (``Trail.resumed_at``)."""
+    seq = learnable_sequence(trail, work, scheme)
     picked = pick_learned(scheme, seq, trail, work)
     clause_id, duplicate = work.add_clause(picked.clause)
     rnd = Round(

@@ -233,7 +233,7 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
     the learned clause in the conflict-analysis sequence, the per-round
     derivations, and clause id bookkeeping.
     """
-    from .learning import learnable_sequence  # cycle guard
+    from .learning import LearningScheme, learnable_sequence  # cycle guard
 
     problems: list[str] = []
     work = base.copy()
@@ -264,7 +264,8 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
                 problems.append(f"{tag}: trail disagrees with predecessor before backtrack point")
             natural_from = pos + 1
         problems += [f"{tag}: {p}" for p in validate_trail(work, trail, natural_from)]
-        seq = learnable_sequence(trail, work)
+        # The analysis need not go past the recorded pick.
+        seq = learnable_sequence(trail, work, LearningScheme("index", rnd.picked_index))
         if not (0 <= rnd.picked_index < len(seq.elements)):
             problems.append(f"{tag}: picked index {rnd.picked_index} out of range")
         elif seq.elements[rnd.picked_index] != rnd.learned:

@@ -1,13 +1,26 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
+import tempfile
+from pathlib import Path
 
-from qcdcl_lab.cli import main
-from qcdcl_lab.goldens import equality_script
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcdcl_lab.cli import build_parser, main
+from qcdcl_lab.families import FamilySpec, generate
+from qcdcl_lab.goldens import equality_script, fig_trapdoor_refutation
 from qcdcl_lab.harness import CSV_HEADER, ExperimentPlan, run_plan
+from qcdcl_lab.proofs import serialize_proof
+from qcdcl_lab.qdimacs import serialize_qdimacs
 from qcdcl_lab.replay import serialize_script
+
+from test_fuzz import soup
 
 
 def run(capsys, *argv):
@@ -177,3 +190,113 @@ def test_error_exit_code(tmp_path, capsys):
         "--decision", "lev-ord", "--propagation", "red",
     )
     assert code == 1 and err.startswith("error: "), err
+
+
+# -- fuzzing the command line -----------------------------------------------
+
+# Placeholders that the fuzz test replaces by paths in its own directory:
+# three input files whose contents are drawn, a missing file, the directory
+# itself, and output files with and without an existing parent directory.
+INPUTS = ("@formula", "@proof", "@script", "@missing", "@dir")
+OUTPUTS = ("@out", "@nodir/out")
+# The input each path option names when the draw is not a stray one.
+INPUT_OF = {"input": "@formula", "script": "@script", "proof": "@proof", "qres_proof": "@proof"}
+OUTPUT_DESTS = {"output", "emit_proof", "emit_stats", "emit_rounds"}
+# Free-text option values by destination; any of them may stray to another.
+WORDS_OF = {
+    "n": ("1", "2..3", "3,2", "3..2", "0", "x", ""),
+    "seeds": ("0", "0..1", "5..1", "x"),
+    "policies": ("lev-ord/red", "any-ord/no-red,lev-ord/red", "foo/bar", "lev-ord"),
+    "scheme": ("asserting", "dec", "index:0", "index:9", "index:"),
+}
+WORDS = tuple(w for words in WORDS_OF.values() for w in words)
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_texts():
+    """Per input file, whole texts that get past its parser: trapdoor and
+    equality formulas, a plain refutation of the trapdoor formula, and the
+    equality formula's golden script."""
+    return {
+        "@formula": (serialize_qdimacs(generate(FamilySpec("trapdoor", 2))),
+                     serialize_qdimacs(generate(FamilySpec("equality", 2)))),
+        "@proof": (serialize_proof(fig_trapdoor_refutation(2)),),
+        "@script": (serialize_script(equality_script(2)),),
+    }
+
+
+def _subcommands():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _mostly(likely, stray):
+    """``likely`` nine times in ten, else ``stray``."""
+    return st.integers(0, 9).flatmap(lambda i: stray if i == 0 else likely)
+
+
+def _value(action):
+    if action.choices is not None:
+        return _mostly(st.sampled_from(list(action.choices)), st.just("bogus"))
+    if action.type is int:
+        return st.integers(-1, 5).map(str)
+    if action.type is float:
+        return st.sampled_from(("0.5", "2", "-1", "x"))
+    if action.dest in INPUT_OF:
+        return _mostly(st.just(INPUT_OF[action.dest]), st.sampled_from(INPUTS))
+    if action.dest in OUTPUT_DESTS:
+        return _mostly(st.just("@out"), st.sampled_from(OUTPUTS))
+    return _mostly(st.sampled_from(WORDS_OF[action.dest]), st.sampled_from(WORDS))
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with each required option and a drawn subset of the
+    optional ones, each with a drawn value, and now and then a stray token."""
+    name = draw(st.sampled_from(sorted(_subcommands())))
+    argv = [name]
+    for action in _subcommands()[name]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if action.required or draw(st.booleans()):
+            argv.append(draw(st.sampled_from(action.option_strings)))
+            if action.nargs != 0:
+                argv.append(draw(_value(action)))
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(WORDS + ("--x",))))
+    return argv
+
+
+@st.composite
+def input_texts(draw):
+    """Contents of the three input files: line soup or a valid text each."""
+    return {name: draw(_mostly(st.sampled_from(texts), soup))
+            for name, texts in _valid_texts().items()}
+
+
+@given(cli_argv(), input_texts())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_cli_never_prints_a_traceback(argv, texts):
+    """Any argv of subcommands, options and small values, over input files
+    of line soup or valid text, ends with exit code 0 or 1 (2 for ``solve``
+    without a refutation and ``eval`` of a true formula), or with
+    argparse's ``SystemExit(2)``, and never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = {"@missing": root / "missing.q", "@dir": root,
+                 "@out": root / "out.txt", "@nodir/out": root / "nodir" / "out.txt"}
+        for name, text in texts.items():
+            paths[name] = root / name[1:]
+            paths[name].write_text(text)
+        args = [str(paths.get(a, a)) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                assert exc.code == 2, args
+                code = None
+    assert "Traceback" not in err.getvalue(), args
+    if code is not None:
+        assert code in (0, 1) or (code == 2 and argv[0] in ("solve", "eval")), (args, code)

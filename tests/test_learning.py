@@ -25,11 +25,11 @@ from qcdcl_lab import (
 from qcdcl_lab.errors import QcdclError
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import Clause, make_clause
-from qcdcl_lab.learning import LearningScheme
+from qcdcl_lab.learning import LearningScheme, learn
 from qcdcl_lab.solver import SolverConfig, solve
 from qcdcl_lab.trail import _classify
 
-from conftest import ALL_PAIRS_FALSE, corpus_cases, entry_times, random_small_qcnf
+from conftest import ALL_PAIRS_FALSE, corpus_cases, entry_times, random_small_qcnf, trail_corpus
 
 
 def red_example_trail(qcnf):
@@ -272,3 +272,91 @@ def test_asserting_time_matches_the_whole_trail_walk(case):
         clauses += learnable_sequence(original, qcnf).elements
     for c in clauses:
         assert asserting_time(c, trail, qcnf) == reference_asserting_time(c, trail, qcnf), c
+
+
+def _conflicted_corpus():
+    return [(qcnf, trail) for qcnf, trail in trail_corpus() if trail.conflicted]
+
+
+def test_step_ids_are_positions():
+    """``derivation_for`` slices the steps by the conclusion's id, which
+    relies on every step's id being its position in the list."""
+    for qcnf, trail in _conflicted_corpus():
+        seq = learnable_sequence(trail, qcnf)
+        assert [s.step_id for s in seq.steps] == list(range(len(seq.steps)))
+
+
+def _assert_early_stop_agrees(qcnf, trail):
+    """Under ``asserting``, ``dec`` and every ``index:k`` (one past the end
+    too), ``learn``, whose analysis stops at the pick, learns the clause,
+    time, index and derivation that ``pick_learned`` takes from the whole
+    walk, after the same ``asserting_time`` calls, and the walk it stops is
+    the prefix of the whole one that ends at the pick, or under
+    ``asserting`` at the first element with an existential literal on a
+    decided variable when that comes later; an out-of-range index fails
+    with the same error. Returns whether some scheme stopped before the
+    end."""
+    timed = []
+
+    def counting(clause, trail, qcnf):
+        timed.append(clause)
+        return asserting_time(clause, trail, qcnf)
+
+    whole = learnable_sequence(trail, qcnf)
+    anchors = {abs(l) for l in trail.decisions() if qcnf.prefix.is_existential(l)}
+    safe = next((i for i, c in enumerate(whole.elements)
+                 if anchors & {abs(l) for l in c.lits}), len(whole) - 1)
+    schemes = [ASSERTING, DEC] + [LearningScheme("index", k) for k in range(len(whole) + 1)]
+    stopped_early = False
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learning, "asserting_time", counting)
+        for scheme in schemes:
+            timed.clear()
+            try:
+                want = pick_learned(scheme, whole, trail, qcnf)
+            except QcdclError as exc:
+                with pytest.raises(QcdclError) as got:
+                    learn(scheme, trail, qcnf.copy(), [])
+                assert str(got.value) == str(exc)
+                continue
+            want_timed = list(timed)
+            timed.clear()
+            rnd, got = learn(scheme, trail, qcnf.copy(), [])
+            assert got == want, scheme
+            assert timed == want_timed, scheme
+            derivation = whole.derivation_for(want.index)
+            assert rnd.derivation.steps == derivation.steps, scheme
+            assert rnd.derivation.conclusion == derivation.conclusion
+            seq = learnable_sequence(trail, qcnf, scheme)
+            last = want.index
+            if scheme == ASSERTING and not want.clause.is_empty():
+                last = max(last, safe)
+            assert len(seq) == last + 1, scheme
+            assert seq.elements == whole.elements[: len(seq)]
+            assert seq.steps == whole.steps[: len(seq.steps)]
+            stopped_early |= len(seq) < len(whole)
+    return stopped_early
+
+
+def test_early_stop_learns_what_the_whole_walk_picks():
+    """Every conflicted corpus trail, against the whole walk as oracle."""
+    cases = _conflicted_corpus()
+    assert len(cases) > 50
+    stopped = [_assert_early_stop_agrees(qcnf, trail) for qcnf, trail in cases]
+    assert sum(stopped) > len(cases) // 2
+
+
+@given(corpus_cases())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_early_stop_agrees_on_mutated_trails(case):
+    """The same agreement on relabelled, mutated conflicted copies whose
+    whole walk succeeds (a mutant may name an antecedent without the
+    pivot, which the walk rejects, or leave the conflict without one)."""
+    qcnf, _, trail = case
+    if not trail.conflicted or trail.entries[-1].antecedent is None:
+        return
+    try:
+        learnable_sequence(trail, qcnf)
+    except QcdclError:
+        return
+    _assert_early_stop_agrees(qcnf, trail)
