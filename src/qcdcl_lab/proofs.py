@@ -29,7 +29,7 @@ from .formula import (
     reduce_clause,
     resolve_clauses,
 )
-from .trail import RED, Time, Trail, validate_trail
+from .trail import RED, Time, Trail, TrailChecker
 
 AXIOM = "a"
 RESOLVE = "r"
@@ -231,12 +231,20 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
     Verifies trail conditions (with naturality enforced beyond each round's
     backtrack point), agreement between consecutive trails, membership of
     the learned clause in the conflict-analysis sequence, the per-round
-    derivations, and clause id bookkeeping.
+    derivations, and clause id bookkeeping. The conflict analysis of a
+    trail with problems is not run: its sequence is not defined.
+
+    One ``TrailChecker`` walks the rounds: each round undoes it to the
+    prefix shared with the trail checked before, at most to the backtrack
+    point, and walks only the entries after it. A round reports the
+    problems of every entry of its trail, inherited ones included, exactly
+    as a fresh ``validate_trail`` would.
     """
     from .learning import LearningScheme, learnable_sequence  # cycle guard
 
     problems: list[str] = []
     work = base.copy()
+    checker = TrailChecker(work)
     prev_trail: Trail | None = None
     for idx, rnd in enumerate(proof.rounds):
         tag = f"round {idx}"
@@ -263,13 +271,15 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
             if trail.entries[: pos + 1] != prev_trail.entries[: prev_pos + 1]:
                 problems.append(f"{tag}: trail disagrees with predecessor before backtrack point")
             natural_from = pos + 1
-        problems += [f"{tag}: {p}" for p in validate_trail(work, trail, natural_from)]
-        # The analysis need not go past the recorded pick.
-        seq = learnable_sequence(trail, work, LearningScheme("index", rnd.picked_index))
-        if not (0 <= rnd.picked_index < len(seq.elements)):
-            problems.append(f"{tag}: picked index {rnd.picked_index} out of range")
-        elif seq.elements[rnd.picked_index] != rnd.learned:
-            problems.append(f"{tag}: learned clause is not the recorded sequence element")
+        found = checker.check(trail, natural_from)
+        problems += [f"{tag}: {p}" for p in found]
+        if not found:
+            # The analysis need not go past the recorded pick.
+            seq = learnable_sequence(trail, work, LearningScheme("index", rnd.picked_index))
+            if not (0 <= rnd.picked_index < len(seq.elements)):
+                problems.append(f"{tag}: picked index {rnd.picked_index} out of range")
+            elif seq.elements[rnd.picked_index] != rnd.learned:
+                problems.append(f"{tag}: learned clause is not the recorded sequence element")
         verdict = check_derivation(work, rnd.derivation)
         if not verdict:
             problems.append(f"{tag}: derivation invalid: {verdict.failures[:3]}")

@@ -30,9 +30,9 @@ from .trail import (
     ASS_ORD,
     NO_RED,
     Trail,
+    TrailChecker,
     decide_in_order,
     propagate_to_fixpoint,
-    validate_trail,
 )
 
 # Round-count ceiling for the unreliability loop, as a multiple of n^2.
@@ -59,18 +59,21 @@ class Witness:
         return tuple(self.trail.decisions())
 
 
-def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause) -> bool:
+def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause,
+                  checker: TrailChecker | None = None) -> bool:
     """Validate a witness against the clause set: its propagation
     certificates, the policy conditions, and the containment requirements.
 
     A witness trail is never extended, clause ids are stable and clauses
     are only ever added, so a witness that validates once stays valid as
-    the formula grows.
+    the formula grows. For the same reason ``checker``, a ``TrailChecker``
+    over ``qcnf`` kept across calls, walks only the part of the trail that
+    differs from the one it checked last.
     """
     t = witness.trail
     if t.conflicted:
         return False
-    if validate_trail(qcnf, t, natural_from=len(t.entries)):
+    if (checker or TrailChecker(qcnf)).check(t, natural_from=len(t.entries)):
         return False
     if witness.literal not in clause.lits:
         return False
@@ -88,19 +91,23 @@ def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause) -> bool:
 class SimState:
     """Mutable simulation state: growing formula, accumulated rounds,
     and the witness table keyed by clause, each entry validated by
-    ``store``."""
+    ``store`` through one trail checker over the growing formula."""
 
     work: QCNF
     rounds: list[Round] = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
     done: bool = False   # set once the empty clause is learned
     loop_lengths: list[int] = field(default_factory=list)   # rounds per unreliability loop
+    checker: TrailChecker = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.checker = TrailChecker(self.work)
 
     def proof(self) -> QcdclProof:
         return QcdclProof(self.rounds, ASS_ORD, NO_RED)
 
     def store(self, clause: Clause, witness: Witness):
-        if not witness_valid(self.work, witness, clause):
+        if not witness_valid(self.work, witness, clause, self.checker):
             raise WitnessInvalidError(f"new witness for {clause!r} does not validate")
         self.witnesses[clause] = witness
 

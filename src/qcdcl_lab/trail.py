@@ -12,6 +12,7 @@ Times: (s, t) names the subtrail through the t-th propagation of level s;
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -448,10 +449,213 @@ def decide_in_order(qcnf: QCNF, trail: Trail, decisions, forced=None) -> int | N
 
 # -- validation ------------------------------------------------------------
 
+# A clause's status under the checker's shadow trail. IDLE clauses are not
+# revisited: satisfied ones, and ones not classified at the current depth.
+OPEN, UNIT, FALSIFIED, IDLE = range(4)
 
-def _certifies(qcnf: QCNF, clause_id: int, assignment, lit: int, policy: str) -> bool:
-    forced, _ = _classify(qcnf, qcnf.clauses[clause_id], assignment, policy)
+
+def _status(qcnf: QCNF, clause, assignment, policy: str) -> int:
+    forced, sat = _classify(qcnf, clause, assignment, policy)
+    return IDLE if sat else OPEN if forced is None else FALSIFIED if forced == 0 else UNIT
+
+
+def _certifies(qcnf: QCNF, clause_id, assignment, lit: int, policy: str) -> bool:
+    """Clause ``clause_id`` forces ``lit`` (0: is falsified) under
+    ``assignment``; an id naming no clause certifies nothing."""
+    clauses = qcnf.clauses
+    if clause_id is None or not 0 <= clause_id < len(clauses):
+        return False
+    forced, _ = _classify(qcnf, clauses[clause_id], assignment, policy)
     return forced == lit
+
+
+class TrailChecker:
+    """Validates trails against a clause list that only grows, walking
+    only what differs from the trail it checked last.
+
+    It keeps a shadow of the last trail walked and, per shadow entry, an
+    undo record: the problems found there that do not depend on
+    naturality, and the clause statuses the entry changed. ``check`` undoes
+    the shadow to the longest prefix it shares with the new trail and walks
+    the rest. That prefix ends before ``natural_from``, before a conflict
+    marker (whether it is rightmost depends on the trail) and before an
+    antecedent id beyond the clause list (it may name a clause later); its
+    entries' problems are reported again. Clause ids are stable and clauses
+    are only added, so the other verdicts of a shared entry stand.
+
+    From the first natural position on, each clause's status is kept
+    current: an entry makes the clauses holding its literal satisfied and
+    reclassifies (with ``_classify`` alone) those holding its negation. A
+    clause is classified in full only at the first natural position after
+    it was added, or after an undo passed the depth it was classified at.
+    A checker that never walks a natural position keeps no clause state,
+    and a trail under other policies than the last one starts it afresh.
+    """
+
+    def __init__(self, qcnf: QCNF):
+        self.qcnf = qcnf
+        self.shadow: Trail | None = None
+
+    def _reset(self, decision_policy: str, propagation_policy: str):
+        self.shadow = Trail(decision_policy, propagation_policy)
+        self._log: list[list | None] = []    # per shadow entry: (clause id, old status) pairs
+        self._flagged: list[tuple[int, list[str]]] = []   # (position, its problems)
+        self._fence = math.inf             # first shadow position that may not be shared
+        self._status: list[int] = []       # clause id -> status; ids beyond are unlisted
+        self._counts = [0, 0, 0, 0]        # clauses per status
+        self._occurs: dict[int, list[int]] = {}   # literal -> ids of the listed clauses holding it
+        self._unclassified: list[int] = []        # listed clauses IDLE for want of a classification
+        self._anchors: list[tuple[int, list[int]]] = []   # (depth, ids classified there), rising
+
+    def check(self, trail: Trail, natural_from: int = 0) -> list[str]:
+        """The trail's problems against the checker's formula, naturality
+        enforced from entry ``natural_from`` on (see ``validate_trail``)."""
+        shadow = self.shadow
+        if shadow is None or (shadow.decision_policy, shadow.propagation_policy) != (
+            trail.decision_policy, trail.propagation_policy
+        ):
+            self._reset(trail.decision_policy, trail.propagation_policy)
+            shadow = self.shadow
+        entries, mine = trail.entries, shadow.entries
+        limit = min(natural_from, len(entries), len(mine), self._fence)
+        shared = 0
+        while shared < limit and (entries[shared] is mine[shared] or entries[shared] == mine[shared]):
+            shared += 1
+        self._undo(shared)
+        problems = [p for _, found in self._flagged for p in found]
+
+        qcnf, prefix = self.qcnf, self.qcnf.prefix
+        policy, assignment, counts = trail.propagation_policy, shadow.assignment, self._counts
+        first_natural = max(shared, natural_from)
+        for pos in range(shared, len(entries)):
+            if pos == first_natural:
+                self._classify_unclassified()
+            natural_here = pos >= natural_from
+            e = entries[pos]
+            lit = e.lit
+            found = []
+            if lit == 0:
+                if pos != len(entries) - 1:
+                    found.append(f"entry {pos}: conflict marker not rightmost")
+                if not _certifies(qcnf, e.antecedent, assignment, 0, policy):
+                    found.append(f"entry {pos}: antecedent does not certify the conflict")
+                problems += found
+                self._fence = min(self._fence, pos)
+                self._push(e, found)
+                continue
+            if abs(lit) in assignment:
+                problems.append(f"entry {pos}: variable {abs(lit)} repeated")
+                break
+            if lit not in prefix:
+                problems.append(f"entry {pos}: variable {abs(lit)} not bound by the prefix")
+                break
+            if e.is_decision:
+                if natural_here and (counts[UNIT] or counts[FALSIFIED]):
+                    problems.append(f"entry {pos}: decision skips pending propagation")
+                if not _admits(shadow, lit, prefix):
+                    found.append(f"entry {pos}: decision {lit} violates {trail.decision_policy}")
+                problems += found
+            else:
+                if not prefix.is_existential(lit):
+                    found.append(f"entry {pos}: propagated literal {lit} not existential")
+                if not _certifies(qcnf, e.antecedent, assignment, lit, policy):
+                    found.append(f"entry {pos}: antecedent does not certify {lit}")
+                problems += found
+                if natural_here and counts[FALSIFIED]:
+                    problems.append(f"entry {pos}: propagation taken while a conflict exists")
+                if e.antecedent >= len(qcnf.clauses):
+                    self._fence = min(self._fence, pos)
+            self._push(e, found)
+        return problems
+
+    def _push(self, e: TrailEntry, found: list[str]):
+        """Append ``e`` to the shadow and update the statuses it changes."""
+        shadow = self.shadow
+        pos = len(shadow.entries)
+        if found:
+            self._flagged.append((pos, found))
+        shadow.entries.append(e)
+        lit = e.lit
+        if lit == 0:
+            self._log.append(None)
+            return
+        if e.antecedent is None:
+            shadow.starts.append(pos)
+        assignment = shadow.assignment
+        assignment[abs(lit)] = lit > 0
+        if not self._status:
+            self._log.append(None)
+            return
+        qcnf, policy = self.qcnf, shadow.propagation_policy
+        clauses, status, counts = qcnf.clauses, self._status, self._counts
+        changes = []
+        for cid in self._occurs.get(lit, ()):   # satisfied now
+            old = status[cid]
+            if old != IDLE:
+                changes.append((cid, old))
+                counts[old] -= 1
+                counts[IDLE] += 1
+                status[cid] = IDLE
+        for cid in self._occurs.get(-lit, ()):
+            old = status[cid]
+            if old != IDLE:
+                new = _status(qcnf, clauses[cid], assignment, policy)
+                if new != old:
+                    changes.append((cid, old))
+                    counts[old] -= 1
+                    counts[new] += 1
+                    status[cid] = new
+        self._log.append(changes or None)
+
+    def _undo(self, depth: int):
+        """Pop shadow entries down to ``depth``, restoring the statuses
+        they changed; clauses classified deeper become unclassified."""
+        shadow = self.shadow
+        entries, log = shadow.entries, self._log
+        status, counts = self._status, self._counts
+        while len(entries) > depth:
+            e = entries.pop()
+            for cid, old in log.pop() or ():
+                counts[status[cid]] -= 1
+                counts[old] += 1
+                status[cid] = old
+            if e.lit:
+                del shadow.assignment[abs(e.lit)]
+                if e.antecedent is None:
+                    shadow.starts.pop()
+        flagged = self._flagged
+        while flagged and flagged[-1][0] >= depth:
+            flagged.pop()
+        self._fence = math.inf   # shared entries are never fenced
+        while self._anchors and self._anchors[-1][0] > depth:
+            _, ids = self._anchors.pop()
+            for cid in ids:
+                counts[status[cid]] -= 1
+                counts[IDLE] += 1
+                status[cid] = IDLE
+            self._unclassified += ids
+
+    def _classify_unclassified(self):
+        """List the clauses added since the last call and classify them,
+        with the unclassified ones, at the shadow's depth."""
+        clauses, status, counts = self.qcnf.clauses, self._status, self._counts
+        ids = self._unclassified
+        for cid in range(len(status), len(clauses)):
+            status.append(IDLE)
+            counts[IDLE] += 1
+            for l in clauses[cid].all_literals():
+                self._occurs.setdefault(l, []).append(cid)
+            ids.append(cid)
+        if not ids:
+            return
+        assignment, policy = self.shadow.assignment, self.shadow.propagation_policy
+        for cid in ids:
+            new = _status(self.qcnf, clauses[cid], assignment, policy)
+            counts[IDLE] -= 1
+            counts[new] += 1
+            status[cid] = new
+        self._anchors.append((len(self.shadow.entries), ids))
+        self._unclassified = []
 
 
 def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]:
@@ -462,75 +666,6 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     legality and shape conditions are always enforced. Positions before
     ``natural_from`` belong to an inherited backtrack prefix, whose
     propagations were natural with respect to an earlier clause set.
-    From there on each entry reclassifies (with ``_classify`` alone) only the
-    clauses holding its negation; a satisfied clause drops out for good.
+    A fresh ``TrailChecker`` walks the trail once.
     """
-    problems = []
-    policy = trail.propagation_policy
-    shadow = Trail(trail.decision_policy, policy)
-    units, falsified, satisfied = set(), set(), set()   # clause ids
-    occurs = None   # literal of a later entry -> ids of the unsatisfied clauses holding it
-
-    def classify(cid):
-        forced, sat = _classify(qcnf, qcnf.clauses[cid], shadow.assignment, policy)
-        units.discard(cid)
-        falsified.discard(cid)
-        if sat:
-            satisfied.add(cid)
-        elif forced == 0:
-            falsified.add(cid)
-        elif forced is not None:
-            units.add(cid)
-
-    for pos, e in enumerate(trail.entries):
-        natural_here = pos >= natural_from
-        if natural_here and occurs is None:
-            occurs = {l: [] for f in trail.entries[pos:] for l in (f.lit, -f.lit)}
-            for cid, clause in enumerate(qcnf.clauses):
-                classify(cid)
-                if cid not in satisfied:
-                    for l in clause.all_literals():
-                        if l in occurs:
-                            occurs[l].append(cid)
-        if e.lit == 0:
-            if pos != len(trail.entries) - 1:
-                problems.append(f"entry {pos}: conflict marker not rightmost")
-            if e.antecedent is None or not _certifies(
-                qcnf, e.antecedent, shadow.assignment, 0, policy
-            ):
-                problems.append(f"entry {pos}: antecedent does not certify the conflict")
-            shadow.append_conflict(e.antecedent or 0)
-            continue
-        if abs(e.lit) in shadow.assignment:
-            problems.append(f"entry {pos}: variable {abs(e.lit)} repeated")
-            break
-        if e.lit not in qcnf.prefix:
-            problems.append(f"entry {pos}: variable {abs(e.lit)} not bound by the prefix")
-            break
-        if e.is_decision:
-            if natural_here and (units or falsified):
-                problems.append(f"entry {pos}: decision skips pending propagation")
-            if not _admits(shadow, e.lit, qcnf.prefix):
-                problems.append(
-                    f"entry {pos}: decision {e.lit} violates {trail.decision_policy}"
-                )
-            shadow.append_decision(e.lit)
-        else:
-            if not qcnf.prefix.is_existential(e.lit):
-                problems.append(f"entry {pos}: propagated literal {e.lit} not existential")
-            if e.antecedent is None or not _certifies(
-                qcnf, e.antecedent, shadow.assignment, e.lit, policy
-            ):
-                problems.append(f"entry {pos}: antecedent does not certify {e.lit}")
-            if natural_here and falsified:
-                problems.append(f"entry {pos}: propagation taken while a conflict exists")
-            shadow.append_propagation(e.lit, e.antecedent or 0)
-        if occurs is not None:
-            for cid in occurs.pop(e.lit, ()):   # satisfied now
-                satisfied.add(cid)
-                units.discard(cid)
-                falsified.discard(cid)
-            for cid in occurs.pop(-e.lit, ()):
-                if cid not in satisfied:
-                    classify(cid)
-    return problems
+    return TrailChecker(qcnf).check(trail, natural_from)

@@ -131,17 +131,17 @@ def _round_trails(base: QCNF, rounds):
 
 
 @functools.lru_cache(maxsize=None)
-def trail_corpus() -> tuple:
-    """(formula, trail) pairs from solver runs under all eight policy
-    pairs, golden replays, and a simulation (its rounds and witnesses)."""
-    corpus = []
+def _corpus_runs() -> tuple:
+    """(formula, proof) pairs of solver runs under all eight policy pairs,
+    golden replays and a simulation (last), with the simulation's state."""
+    proofs = []
     rng = random.Random(20261018)
     for _ in range(6):
         f = random_small_qcnf(rng, max_vars=6, max_clauses=10)
         for d, r in EVERY_POLICY_PAIR:
             result = solve(f.copy(), SolverConfig(d, r, max_conflicts=4 ** f.num_vars))
             if result.proof is not None:
-                corpus += _round_trails(f, result.proof.rounds)
+                proofs.append((f, result.proof))
     for family, script, d, r in (
         ("qparity", qparity_script, "lev-ord", "red"),
         ("equality", equality_script, "ass-r-ord", "red"),
@@ -149,11 +149,26 @@ def trail_corpus() -> tuple:
         ("lonsing", lonsing_script, "ass-r-ord", "red"),
     ):
         f = generate(FamilySpec(family, 3))
-        corpus += _round_trails(f, replay(f, script(3), d, r).rounds)
+        proofs.append((f, replay(f, script(3), d, r)))
     f = generate(FamilySpec("qparity", 3))
     proof = solve(f, SolverConfig("lev-ord", NO_RED)).proof
     state = run_simulation(f, glue_qcdcl_proof(f, proof))
-    corpus += _round_trails(f, state.rounds)
+    proofs.append((f, state.proof()))
+    return tuple(proofs), state
+
+
+def proof_corpus() -> tuple:
+    """(formula, proof) pairs: solver runs under all eight policy pairs,
+    golden replays and a simulation."""
+    return _corpus_runs()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def trail_corpus() -> tuple:
+    """(formula, trail) pairs: the rounds of every corpus proof, and the
+    simulation's witnesses."""
+    proofs, state = _corpus_runs()
+    corpus = [pair for f, proof in proofs for pair in _round_trails(f, proof.rounds)]
     corpus += [(state.work, w.trail) for w in state.witnesses.values()]
     return tuple(corpus)
 
@@ -180,7 +195,14 @@ def mutated_trail(qcnf: QCNF, trail, pair, kind, i, j, cid) -> Trail:
             entries[i] = TrailEntry(e.lit, cid % len(qcnf.clauses))
         elif kind == "remove":
             entries[i] = TrailEntry(e.lit, None)
+    return trail_of(entries, pair)
+
+
+def trail_of(entries, pair, resumed_at=(0, 0)) -> Trail:
+    """A trail of ``entries`` under the policy ``pair``, resumed at
+    ``resumed_at``."""
     out = Trail(*pair)
+    out.resumed_at = resumed_at
     for e in entries:
         if e.lit == 0:
             out.append_conflict(e.antecedent)

@@ -21,10 +21,12 @@ from qcdcl_lab import (
     parse_qdimacs,
     pick_learned,
     propagate_to_fixpoint,
+    replay,
 )
 from qcdcl_lab.errors import QcdclError
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import Clause, make_clause
+from qcdcl_lab.goldens import qparity_script
 from qcdcl_lab.learning import LearningScheme, learn
 from qcdcl_lab.solver import SolverConfig, solve
 from qcdcl_lab.trail import _classify
@@ -214,19 +216,30 @@ class TestTautologyDiscipline:
         assert checked > 50
 
     def test_red_sequences_only_merge_high_universals(self):
+        """Every merged variable of a learnable-sequence element is
+        universal, and the element's long-distance derivation checks, so
+        each merge sits right of its pivot. The random formulas never
+        merge under ``lev-ord/red``; the ``qparity_5`` golden replay does."""
         rng = random.Random(8)
-        checked = 0
+        runs = []
         for _ in range(120):
             f = random_small_qcnf(rng)
             result = solve(f.copy(), SolverConfig(LEV_ORD, RED, max_conflicts=200))
-            if result.proof is None:
-                continue
-            for rnd in result.proof.rounds:
-                for c in [rnd.learned]:
-                    for v in c.merged:
-                        assert f.prefix.is_universal(v)
+            if result.proof is not None:
+                runs.append((f, result.proof))
+        f = generate(FamilySpec("qparity", 5))
+        runs.append((f, replay(f, qparity_script(5), LEV_ORD, RED)))
+        checked = 0
+        for f, proof in runs:
+            for rnd in proof.rounds:
+                work = _formula_at(f, proof, rnd)
+                seq = learnable_sequence(rnd.trail, work)
+                for i, c in enumerate(seq.elements):
+                    if c.merged:
+                        assert all(f.prefix.is_universal(v) for v in c.merged)
+                        assert check_derivation(work, seq.derivation_for(i))
                         checked += 1
-        assert True   # reaching here without an internal tautology is the point
+        assert checked > 0
 
 
 def _formula_at(base, proof, rnd):

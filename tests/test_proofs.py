@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcdcl_lab import (
     ANY_ORD,
@@ -20,6 +23,7 @@ from qcdcl_lab import (
     serialize_proof,
     validate_qcdcl_proof,
 )
+import qcdcl_lab.proofs as proofs
 from qcdcl_lab.errors import QcdclError
 from qcdcl_lab.formula import Clause, LDQRES, QRES
 from qcdcl_lab.goldens import fig_trapdoor_refutation
@@ -27,8 +31,18 @@ from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.learning import DEC
 from qcdcl_lab.proofs import AXIOM, Derivation, ProofStep, QcdclProof, RESOLVE, Round
 from qcdcl_lab.solver import SolverConfig, solve
+from qcdcl_lab.trail import TrailEntry, validate_trail
 
-from conftest import PSI_TRUE, entry_times, last_time, mutated_trail
+from conftest import (
+    EVERY_POLICY_PAIR,
+    MUTATIONS,
+    PSI_TRUE,
+    entry_times,
+    last_time,
+    mutated_trail,
+    proof_corpus,
+    trail_of,
+)
 
 
 class TestCheckDerivation:
@@ -153,6 +167,134 @@ class TestValidateQcdclProof:
         ]
         for got, message in cases:
             assert got and got[0].startswith(message), (message, got)
+
+
+    def test_analysis_of_an_invalid_trail_is_not_run(self):
+        """A conflict marker without antecedent and a last propagation
+        whose antecedent lacks the pivot are trail problems; the conflict
+        analysis, which would raise on them, is not run."""
+        f = generate(FamilySpec("qparity", 3))
+        proof = solve(f.copy(), SolverConfig(LEV_ORD, RED)).proof
+        assert validate_qcdcl_proof(f, proof) == []
+        trail = proof.rounds[0].trail
+        assert [(e.lit, e.antecedent) for e in trail.entries[-2:]] == [(6, 6), (0, 9)]
+
+        def problems(pos, entry):
+            entries = list(trail.entries)
+            entries[pos] = entry
+            bad = rebuilt(trail, entries)
+            rounds = [replace(proof.rounds[0], trail=bad), *proof.rounds[1:]]
+            return validate_qcdcl_proof(f, QcdclProof(rounds, LEV_ORD, RED))
+
+        assert problems(5, TrailEntry(0, None)) == [
+            "round 0: entry 5: antecedent does not certify the conflict"]
+        assert problems(4, TrailEntry(6, 0)) == [   # clause 0 is (1 2 -5)
+            "round 0: entry 4: antecedent does not certify 6"]
+
+
+def rebuilt(trail, entries, pair=None):
+    """A trail of ``entries`` under ``pair`` (default: the trail's own
+    policies), resumed where ``trail`` was."""
+    return trail_of(entries, pair or (trail.decision_policy, trail.propagation_policy),
+                    trail.resumed_at)
+
+
+class FreshChecker:
+    """The per-round from-scratch validator: every check is a fresh
+    ``validate_trail``."""
+
+    def __init__(self, qcnf):
+        self.qcnf = qcnf
+
+    def check(self, trail, natural_from=0):
+        return validate_trail(self.qcnf, trail, natural_from)
+
+
+def from_scratch(qcnf, proof):
+    with mock.patch.object(proofs, "TrailChecker", FreshChecker):
+        return validate_qcdcl_proof(qcnf, proof)
+
+
+PROOF_MUTATIONS = ("marker-end", "marker-mid", "repeat", "inherited", "policy")
+
+
+@st.composite
+def mutated_proofs(draw):
+    """(formula, corpus proof with one round mutated):
+    - ``marker-end``: the round resumes at the previous trail's conflict
+      marker and ends there;
+    - ``marker-mid``: the same, continued with the round's own entries;
+    - ``repeat``: the round's trail is the previous one, resumed at the
+      round's own backtrack time;
+    - ``inherited``: an entry is mutated (``conftest.MUTATIONS``) in this
+      round and up to two following ones, so later rounds may inherit it;
+      replaced antecedents range over the clauses of the whole run;
+    - ``policy``: the round's trail is relabelled to a drawn policy pair.
+    """
+    corpus = proof_corpus()
+    qcnf, proof = corpus[draw(st.integers(0, len(corpus) - 1))]
+    rounds = list(proof.rounds)
+    kind = draw(st.sampled_from(PROOF_MUTATIONS))
+    r = draw(st.integers(0, len(rounds) - 1))
+    trail = rounds[r].trail
+    if kind.startswith("marker") and r > 0:
+        prev = rounds[r - 1].trail
+        entries = list(prev.entries)
+        if kind == "marker-mid":
+            entries += trail.entries[trail.position_of_time(trail.resumed_at) + 1:]
+        resumed = prev.backtrack(last_time(prev))
+        rounds[r] = replace(rounds[r], trail=rebuilt(resumed, entries))
+    elif kind == "repeat" and r > 0:
+        rounds[r] = replace(rounds[r], trail=rebuilt(trail, rounds[r - 1].trail.entries))
+    elif kind == "inherited":
+        final = qcnf.copy()
+        for rnd in proof.rounds:
+            final.add_clause(rnd.learned)
+        n = len(trail)
+        mutation = (draw(st.sampled_from(MUTATIONS)), draw(st.integers(0, n - 1)),
+                    draw(st.integers(0, n - 1)), draw(st.integers(0, len(final.clauses) - 1)))
+        for k in range(r, min(len(rounds), r + 1 + draw(st.integers(0, 2)))):
+            t = rounds[k].trail
+            bad = mutated_trail(final, t, (t.decision_policy, t.propagation_policy), *mutation)
+            bad.resumed_at = t.resumed_at
+            rounds[k] = replace(rounds[k], trail=bad)
+    elif kind == "policy":
+        pair = draw(st.sampled_from(EVERY_POLICY_PAIR))
+        rounds[r] = replace(rounds[r], trail=rebuilt(trail, trail.entries, pair))
+    return qcnf, QcdclProof(rounds, proof.decision_policy, proof.propagation_policy)
+
+
+class TestRoundsMatchTheFromScratchValidator:
+    """One checker across the rounds reports exactly what a fresh
+    ``validate_trail`` per round reports, shared-prefix problems included."""
+
+    def test_every_corpus_proof(self):
+        for qcnf, proof in proof_corpus():
+            assert validate_qcdcl_proof(qcnf, proof) == from_scratch(qcnf, proof) == []
+
+    @given(mutated_proofs())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_mutated_proofs(self, case):
+        qcnf, proof = case
+        assert validate_qcdcl_proof(qcnf, proof) == from_scratch(qcnf, proof)
+
+    def test_the_checker_reports_inherited_problems_again(self):
+        """An entry that fails its certificate in round 1 and is inherited
+        by round 2 is reported in both rounds."""
+        f = generate(FamilySpec("qparity", 4))
+        proof = solve(f.copy(), SolverConfig(LEV_ORD, RED)).proof
+        rounds = list(proof.rounds)
+        for k in (1, 2):
+            t = rounds[k].trail
+            rounds[k] = replace(rounds[k], trail=mutated_trail(
+                f, t, (LEV_ORD, RED), "replace", 2, 0, 0))
+            rounds[k].trail.resumed_at = t.resumed_at
+        bad = QcdclProof(rounds, LEV_ORD, RED)
+        got = validate_qcdcl_proof(f, bad)
+        assert got == from_scratch(f, bad)
+        assert [p for p in got if "entry 2" in p] == [
+            f"round {k}: entry 2: antecedent does not certify {rounds[k].trail.entries[2].lit}"
+            for k in (1, 2)]
 
 
 class TestPurelyExistential:

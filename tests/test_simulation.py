@@ -12,6 +12,7 @@ from qcdcl_lab import (
     parse_qdimacs,
     simulate_refutation,
 )
+import qcdcl_lab.simulation as simulation
 from qcdcl_lab.errors import InputNotRefutationError, WitnessInvalidError
 from qcdcl_lab.formula import QRES, make_clause
 from qcdcl_lab.goldens import fig_trapdoor_refutation
@@ -25,9 +26,17 @@ from qcdcl_lab.simulation import (
     witness_valid,
 )
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import ANY_ORD, ASS_ORD, LEV_ORD, NO_RED, Trail, propagate_to_fixpoint
+from qcdcl_lab.trail import (
+    ANY_ORD,
+    ASS_ORD,
+    LEV_ORD,
+    NO_RED,
+    Trail,
+    propagate_to_fixpoint,
+    validate_trail,
+)
 
-from conftest import check_refutation, random_small_qcnf
+from conftest import MUTATIONS, check_refutation, mutated_trail, random_small_qcnf
 
 
 def state_for(qcnf) -> SimState:
@@ -115,6 +124,39 @@ class TestStore:
         assert state.witnesses and len(state.work.clauses) > len(f.clauses)
         for clause, w in state.witnesses.items():
             assert witness_valid(state.work, w, clause), clause
+
+
+    @pytest.mark.parametrize(
+        "family, n, decision", [("php", 4, ANY_ORD), ("qparity", 6, LEV_ORD)]
+    )
+    def test_the_store_checker_agrees_with_a_fresh_walk(self, family, n, decision,
+                                                         monkeypatch):
+        # Every witness ``store`` checks gets the verdict and trail problems
+        # of a fresh walk; before every other one, a mutated copy goes
+        # through the same checker, which must also match a fresh walk.
+        f = generate(FamilySpec(family, n))
+        refutation = glue_qcdcl_proof(f, solve(f, SolverConfig(decision, NO_RED)).proof)
+        original = simulation.witness_valid
+        rng = random.Random(n)
+        verdicts = []
+
+        def checked(qcnf, witness, clause, checker):
+            t = witness.trail
+            if len(verdicts) % 2:
+                size = len(t)
+                bad = mutated_trail(qcnf, t, (ASS_ORD, NO_RED), rng.choice(MUTATIONS),
+                                    rng.randrange(size), rng.randrange(size),
+                                    rng.randrange(len(qcnf.clauses)))
+                assert checker.check(bad, len(bad)) == validate_trail(qcnf, bad, len(bad))
+            verdict = original(qcnf, witness, clause, checker)
+            assert verdict == original(qcnf, witness, clause)
+            assert checker.check(t, len(t)) == validate_trail(qcnf, t, len(t))
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(simulation, "witness_valid", checked)
+        state = run_simulation(f, refutation)
+        assert all(verdicts) and len(verdicts) == len(state.witnesses) > 0
 
 
 class TestMakeUnreliable:

@@ -28,9 +28,17 @@ from qcdcl_lab.errors import (
 )
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import FORALL, QCNF
-from qcdcl_lab.trail import _admits, _classify
+from qcdcl_lab.solver import SolverConfig, solve
+from qcdcl_lab.trail import TrailChecker, TrailEntry, _admits, _classify
 
-from conftest import corpus_cases, entry_times, last_time, random_small_qcnf, trail_corpus
+from conftest import (
+    corpus_cases,
+    entry_times,
+    last_time,
+    random_small_qcnf,
+    trail_corpus,
+    trail_of,
+)
 
 
 def lits(trail):
@@ -241,6 +249,32 @@ class TestValidator:
         t.append_decision(1)
         assert validate_trail(example_phi, t, natural_from=1) == []
 
+    def test_antecedent_ids_outside_the_clause_list_certify_nothing(self):
+        # A negative id used to read a clause from the end of the list, and
+        # an id past it to raise IndexError.
+        f = generate(FamilySpec("qparity", 3))
+        trail = solve(f.copy(), SolverConfig(LEV_ORD, RED)).proof.rounds[0].trail
+        assert validate_trail(f, trail) == []
+        assert (trail.entries[2].lit, trail.entries[2].antecedent) == (-5, 3)
+        for cid in (-7, len(f.clauses)):
+            entries = list(trail.entries)
+            entries[2] = TrailEntry(-5, cid)
+            bad = trail_of(entries, (LEV_ORD, RED))
+            expected = ["entry 2: antecedent does not certify -5"]
+            assert validate_trail(f, bad) == expected
+            assert reference_validate_trail(f, bad) == expected
+
+    def test_checker_rechecks_an_antecedent_id_added_since(self, example_phi):
+        # Clause 4 does not exist at the first check and certifies -3 at
+        # the second, so the entry's first verdict must not be reused.
+        f = example_phi.copy()
+        t = Trail(LEV_ORD, RED)
+        t.append_propagation(-3, 4)
+        checker = TrailChecker(f)
+        assert checker.check(t, 1) == ["entry 0: antecedent does not certify -3"]
+        f.add_clause(f.clauses[1])
+        assert checker.check(t, 1) == validate_trail(f, t, 1) == []
+
     def test_unbound_variable_is_a_problem_and_ends_the_walk(self):
         f = parse_qdimacs("p cnf 3 2\ne 1 2 0\na 3 0\n1 2 0\n-1 3 0\n")
         decided = Trail(ASS_ORD, NO_RED)
@@ -333,7 +367,7 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
     times = entry_times(trail)
 
     def certifies(cid, lit):
-        return cid is not None and _classify(
+        return cid is not None and 0 <= cid < len(qcnf.clauses) and _classify(
             qcnf, qcnf.clauses[cid], shadow.assignment, trail.propagation_policy
         )[0] == lit
 
