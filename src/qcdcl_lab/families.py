@@ -8,6 +8,7 @@ variables by number.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -198,6 +199,8 @@ def random_qcnf(n: int, m: int, c: float, seed: int) -> QCNF:
     repeat (sampling with replacement)."""
     if n < 1 or m < 1:
         raise ValueError("random family needs n >= 1 and m >= 1")
+    if not math.isfinite(c):
+        raise ValueError(f"random family needs a finite c, not {c}")
     per_block = int(c * n)
     if per_block < 1:
         raise ValueError("c too small: no clauses per block")

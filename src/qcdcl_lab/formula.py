@@ -273,9 +273,12 @@ class QCNF:
         self._ids: dict[Clause, int] = {}
         for cid, c in enumerate(self.clauses):
             self._ids.setdefault(c, cid)
-        # Propagation policy -> watched-literal state of the empty trail,
-        # kept up to date by ``trail.propagate_to_fixpoint``.
+        # Incremental state over the clause list, kept by the ``trail``
+        # module: per propagation policy, the watched-literal states of the
+        # empty trail and of the trail propagation served last (with that
+        # trail), and the one ``TrailChecker`` of ``validate_trail``.
         self.watches: dict = {}
+        self.checker = None
 
     def add_clause(self, c: Clause) -> tuple[int, bool]:
         """Append ``c``; returns its id and whether it was already present."""
@@ -292,6 +295,7 @@ class QCNF:
         out.clauses = list(self.clauses)
         out._ids = dict(self._ids)
         out.watches = {}
+        out.checker = None
         return out
 
     @property

@@ -175,7 +175,7 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     if r == 0:
         return None
     assignment: dict[int, bool] = {}
-    if _classify(qcnf, clause, assignment, policy)[0] is not None:
+    if _classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
         return (0, 0)
     own = {abs(l) for l in clause.lits}
     own.update(clause.merged)
@@ -186,7 +186,7 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
         v = abs(e.lit)
         if v in own:
             assignment[v] = e.lit > 0
-            if _classify(qcnf, clause, assignment, policy)[0] is not None:
+            if _classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
                 return (level, pos - starts[level])
     return None
 

@@ -29,7 +29,7 @@ from .formula import (
     reduce_clause,
     resolve_clauses,
 )
-from .trail import RED, Time, Trail, TrailChecker
+from .trail import RED, Time, Trail, validate_trail
 
 AXIOM = "a"
 RESOLVE = "r"
@@ -234,17 +234,17 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
     derivations, and clause id bookkeeping. The conflict analysis of a
     trail with problems is not run: its sequence is not defined.
 
-    One ``TrailChecker`` walks the rounds: each round undoes it to the
-    prefix shared with the trail checked before, at most to the backtrack
-    point, and walks only the entries after it. A round reports the
-    problems of every entry of its trail, inherited ones included, exactly
-    as a fresh ``validate_trail`` would.
+    The rounds are checked through ``validate_trail`` on one copy of the
+    formula, whose checker undoes each round's trail to the prefix shared
+    with the trail checked before, at most to the backtrack point, and
+    walks only the entries after it. A round reports the problems of every
+    entry of its trail, inherited ones included, exactly as a fresh
+    ``TrailChecker`` would.
     """
     from .learning import LearningScheme, learnable_sequence  # cycle guard
 
     problems: list[str] = []
     work = base.copy()
-    checker = TrailChecker(work)
     prev_trail: Trail | None = None
     for idx, rnd in enumerate(proof.rounds):
         tag = f"round {idx}"
@@ -271,7 +271,7 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
             if trail.entries[: pos + 1] != prev_trail.entries[: prev_pos + 1]:
                 problems.append(f"{tag}: trail disagrees with predecessor before backtrack point")
             natural_from = pos + 1
-        found = checker.check(trail, natural_from)
+        found = validate_trail(work, trail, natural_from)
         problems += [f"{tag}: {p}" for p in found]
         if not found:
             # The analysis need not go past the recorded pick.

@@ -30,9 +30,9 @@ from .trail import (
     ASS_ORD,
     NO_RED,
     Trail,
-    TrailChecker,
     decide_in_order,
     propagate_to_fixpoint,
+    validate_trail,
 )
 
 # Round-count ceiling for the unreliability loop, as a multiple of n^2.
@@ -59,21 +59,20 @@ class Witness:
         return tuple(self.trail.decisions())
 
 
-def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause,
-                  checker: TrailChecker | None = None) -> bool:
+def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause) -> bool:
     """Validate a witness against the clause set: its propagation
     certificates, the policy conditions, and the containment requirements.
 
     A witness trail is never extended, clause ids are stable and clauses
     are only ever added, so a witness that validates once stays valid as
-    the formula grows. For the same reason ``checker``, a ``TrailChecker``
-    over ``qcnf`` kept across calls, walks only the part of the trail that
-    differs from the one it checked last.
+    the formula grows. For the same reason the formula's trail checker
+    (``validate_trail``) walks only the part of the trail that differs
+    from the one it checked last.
     """
     t = witness.trail
     if t.conflicted:
         return False
-    if (checker or TrailChecker(qcnf)).check(t, natural_from=len(t.entries)):
+    if validate_trail(qcnf, t, natural_from=len(t.entries)):
         return False
     if witness.literal not in clause.lits:
         return False
@@ -91,23 +90,19 @@ def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause,
 class SimState:
     """Mutable simulation state: growing formula, accumulated rounds,
     and the witness table keyed by clause, each entry validated by
-    ``store`` through one trail checker over the growing formula."""
+    ``store`` against the growing formula."""
 
     work: QCNF
     rounds: list[Round] = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
     done: bool = False   # set once the empty clause is learned
     loop_lengths: list[int] = field(default_factory=list)   # rounds per unreliability loop
-    checker: TrailChecker = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.checker = TrailChecker(self.work)
 
     def proof(self) -> QcdclProof:
         return QcdclProof(self.rounds, ASS_ORD, NO_RED)
 
     def store(self, clause: Clause, witness: Witness):
-        if not witness_valid(self.work, witness, clause, self.checker):
+        if not witness_valid(self.work, witness, clause):
             raise WitnessInvalidError(f"new witness for {clause!r} does not validate")
         self.witnesses[clause] = witness
 
@@ -123,14 +118,11 @@ def construct_trail_with_decisions(state: SimState, decisions,
     there, and the partial trail, unless it conflicted, witnesses that the
     stopped literal's negation propagated.
     Conflicts abort the walk as usual; ``decide`` enforces the flexible
-    policy. ``start`` is extended in place. The returned trail is never
-    extended, so it keeps no propagation state.
+    policy. ``start`` is extended in place.
     """
     trail = start if start is not None else Trail(ASS_ORD, NO_RED)
     propagate_to_fixpoint(state.work, trail)
-    stopped = decide_in_order(state.work, trail, decisions)
-    trail.drop_watches()
-    return trail, stopped
+    return trail, decide_in_order(state.work, trail, decisions)
 
 
 def make_unreliable(state: SimState, target: Clause, initial: Trail,

@@ -65,7 +65,6 @@ class Trail:
         self.assignment: dict[int, bool] = {}
         self.starts: list[int] = [-1]
         self.resumed_at: Time = (0, 0)     # the backtrack time this trail continues from
-        self._watches: _Watches | None = None  # propagate_to_fixpoint's state
 
     # -- shape ---------------------------------------------------------
 
@@ -107,10 +106,6 @@ class Trail:
     def append_conflict(self, antecedent: int):
         self.entries.append(TrailEntry(0, antecedent))
 
-    def drop_watches(self):
-        """Free the propagation state of a trail that will not be extended."""
-        self._watches = None
-
     def backtrack(self, time: Time) -> "Trail":
         """The subtrail at ``time`` as a fresh trail resumed at ``time``."""
         pos = self.position_of_time(time)
@@ -140,13 +135,12 @@ def dump_trail(trail: Trail) -> str:
 # -- clause status ---------------------------------------------------------
 
 
-def _classify(qcnf: QCNF, clause, assignment, policy):
+def _classify(prefix, clause, assignment, policy):
     """(forced literal | 0 for conflict | None, satisfied flag).
 
     Fused restriction + reduction + unit test; avoids building intermediate
     clauses since this sits inside the propagation loop.
     """
-    prefix = qcnf.prefix
     for v in clause.merged:
         if v in assignment:
             return None, True
@@ -228,8 +222,8 @@ class _Watches:
     """Watched-literal state over one clause list under one policy."""
 
     def __init__(self, qcnf: QCNF, policy: str):
-        # The clause list, not the QCNF, so that the QCNF's own state for
-        # the empty trail does not make a reference cycle.
+        # The clause list, not the QCNF, so that the states the QCNF keeps
+        # do not make a reference cycle.
         self.clauses = qcnf.clauses
         self.prefix = qcnf.prefix
         self.policy = policy
@@ -279,17 +273,15 @@ class _Watches:
 
 
 def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
-    """The trail's watch state; a trail without one forks the database's
-    state for the empty trail and replays its entries."""
-    w = trail._watches
-    if w is None or w.clauses is not qcnf.clauses:
-        empty = qcnf.watches.get(trail.propagation_policy)
-        if empty is None:
-            empty = qcnf.watches[trail.propagation_policy] = _Watches(
-                qcnf, trail.propagation_policy
-            )
+    """The trail's watch state. The database keeps, per propagation policy,
+    the states of the empty trail and of the trail it served last; any
+    other trail forks the empty trail's state and replays its entries."""
+    policy = trail.propagation_policy
+    empty, served, w = qcnf.watches.get(policy) or (_Watches(qcnf, policy), None, None)
+    if served is not trail:
         empty.catch_up((), {})
-        w = trail._watches = empty.fork()
+        w = empty.fork()
+        qcnf.watches[policy] = (empty, trail, w)
     w.catch_up(trail.entries, trail.assignment)
     return w
 
@@ -298,10 +290,10 @@ def _next_forced(qcnf: QCNF, trail: Trail):
     """The (literal, clause id) propagation would take next: the lowest-id
     conflict (literal 0), else the lowest-id unit; None at quiescence."""
     w = _trail_watches(qcnf, trail)
-    clauses = qcnf.clauses
+    clauses, prefix = qcnf.clauses, qcnf.prefix
     unit = None
     for cid in sorted(w.pending):
-        lit, _ = _classify(qcnf, clauses[cid], trail.assignment, trail.propagation_policy)
+        lit, _ = _classify(prefix, clauses[cid], trail.assignment, trail.propagation_policy)
         if lit is None:
             w.pending.discard(cid)   # satisfied since it was found
         elif lit == 0:
@@ -329,25 +321,23 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     drop out for the rest of the trail, the others join a pending set.
     Before each choice ``_next_forced`` re-checks the pending clauses and
     the rule above picks among them, which is the choice a rescan of every
-    clause would give. On its first call a trail forks the
-    database's state for the empty trail and replays its entries; later
-    calls visit only the watchers of newly assigned variables and attach
-    clauses added since.
+    clause would give. The database keeps the watch state of the trail it
+    served last (``_trail_watches``): calls on that trail visit only the
+    watchers of newly assigned variables and attach clauses added since.
     Trails only grow (backtracks and restarts make fresh trails),
-    so no watch is ever undone. A conflicted trail drops its state.
+    so no watch is ever undone.
     """
     if trail.conflicted:
         return trail
-    clauses = qcnf.clauses
+    clauses, prefix = qcnf.clauses, qcnf.prefix
     policy = trail.propagation_policy
     while True:
         unit = _next_forced(qcnf, trail)
         if unit is not None and unit[0] == 0:
             trail.append_conflict(unit[1])
-            trail.drop_watches()
             return trail
         if forced and 0 <= forced[0][1] < len(clauses) and _classify(
-            qcnf, clauses[forced[0][1]], trail.assignment, policy
+            prefix, clauses[forced[0][1]], trail.assignment, policy
         )[0] == forced[0][0]:
             unit = forced.popleft()
         elif unit is None:
@@ -454,18 +444,17 @@ def decide_in_order(qcnf: QCNF, trail: Trail, decisions, forced=None) -> int | N
 OPEN, UNIT, FALSIFIED, IDLE = range(4)
 
 
-def _status(qcnf: QCNF, clause, assignment, policy: str) -> int:
-    forced, sat = _classify(qcnf, clause, assignment, policy)
+def _status(prefix, clause, assignment, policy: str) -> int:
+    forced, sat = _classify(prefix, clause, assignment, policy)
     return IDLE if sat else OPEN if forced is None else FALSIFIED if forced == 0 else UNIT
 
 
-def _certifies(qcnf: QCNF, clause_id, assignment, lit: int, policy: str) -> bool:
+def _certifies(prefix, clauses, clause_id, assignment, lit: int, policy: str) -> bool:
     """Clause ``clause_id`` forces ``lit`` (0: is falsified) under
     ``assignment``; an id naming no clause certifies nothing."""
-    clauses = qcnf.clauses
     if clause_id is None or not 0 <= clause_id < len(clauses):
         return False
-    forced, _ = _classify(qcnf, clauses[clause_id], assignment, policy)
+    forced, _ = _classify(prefix, clauses[clause_id], assignment, policy)
     return forced == lit
 
 
@@ -475,40 +464,43 @@ class TrailChecker:
 
     It keeps a shadow of the last trail walked and, per shadow entry, an
     undo record: the problems found there that do not depend on
-    naturality, and the clause statuses the entry changed. ``check`` undoes
-    the shadow to the longest prefix it shares with the new trail and walks
-    the rest. That prefix ends before ``natural_from``, before a conflict
-    marker (whether it is rightmost depends on the trail) and before an
-    antecedent id beyond the clause list (it may name a clause later); its
-    entries' problems are reported again. Clause ids are stable and clauses
-    are only added, so the other verdicts of a shared entry stand.
+    naturality, and (clause id, old status) pairs for the statuses the
+    entry changed; an old status of None marks a clause classified right
+    after the entry. ``check`` undoes the shadow to the longest prefix it
+    shares with the new trail and walks the rest. That prefix ends before
+    ``natural_from``, before a conflict marker (whether it is rightmost
+    depends on the trail) and before an antecedent id beyond the clause
+    list (it may name a clause later); its entries' problems are reported
+    again. Clause ids are stable and clauses are only added, so the other
+    verdicts of a shared entry stand.
 
     From the first natural position on, each clause's status is kept
     current: an entry makes the clauses holding its literal satisfied and
     reclassifies (with ``_classify`` alone) those holding its negation. A
     clause is classified in full only at the first natural position after
-    it was added, or after an undo passed the depth it was classified at.
-    A checker that never walks a natural position keeps no clause state,
-    and a trail under other policies than the last one starts it afresh.
+    it was added, or after an undo passed the entry it was classified
+    after. A checker that never walks a natural position keeps no clause
+    state, and a trail under other policies than the last one starts it
+    afresh. Like ``_Watches`` it holds the clause list and the prefix, not
+    the QCNF that keeps it.
     """
 
     def __init__(self, qcnf: QCNF):
-        self.qcnf = qcnf
+        self.clauses = qcnf.clauses
+        self.prefix = qcnf.prefix
         self.shadow: Trail | None = None
 
     def _reset(self, decision_policy: str, propagation_policy: str):
         self.shadow = Trail(decision_policy, propagation_policy)
-        self._log: list[list | None] = []    # per shadow entry: (clause id, old status) pairs
-        self._flagged: list[tuple[int, list[str]]] = []   # (position, its problems)
+        self._log: list[tuple[list[str], list]] = []   # per shadow entry: its undo record
         self._fence = math.inf             # first shadow position that may not be shared
         self._status: list[int] = []       # clause id -> status; ids beyond are unlisted
         self._counts = [0, 0, 0, 0]        # clauses per status
         self._occurs: dict[int, list[int]] = {}   # literal -> ids of the listed clauses holding it
         self._unclassified: list[int] = []        # listed clauses IDLE for want of a classification
-        self._anchors: list[tuple[int, list[int]]] = []   # (depth, ids classified there), rising
 
     def check(self, trail: Trail, natural_from: int = 0) -> list[str]:
-        """The trail's problems against the checker's formula, naturality
+        """The trail's problems against the checker's clauses, naturality
         enforced from entry ``natural_from`` on (see ``validate_trail``)."""
         shadow = self.shadow
         if shadow is None or (shadow.decision_policy, shadow.propagation_policy) != (
@@ -522,9 +514,9 @@ class TrailChecker:
         while shared < limit and (entries[shared] is mine[shared] or entries[shared] == mine[shared]):
             shared += 1
         self._undo(shared)
-        problems = [p for _, found in self._flagged for p in found]
+        problems = [p for found, _ in self._log for p in found]
 
-        qcnf, prefix = self.qcnf, self.qcnf.prefix
+        clauses, prefix = self.clauses, self.prefix
         policy, assignment, counts = trail.propagation_policy, shadow.assignment, self._counts
         first_natural = max(shared, natural_from)
         for pos in range(shared, len(entries)):
@@ -537,7 +529,7 @@ class TrailChecker:
             if lit == 0:
                 if pos != len(entries) - 1:
                     found.append(f"entry {pos}: conflict marker not rightmost")
-                if not _certifies(qcnf, e.antecedent, assignment, 0, policy):
+                if not _certifies(prefix, clauses, e.antecedent, assignment, 0, policy):
                     found.append(f"entry {pos}: antecedent does not certify the conflict")
                 problems += found
                 self._fence = min(self._fence, pos)
@@ -558,37 +550,35 @@ class TrailChecker:
             else:
                 if not prefix.is_existential(lit):
                     found.append(f"entry {pos}: propagated literal {lit} not existential")
-                if not _certifies(qcnf, e.antecedent, assignment, lit, policy):
+                if not _certifies(prefix, clauses, e.antecedent, assignment, lit, policy):
                     found.append(f"entry {pos}: antecedent does not certify {lit}")
                 problems += found
                 if natural_here and counts[FALSIFIED]:
                     problems.append(f"entry {pos}: propagation taken while a conflict exists")
-                if e.antecedent >= len(qcnf.clauses):
+                if e.antecedent >= len(clauses):
                     self._fence = min(self._fence, pos)
             self._push(e, found)
         return problems
 
     def _push(self, e: TrailEntry, found: list[str]):
-        """Append ``e`` to the shadow and update the statuses it changes."""
+        """Append ``e`` to the shadow with its undo record, and update the
+        statuses it changes."""
         shadow = self.shadow
         pos = len(shadow.entries)
-        if found:
-            self._flagged.append((pos, found))
+        changes = []
+        self._log.append((found, changes))
         shadow.entries.append(e)
         lit = e.lit
         if lit == 0:
-            self._log.append(None)
             return
         if e.antecedent is None:
             shadow.starts.append(pos)
         assignment = shadow.assignment
         assignment[abs(lit)] = lit > 0
         if not self._status:
-            self._log.append(None)
             return
-        qcnf, policy = self.qcnf, shadow.propagation_policy
-        clauses, status, counts = qcnf.clauses, self._status, self._counts
-        changes = []
+        clauses, prefix, policy = self.clauses, self.prefix, shadow.propagation_policy
+        status, counts = self._status, self._counts
         for cid in self._occurs.get(lit, ()):   # satisfied now
             old = status[cid]
             if old != IDLE:
@@ -599,23 +589,26 @@ class TrailChecker:
         for cid in self._occurs.get(-lit, ()):
             old = status[cid]
             if old != IDLE:
-                new = _status(qcnf, clauses[cid], assignment, policy)
+                new = _status(prefix, clauses[cid], assignment, policy)
                 if new != old:
                     changes.append((cid, old))
                     counts[old] -= 1
                     counts[new] += 1
                     status[cid] = new
-        self._log.append(changes or None)
 
     def _undo(self, depth: int):
         """Pop shadow entries down to ``depth``, restoring the statuses
-        they changed; clauses classified deeper become unclassified."""
+        their records hold; a clause classified after a popped entry
+        becomes unclassified again."""
         shadow = self.shadow
         entries, log = shadow.entries, self._log
-        status, counts = self._status, self._counts
+        status, counts, unclassified = self._status, self._counts, self._unclassified
         while len(entries) > depth:
             e = entries.pop()
-            for cid, old in log.pop() or ():
+            for cid, old in reversed(log.pop()[1]):
+                if old is None:
+                    old = IDLE
+                    unclassified.append(cid)
                 counts[status[cid]] -= 1
                 counts[old] += 1
                 status[cid] = old
@@ -623,22 +616,13 @@ class TrailChecker:
                 del shadow.assignment[abs(e.lit)]
                 if e.antecedent is None:
                     shadow.starts.pop()
-        flagged = self._flagged
-        while flagged and flagged[-1][0] >= depth:
-            flagged.pop()
         self._fence = math.inf   # shared entries are never fenced
-        while self._anchors and self._anchors[-1][0] > depth:
-            _, ids = self._anchors.pop()
-            for cid in ids:
-                counts[status[cid]] -= 1
-                counts[IDLE] += 1
-                status[cid] = IDLE
-            self._unclassified += ids
 
     def _classify_unclassified(self):
         """List the clauses added since the last call and classify them,
-        with the unclassified ones, at the shadow's depth."""
-        clauses, status, counts = self.qcnf.clauses, self._status, self._counts
+        with the unclassified ones, at the shadow's depth. The last shadow
+        entry's undo record notes them; with no entry, nothing undoes it."""
+        clauses, status, counts = self.clauses, self._status, self._counts
         ids = self._unclassified
         for cid in range(len(status), len(clauses)):
             status.append(IDLE)
@@ -648,14 +632,16 @@ class TrailChecker:
             ids.append(cid)
         if not ids:
             return
-        assignment, policy = self.shadow.assignment, self.shadow.propagation_policy
+        prefix, assignment = self.prefix, self.shadow.assignment
+        policy = self.shadow.propagation_policy
         for cid in ids:
-            new = _status(self.qcnf, clauses[cid], assignment, policy)
+            new = _status(prefix, clauses[cid], assignment, policy)
             counts[IDLE] -= 1
             counts[new] += 1
             status[cid] = new
-        self._anchors.append((len(self.shadow.entries), ids))
-        self._unclassified = []
+        if self._log:
+            self._log[-1][1].extend((cid, None) for cid in ids)
+        ids.clear()
 
 
 def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]:
@@ -666,6 +652,9 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     legality and shape conditions are always enforced. Positions before
     ``natural_from`` belong to an inherited backtrack prefix, whose
     propagations were natural with respect to an earlier clause set.
-    A fresh ``TrailChecker`` walks the trail once.
+    The database keeps one ``TrailChecker``, so a check walks only what
+    the trail does not share with the trail checked before.
     """
-    return TrailChecker(qcnf).check(trail, natural_from)
+    if qcnf.checker is None:
+        qcnf.checker = TrailChecker(qcnf)
+    return qcnf.checker.check(trail, natural_from)

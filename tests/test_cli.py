@@ -163,6 +163,7 @@ def test_error_exit_code(tmp_path, capsys):
         bench[:4] + ["x..3"] + bench[5:],
         ["gen", "--family", "qparity", "--n", "1"],
         ["gen", "--family", "random", "--n", "3"],
+        ["gen", "--family", "random", "--n", "3", "--m", "2", "--c", "inf"],
         ["gen", "--family", "php", "--n", "0"],
         ["goldens", "--qparity-n", "1"],
         solve + ["--max-conflicts", "0"],
@@ -242,7 +243,7 @@ def _value(action):
     if action.type is int:
         return st.integers(-1, 5).map(str)
     if action.type is float:
-        return st.sampled_from(("0.5", "2", "-1", "x"))
+        return st.sampled_from(("0.5", "2", "-1", "x", "inf", "nan"))
     if action.dest in INPUT_OF:
         return _mostly(st.just(INPUT_OF[action.dest]), st.sampled_from(INPUTS))
     if action.dest in OUTPUT_DESTS:

@@ -77,7 +77,7 @@ class TestWorkedSequences:
             for c in seq.elements:
                 # Not satisfied, and nothing left after (under red) reduction.
                 assert _classify(
-                    example_phi, c, trail.assignment, trail.propagation_policy
+                    example_phi.prefix, c, trail.assignment, trail.propagation_policy
                 ) == (0, False)
 
     def test_derivations_check_in_their_mode(self, example_phi):
@@ -262,13 +262,13 @@ def reference_asserting_time(clause, trail, qcnf):
     if r == 0:
         return None
     assignment = {}
-    if _classify(qcnf, clause, assignment, policy)[0] is not None:
+    if _classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
         return (0, 0)
     for e, time in zip(trail.entries, times):
         if time[0] >= r:
             break
         assignment[abs(e.lit)] = e.lit > 0
-        if _classify(qcnf, clause, assignment, policy)[0] is not None:
+        if _classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
             return time
     return None
 

@@ -31,7 +31,7 @@ from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.learning import DEC
 from qcdcl_lab.proofs import AXIOM, Derivation, ProofStep, QcdclProof, RESOLVE, Round
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import TrailEntry, validate_trail
+from qcdcl_lab.trail import TrailChecker, TrailEntry
 
 from conftest import (
     EVERY_POLICY_PAIR,
@@ -199,19 +199,15 @@ def rebuilt(trail, entries, pair=None):
                     trail.resumed_at)
 
 
-class FreshChecker:
-    """The per-round from-scratch validator: every check is a fresh
-    ``validate_trail``."""
-
-    def __init__(self, qcnf):
-        self.qcnf = qcnf
-
-    def check(self, trail, natural_from=0):
-        return validate_trail(self.qcnf, trail, natural_from)
+def fresh_walk(qcnf, trail, natural_from=0):
+    """A fresh ``TrailChecker`` walks the whole trail."""
+    return TrailChecker(qcnf).check(trail, natural_from)
 
 
 def from_scratch(qcnf, proof):
-    with mock.patch.object(proofs, "TrailChecker", FreshChecker):
+    """The per-round from-scratch validator: every round's trail check is
+    a fresh walk instead of the database's incremental checker."""
+    with mock.patch.object(proofs, "validate_trail", fresh_walk):
         return validate_qcdcl_proof(qcnf, proof)
 
 
@@ -266,7 +262,7 @@ def mutated_proofs(draw):
 
 class TestRoundsMatchTheFromScratchValidator:
     """One checker across the rounds reports exactly what a fresh
-    ``validate_trail`` per round reports, shared-prefix problems included."""
+    ``TrailChecker`` per round reports, shared-prefix problems included."""
 
     def test_every_corpus_proof(self):
         for qcnf, proof in proof_corpus():

@@ -272,11 +272,34 @@ def test_forced_override_taken_over_a_lower_unit():
     assert dump_trail(trail) == "P 1 0\nP -2 2\nK 1\n" and not queue
 
 
-def test_finished_trails_drop_their_watch_state():
-    f = generate(FamilySpec("qparity", 4))
-    proof = solve(f, SolverConfig(LEV_ORD, NO_RED)).proof
-    assert all(r.trail._watches is None for r in proof.rounds)
-    state = run_simulation(f, glue_qcdcl_proof(f, proof))
-    assert all(r.trail._watches is None for r in state.rounds)
-    assert all(w.trail._watches is None for w in state.witnesses.values())
-
+def test_two_trails_extended_in_turns_match_the_rescanning_engine():
+    """Two trails on one database are extended in a random order of turns,
+    by decisions, propagation and clause additions, so the trail whose
+    watch state the database keeps switches back and forth (a switch forks
+    the empty trail's state and replays the trail). After every turn the
+    trail equals the oracle's, which rescans a copy of the database."""
+    rng = random.Random(15)
+    for _ in range(150):
+        f = random_small_qcnf(rng, max_vars=8, max_clauses=10)
+        variables = sorted(f.prefix.variables)
+        for d, r in ALL_POLICY_PAIRS:
+            fa, fb = f.copy(), f.copy()
+            pairs = [(Trail(d, r), Trail(d, r)) for _ in range(2)]
+            for turn in range(16):
+                ta, tb = pairs[rng.randrange(2)]
+                propagate_to_fixpoint(fa, ta)
+                rescan_to_fixpoint(fb, tb)
+                assert dump_trail(ta) == dump_trail(tb), (d, r, turn)
+                if rng.random() < 0.3:
+                    chosen = rng.sample(variables, rng.randint(1, min(3, len(variables))))
+                    merged = [v for v in chosen[1:] if f.prefix.is_universal(v)]
+                    lits = [v * rng.choice((1, -1)) for v in chosen if v not in merged]
+                    c = make_clause(f.prefix, lits, merged)
+                    fa.add_clause(c)
+                    fb.add_clause(c)
+                elif not ta.conflicted:
+                    legal = sorted(legal_decisions(ta, fa))
+                    if legal:
+                        lit = rng.choice(legal)
+                        decide(ta, lit, fa)
+                        tb.append_decision(lit)

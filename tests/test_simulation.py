@@ -32,6 +32,7 @@ from qcdcl_lab.trail import (
     LEV_ORD,
     NO_RED,
     Trail,
+    TrailChecker,
     propagate_to_fixpoint,
     validate_trail,
 )
@@ -131,26 +132,29 @@ class TestStore:
     )
     def test_the_store_checker_agrees_with_a_fresh_walk(self, family, n, decision,
                                                          monkeypatch):
-        # Every witness ``store`` checks gets the verdict and trail problems
-        # of a fresh walk; before every other one, a mutated copy goes
-        # through the same checker, which must also match a fresh walk.
+        # Every witness ``store`` checks gets the verdict of a fresh walk
+        # (``witness_valid`` on a copy of the formula, which has no checker
+        # yet) and its trail problems; before every other one, a mutated
+        # copy goes through the formula's checker, which must also match a
+        # fresh walk.
         f = generate(FamilySpec(family, n))
         refutation = glue_qcdcl_proof(f, solve(f, SolverConfig(decision, NO_RED)).proof)
         original = simulation.witness_valid
         rng = random.Random(n)
         verdicts = []
 
-        def checked(qcnf, witness, clause, checker):
+        def checked(qcnf, witness, clause):
             t = witness.trail
             if len(verdicts) % 2:
                 size = len(t)
                 bad = mutated_trail(qcnf, t, (ASS_ORD, NO_RED), rng.choice(MUTATIONS),
                                     rng.randrange(size), rng.randrange(size),
                                     rng.randrange(len(qcnf.clauses)))
-                assert checker.check(bad, len(bad)) == validate_trail(qcnf, bad, len(bad))
-            verdict = original(qcnf, witness, clause, checker)
-            assert verdict == original(qcnf, witness, clause)
-            assert checker.check(t, len(t)) == validate_trail(qcnf, t, len(t))
+                assert validate_trail(qcnf, bad, len(bad)) == TrailChecker(qcnf).check(
+                    bad, len(bad))
+            verdict = original(qcnf, witness, clause)
+            assert verdict == original(qcnf.copy(), witness, clause)
+            assert validate_trail(qcnf, t, len(t)) == TrailChecker(qcnf).check(t, len(t))
             verdicts.append(verdict)
             return verdict
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -27,7 +29,7 @@ from qcdcl_lab.errors import (
     PendingPropagationError,
 )
 from qcdcl_lab.families import FamilySpec, generate
-from qcdcl_lab.formula import FORALL, QCNF
+from qcdcl_lab.formula import FORALL, QCNF, make_clause
 from qcdcl_lab.solver import SolverConfig, solve
 from qcdcl_lab.trail import TrailChecker, TrailEntry, _admits, _classify
 
@@ -275,6 +277,38 @@ class TestValidator:
         f.add_clause(f.clauses[1])
         assert checker.check(t, 1) == validate_trail(f, t, 1) == []
 
+    def test_checker_reclassifies_clauses_an_undo_unclassified(self):
+        # Clause 1, (1 -2), is added after the first check and classified
+        # after entry 0 of the second, where it forces -2. The third check
+        # undoes entry 0, so clause 1 must be classified again: it forces
+        # 1 once 2 is decided.
+        f = parse_qdimacs("p cnf 3 1\ne 1 2 3 0\n1 2 3 0\n")
+        pair = (ANY_ORD, NO_RED)
+        checker = TrailChecker(f)
+        assert checker.check(trail_of([TrailEntry(-1, None)], pair), 0) == []
+        f.add_clause(make_clause(f.prefix, [1, -2]))
+        expected = ["entry 1: decision skips pending propagation"]
+        for entries, natural_from in (((-1, 3), 1), ((2, 3), 0)):
+            t = trail_of([TrailEntry(lit, None) for lit in entries], pair)
+            assert checker.check(t, natural_from) == expected
+            assert TrailChecker(f).check(t, natural_from) == expected
+            assert reference_validate_trail(f, t, natural_from) == expected
+
+    def test_the_database_state_forms_no_reference_cycle(self, example_phi):
+        # The watch states and the checker a QCNF keeps hold its clause
+        # list and prefix, not the QCNF, so dropping the QCNF frees them
+        # without the cycle collector.
+        f = example_phi.copy()
+        t = propagate_to_fixpoint(f, Trail(LEV_ORD, RED))
+        assert validate_trail(f, t) == []
+        refs = [weakref.ref(x) for x in (f, f.checker, *f.watches[RED][::2])]
+        gc.disable()
+        try:
+            del f
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
     def test_unbound_variable_is_a_problem_and_ends_the_walk(self):
         f = parse_qdimacs("p cnf 3 2\ne 1 2 0\na 3 0\n1 2 0\n-1 3 0\n")
         decided = Trail(ASS_ORD, NO_RED)
@@ -318,7 +352,7 @@ def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
     entries = []
     conflict = False
     for cid, clause in enumerate(qcnf.clauses):
-        forced, _ = _classify(qcnf, clause, trail.assignment, policy)
+        forced, _ = _classify(qcnf.prefix, clause, trail.assignment, policy)
         if forced is None:
             continue
         entries.append((cid, forced))
@@ -368,7 +402,7 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
 
     def certifies(cid, lit):
         return cid is not None and 0 <= cid < len(qcnf.clauses) and _classify(
-            qcnf, qcnf.clauses[cid], shadow.assignment, trail.propagation_policy
+            qcnf.prefix, qcnf.clauses[cid], shadow.assignment, trail.propagation_policy
         )[0] == lit
 
     for pos, e in enumerate(trail.entries):
