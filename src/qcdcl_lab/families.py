@@ -22,6 +22,7 @@ EQUALITY = "equality"
 LONSING = "lonsing"
 RANDOM = "random"
 FAMILIES = (QPARITY, PHP, TRAPDOOR, EQUALITY, LONSING, RANDOM)
+RANDOM_MAX_SIZE = 100_000   # variables, and clauses, of one random instance
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,8 @@ def random_qcnf(n: int, m: int, c: float, seed: int) -> QCNF:
         raise ValueError("random family needs n >= 1 and m >= 1")
     if not math.isfinite(c):
         raise ValueError(f"random family needs a finite c, not {c}")
+    if max(n * (n + m + 1), c * n * n) > RANDOM_MAX_SIZE:
+        raise TooLargeError(f"random family exceeds {RANDOM_MAX_SIZE} variables or clauses")
     per_block = int(c * n)
     if per_block < 1:
         raise ValueError("c too small: no clauses per block")

@@ -55,8 +55,11 @@ class Prefix:
         self.variables = frozenset(self._level)
         # Signed literal -> its variable's position in (level, variable)
         # order: the sort key of every clause's normal form.
-        ranked = [v for _, variables in self.blocks for v in variables]
-        self.rank = {l: i for i, v in enumerate(ranked) for l in (v, -v)}
+        # Bit i of a clause or assignment mask stands for the variable at
+        # position i: ``ranked[i]``; ``exist_bits`` has the existential ones.
+        self.ranked = [v for _, variables in self.blocks for v in variables]
+        self.rank = {l: i for i, v in enumerate(self.ranked) for l in (v, -v)}
+        self.exist_bits = sum(1 << i for i, v in enumerate(self.ranked) if self._quant[v] == EXISTS)
 
     def level(self, var: int) -> int:
         return self._level[abs(var)]
@@ -159,6 +162,22 @@ def make_clause(prefix: Prefix, lits, merged=()) -> Clause:
             raise ValueError(f"variable {abs(l)} not bound by the prefix")
     key = prefix.rank.__getitem__
     return Clause(lits=tuple(sorted(plain, key=key)), merged=tuple(sorted(merged_vars, key=key)))
+
+
+def clause_masks(prefix: Prefix, clause: Clause) -> tuple[int, int, int]:
+    """The clause's (positive, negative, merged) bitmasks over ``prefix.rank``."""
+    masks = [0, 0, 0]
+    for l in clause.lits:
+        masks[l < 0] |= 1 << prefix.rank[l]
+    for v in clause.merged:
+        masks[2] |= 1 << prefix.rank[v]
+    return masks[0], masks[1], masks[2]
+
+
+def fill_masks(masks: list, clauses: list, prefix: Prefix):
+    """Extend a database's ``clause_masks`` list to every clause."""
+    if len(masks) < len(clauses):
+        masks.extend(clause_masks(prefix, c) for c in clauses[len(masks):])
 
 
 def clause_from_raw(lits) -> Clause:
@@ -274,9 +293,11 @@ class QCNF:
         for cid, c in enumerate(self.clauses):
             self._ids.setdefault(c, cid)
         # Incremental state over the clause list, kept by the ``trail``
-        # module: per propagation policy, the watched-literal states of the
-        # empty trail and of the trail propagation served last (with that
-        # trail), and the one ``TrailChecker`` of ``validate_trail``.
+        # module: ``clause_masks`` as far as propagation, a check or ``copy``
+        # needed them; per propagation policy, the watch states of the empty
+        # trail and of the trail propagation served last (with that trail);
+        # and the one ``TrailChecker`` of ``validate_trail``.
+        self.masks: list[tuple[int, int, int]] = []
         self.watches: dict = {}
         self.checker = None
 
@@ -291,9 +312,13 @@ class QCNF:
         return c in self._ids
 
     def copy(self) -> "QCNF":
+        """A database to propagate or check on: it shares this one's clause
+        masks, filled here, so runs on copies of one formula compute them once."""
         out = copy.copy(self)
         out.clauses = list(self.clauses)
         out._ids = dict(self._ids)
+        fill_masks(self.masks, self.clauses, self.prefix)
+        out.masks = self.masks[:]
         out.watches = {}
         out.checker = None
         return out

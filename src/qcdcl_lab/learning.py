@@ -24,9 +24,9 @@ from itertools import islice
 from typing import Callable
 
 from .errors import IllegalTautologyError, InternalTautologyError, QcdclError
-from .formula import Clause, LDQRES, QCNF, QRES, reduce_clause, resolve_clauses
+from .formula import Clause, LDQRES, QCNF, QRES, clause_masks, reduce_clause, resolve_clauses
 from .proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE, Round
-from .trail import RED, Time, Trail, _classify
+from .trail import RED, Time, Trail, clause_status
 
 
 @dataclass
@@ -163,7 +163,8 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     restriction left with only universal literals is as good as falsified.
     A satisfied clause forces nothing, so the forced literal alone decides.
     The clause's status changes only when one of its variables is assigned,
-    so only those entries are looked at. Positions from the conflict
+    so only those entries are looked at, and only they enter the bitmasks
+    ``clause_status`` reads. Positions from the conflict
     level's decision on are too late; the walk counts the decisions it
     passes, so the entry at ``pos`` has time ``(level, pos - starts[level])``.
     """
@@ -174,19 +175,21 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     r = len(starts) - 1
     if r == 0:
         return None
-    assignment: dict[int, bool] = {}
-    if _classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
+    prefix = qcnf.prefix
+    masks = clause_masks(prefix, clause)
+    if clause_status(masks, 0, 0, prefix, policy).__class__ is int:
         return (0, 0)
-    own = {abs(l) for l in clause.lits}
-    own.update(clause.merged)
-    level = 0
+    own = {abs(l) for l in clause.all_literals()}
+    true = false = level = 0
     for pos, e in enumerate(islice(trail.entries, starts[r])):
         if e.antecedent is None:
             level += 1
-        v = abs(e.lit)
-        if v in own:
-            assignment[v] = e.lit > 0
-            if _classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
+        if abs(e.lit) in own:
+            if e.lit > 0:
+                true |= 1 << prefix.rank[e.lit]
+            else:
+                false |= 1 << prefix.rank[e.lit]
+            if clause_status(masks, true, false, prefix, policy).__class__ is int:
                 return (level, pos - starts[level])
     return None
 

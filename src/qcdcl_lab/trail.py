@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (
     IllegalDecisionError,
@@ -21,7 +22,7 @@ from .errors import (
     PendingPropagationError,
     ScriptDivergenceError,
 )
-from .formula import FORALL, QCNF
+from .formula import FORALL, QCNF, fill_masks
 
 LEV_ORD = "lev-ord"
 ASS_ORD = "ass-ord"
@@ -135,99 +136,53 @@ def dump_trail(trail: Trail) -> str:
 # -- clause status ---------------------------------------------------------
 
 
-def _classify(prefix, clause, assignment, policy):
-    """(forced literal | 0 for conflict | None, satisfied flag).
+def clause_status(masks, true: int, false: int, prefix, policy: str):
+    """The status of the clause with ``clause_masks`` ``masks`` under the
+    assignment whose true and false variables have bitmasks ``true`` and
+    ``false``: None if satisfied, 0 if falsified, the forced literal if
+    unit, else the literals (two, or one universal) that keep it open.
 
-    Fused restriction + reduction + unit test; avoids building intermediate
-    clauses since this sits inside the propagation loop.
+    Bits follow ``Prefix.rank``, the (level, variable) order. Under RED
+    the top unassigned existential bit is the highest unassigned
+    existential; every unassigned literal or merged variable on a lower
+    bit is an existential or a universal of lower level, so it survives
+    reduction, and none above does. Under NO-RED all of them survive. A
+    lone surviving existential is forced; otherwise the two highest
+    survivors are returned, a merged variable as its positive literal.
     """
-    for v in clause.merged:
-        if v in assignment:
-            return None, True
-    alive = []
-    for l in clause.lits:
-        val = assignment.get(abs(l))
-        if val is None:
-            alive.append(l)
-        elif val == (l > 0):
-            return None, True
-    merged_alive = clause.merged
-    if policy == RED:
-        ex_max = 0
-        for l in alive:
-            if prefix.is_existential(l):
-                lev = prefix.level(l)
-                if lev > ex_max:
-                    ex_max = lev
-        if ex_max == 0:
-            return 0, False
-        alive = [
-            l for l in alive if prefix.is_existential(l) or prefix.level(l) <= ex_max
-        ]
-        merged_alive = [v for v in clause.merged if prefix.level(v) <= ex_max]
-    if not alive and not merged_alive:
-        return 0, False
-    if len(alive) == 1 and not merged_alive and prefix.is_existential(alive[0]):
-        return alive[0], False
-    return None, False
-
-
-def _watch(clause, assignment, prefix, policy):
-    """Literals proving the clause neither unit nor falsified under
-    ``policy``: True if it is satisfied, None if it is unit or falsified.
-    A merged variable stands as its positive literal.
-
-    Literals are tried from the highest level down, since decisions tend to
-    follow the prefix and deep literals stay unassigned longest. Under RED
-    this relies on the (level, variable) order ``QCNF`` requires: every
-    unassigned literal met after the first unassigned existential is an
-    existential or a universal of lower level, so it survives reduction.
-    """
-    merged = clause.merged
-    for v in merged:
-        if v in assignment:
-            return True
-    first = None
-    if policy == RED:
-        for l in reversed(clause.lits):
-            val = assignment.get(abs(l))
-            if val is None:
-                if first is not None:
-                    return (l, first)
-                if prefix.is_existential(l):
-                    if merged and prefix.level(merged[0]) < prefix.level(l):
-                        return (merged[0], l)
-                    first = l
-            elif val == (l > 0):
-                return True
+    pos, neg, merged = masks
+    assigned = true | false
+    if pos & true or neg & false or merged & assigned:
         return None
-    if merged:
-        if len(merged) > 1:
-            return merged[:2]
-        first = merged[0]
-    for l in reversed(clause.lits):
-        val = assignment.get(abs(l))
-        if val is None:
-            if first is not None:
-                return (first, l)
-            first = l
-        elif val == (l > 0):
-            return True
-    if first is not None and prefix.is_universal(first):
-        return (first,)
-    return None
+    alive = (pos | neg) & ~assigned | merged
+    if policy == RED:
+        alive &= (1 << (alive & prefix.exist_bits).bit_length()) - 1
+    if not alive:
+        return 0
+    top = alive.bit_length() - 1
+    v = prefix.ranked[top]
+    first = -v if neg >> top & 1 else v
+    alive ^= 1 << top
+    if not alive:
+        return first if prefix.exist_bits >> top & 1 else (first,)
+    top = alive.bit_length() - 1
+    v = prefix.ranked[top]
+    return first, -v if neg >> top & 1 else v
 
 
 class _Watches:
-    """Watched-literal state over one clause list under one policy."""
+    """Watched-literal state over one clause list under one policy, with
+    the true/false bitmasks of the trail entries it has processed."""
 
     def __init__(self, qcnf: QCNF, policy: str):
         # The clause list, not the QCNF, so that the states the QCNF keeps
         # do not make a reference cycle.
         self.clauses = qcnf.clauses
+        self.masks = qcnf.masks
         self.prefix = qcnf.prefix
         self.policy = policy
         self.cursor = 0                    # trail entries before it are processed
+        self.true = self.false = 0         # their assignment, as bitmasks
         self.attached = 0                  # clause ids below it are attached
         self.lists: dict[int, list[int]] = {}        # variable -> watching clause ids
         self.watching: dict[int, tuple[int, ...]] = {}   # clause id -> watched literals
@@ -240,35 +195,44 @@ class _Watches:
         out.pending = set(self.pending)
         return out
 
-    def place(self, cid: int, assignment):
-        """(Re)compute the watches of clause ``cid`` under ``assignment``;
-        a satisfied clause gets none."""
-        w = _watch(self.clauses[cid], assignment, self.prefix, self.policy)
+    def status(self, cid: int):
+        return clause_status(self.masks[cid], self.true, self.false, self.prefix, self.policy)
+
+    def place(self, cid: int):
+        """(Re)compute the watches of clause ``cid``; a satisfied clause
+        gets none, a unit or falsified one joins the pending set."""
+        w = clause_status(self.masks[cid], self.true, self.false, self.prefix, self.policy)
         old = self.watching.pop(cid, ())
-        if w is None:
-            self.pending.add(cid)
-        elif w is not True:
+        if w.__class__ is tuple:
             self.watching[cid] = w
             for l in w:
                 if l not in old:
                     self.lists.setdefault(abs(l), []).append(cid)
+        elif w is not None:
+            self.pending.add(cid)
 
-    def catch_up(self, entries, assignment):
-        """Visit the watchers of every newly assigned variable, then attach
-        the clauses added to the database since the last call."""
-        watching = self.watching
-        while self.cursor < len(entries):
-            lit = entries[self.cursor].lit
-            self.cursor += 1
-            for cid in self.lists.pop(abs(lit), ()):
+    def catch_up(self, entries):
+        """Assign the new trail entries, visiting the watchers of each
+        entry's variable, then attach the clauses added to the database
+        since the last call."""
+        lists, watching, rank = self.lists, self.watching, self.prefix.rank
+        for e in islice(entries, self.cursor, None):
+            lit = e.lit
+            if lit > 0:
+                self.true |= 1 << rank[lit]
+            elif lit:
+                self.false |= 1 << rank[lit]
+            for cid in lists.pop(abs(lit), ()):
                 w = watching.get(cid, ())
                 if lit in w:           # a watched literal came true
                     del watching[cid]
                 elif -lit in w:
-                    self.place(cid, assignment)
+                    self.place(cid)
+        self.cursor = len(entries)
         clauses = self.clauses
+        fill_masks(self.masks, clauses, self.prefix)
         while self.attached < len(clauses):
-            self.place(self.attached, assignment)
+            self.place(self.attached)
             self.attached += 1
 
 
@@ -279,22 +243,21 @@ def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
     policy = trail.propagation_policy
     empty, served, w = qcnf.watches.get(policy) or (_Watches(qcnf, policy), None, None)
     if served is not trail:
-        empty.catch_up((), {})
+        empty.catch_up(())
         w = empty.fork()
         qcnf.watches[policy] = (empty, trail, w)
-    w.catch_up(trail.entries, trail.assignment)
+    w.catch_up(trail.entries)
     return w
 
 
-def _next_forced(qcnf: QCNF, trail: Trail):
-    """The (literal, clause id) propagation would take next: the lowest-id
-    conflict (literal 0), else the lowest-id unit; None at quiescence."""
-    w = _trail_watches(qcnf, trail)
-    clauses, prefix = qcnf.clauses, qcnf.prefix
+def _next_forced(w: _Watches):
+    """The (literal, clause id) propagation would take next on the trail
+    ``w`` serves: the lowest-id conflict (literal 0), else the lowest-id
+    unit; None at quiescence."""
     unit = None
     for cid in sorted(w.pending):
-        lit, _ = _classify(prefix, clauses[cid], trail.assignment, trail.propagation_policy)
-        if lit is None:
+        lit = w.status(cid)
+        if lit.__class__ is not int:
             w.pending.discard(cid)   # satisfied since it was found
         elif lit == 0:
             return 0, cid
@@ -319,26 +282,26 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     variables, or a last one that is universal or merged. A clause that
     cannot be watched so is satisfied, unit or falsified: satisfied clauses
     drop out for the rest of the trail, the others join a pending set.
+    ``clause_status`` answers all of this from bitmasks: the database's
+    clause masks and the watch state's true/false masks of the trail.
     Before each choice ``_next_forced`` re-checks the pending clauses and
     the rule above picks among them, which is the choice a rescan of every
-    clause would give. The database keeps the watch state of the trail it
-    served last (``_trail_watches``): calls on that trail visit only the
-    watchers of newly assigned variables and attach clauses added since.
-    Trails only grow (backtracks and restarts make fresh trails),
-    so no watch is ever undone.
+    clause would give; a scripted override is tested the same way. The
+    database keeps the watch state of the trail it served last
+    (``_trail_watches``): calls on that trail visit only the watchers of
+    newly assigned variables and attach clauses added since. Trails only
+    grow (backtracks and restarts make fresh trails), so no watch is ever
+    undone.
     """
     if trail.conflicted:
         return trail
-    clauses, prefix = qcnf.clauses, qcnf.prefix
-    policy = trail.propagation_policy
     while True:
-        unit = _next_forced(qcnf, trail)
+        w = _trail_watches(qcnf, trail)
+        unit = _next_forced(w)
         if unit is not None and unit[0] == 0:
             trail.append_conflict(unit[1])
             return trail
-        if forced and 0 <= forced[0][1] < len(clauses) and _classify(
-            prefix, clauses[forced[0][1]], trail.assignment, policy
-        )[0] == forced[0][0]:
+        if forced and 0 <= forced[0][1] < len(w.clauses) and w.status(forced[0][1]) == forced[0][0]:
             unit = forced.popleft()
         elif unit is None:
             return trail
@@ -408,7 +371,7 @@ def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
     """
     if abs(lit) in trail.assignment:
         raise IllegalDecisionError(f"variable {abs(lit)} already assigned")
-    pending = _next_forced(qcnf, trail)
+    pending = _next_forced(_trail_watches(qcnf, trail))
     if pending is not None:
         raise PendingPropagationError(
             f"cannot decide {lit}: clause {pending[1]} is "
@@ -444,20 +407,6 @@ def decide_in_order(qcnf: QCNF, trail: Trail, decisions, forced=None) -> int | N
 OPEN, UNIT, FALSIFIED, IDLE = range(4)
 
 
-def _status(prefix, clause, assignment, policy: str) -> int:
-    forced, sat = _classify(prefix, clause, assignment, policy)
-    return IDLE if sat else OPEN if forced is None else FALSIFIED if forced == 0 else UNIT
-
-
-def _certifies(prefix, clauses, clause_id, assignment, lit: int, policy: str) -> bool:
-    """Clause ``clause_id`` forces ``lit`` (0: is falsified) under
-    ``assignment``; an id naming no clause certifies nothing."""
-    if clause_id is None or not 0 <= clause_id < len(clauses):
-        return False
-    forced, _ = _classify(prefix, clauses[clause_id], assignment, policy)
-    return forced == lit
-
-
 class TrailChecker:
     """Validates trails against a clause list that only grows, walking
     only what differs from the trail it checked last.
@@ -476,23 +425,26 @@ class TrailChecker:
 
     From the first natural position on, each clause's status is kept
     current: an entry makes the clauses holding its literal satisfied and
-    reclassifies (with ``_classify`` alone) those holding its negation. A
+    reclassifies (with ``clause_status`` alone) those holding its negation. A
     clause is classified in full only at the first natural position after
     it was added, or after an undo passed the entry it was classified
     after. A checker that never walks a natural position keeps no clause
     state, and a trail under other policies than the last one starts it
-    afresh. Like ``_Watches`` it holds the clause list and the prefix, not
-    the QCNF that keeps it.
+    afresh. Like ``_Watches`` it holds the clause list, its masks and the
+    prefix, not the QCNF that keeps it, and keeps the true/false bitmasks
+    of the shadow's assignment.
     """
 
     def __init__(self, qcnf: QCNF):
         self.clauses = qcnf.clauses
+        self.masks = qcnf.masks
         self.prefix = qcnf.prefix
         self.shadow: Trail | None = None
 
     def _reset(self, decision_policy: str, propagation_policy: str):
         self.shadow = Trail(decision_policy, propagation_policy)
         self._log: list[tuple[list[str], list]] = []   # per shadow entry: its undo record
+        self._true = self._false = 0       # the shadow's assignment, as bitmasks
         self._fence = math.inf             # first shadow position that may not be shared
         self._status: list[int] = []       # clause id -> status; ids beyond are unlisted
         self._counts = [0, 0, 0, 0]        # clauses per status
@@ -516,12 +468,11 @@ class TrailChecker:
         self._undo(shared)
         problems = [p for found, _ in self._log for p in found]
 
-        clauses, prefix = self.clauses, self.prefix
-        policy, assignment, counts = trail.propagation_policy, shadow.assignment, self._counts
+        prefix, assignment, counts = self.prefix, shadow.assignment, self._counts
         first_natural = max(shared, natural_from)
         for pos in range(shared, len(entries)):
             if pos == first_natural:
-                self._classify_unclassified()
+                self._catch_up()
             natural_here = pos >= natural_from
             e = entries[pos]
             lit = e.lit
@@ -529,7 +480,7 @@ class TrailChecker:
             if lit == 0:
                 if pos != len(entries) - 1:
                     found.append(f"entry {pos}: conflict marker not rightmost")
-                if not _certifies(prefix, clauses, e.antecedent, assignment, 0, policy):
+                if not self._certifies(e.antecedent, 0):
                     found.append(f"entry {pos}: antecedent does not certify the conflict")
                 problems += found
                 self._fence = min(self._fence, pos)
@@ -550,15 +501,29 @@ class TrailChecker:
             else:
                 if not prefix.is_existential(lit):
                     found.append(f"entry {pos}: propagated literal {lit} not existential")
-                if not _certifies(prefix, clauses, e.antecedent, assignment, lit, policy):
+                if not self._certifies(e.antecedent, lit):
                     found.append(f"entry {pos}: antecedent does not certify {lit}")
                 problems += found
                 if natural_here and counts[FALSIFIED]:
                     problems.append(f"entry {pos}: propagation taken while a conflict exists")
-                if e.antecedent >= len(clauses):
+                if e.antecedent >= len(self.clauses):
                     self._fence = min(self._fence, pos)
             self._push(e, found)
         return problems
+
+    def _state(self, cid: int) -> int:
+        s = clause_status(self.masks[cid], self._true, self._false, self.prefix,
+                          self.shadow.propagation_policy)
+        return IDLE if s is None else OPEN if s.__class__ is tuple else UNIT if s else FALSIFIED
+
+    def _certifies(self, clause_id, lit: int) -> bool:
+        """Clause ``clause_id`` forces ``lit`` (0: is falsified) under the
+        shadow; an id naming no clause certifies nothing."""
+        if clause_id is None or not 0 <= clause_id < len(self.clauses):
+            return False
+        fill_masks(self.masks, self.clauses, self.prefix)
+        return clause_status(self.masks[clause_id], self._true, self._false, self.prefix,
+                             self.shadow.propagation_policy) == lit
 
     def _push(self, e: TrailEntry, found: list[str]):
         """Append ``e`` to the shadow with its undo record, and update the
@@ -573,11 +538,13 @@ class TrailChecker:
             return
         if e.antecedent is None:
             shadow.starts.append(pos)
-        assignment = shadow.assignment
-        assignment[abs(lit)] = lit > 0
+        shadow.assignment[abs(lit)] = lit > 0
+        if lit > 0:
+            self._true |= 1 << self.prefix.rank[lit]
+        else:
+            self._false |= 1 << self.prefix.rank[lit]
         if not self._status:
             return
-        clauses, prefix, policy = self.clauses, self.prefix, shadow.propagation_policy
         status, counts = self._status, self._counts
         for cid in self._occurs.get(lit, ()):   # satisfied now
             old = status[cid]
@@ -589,7 +556,7 @@ class TrailChecker:
         for cid in self._occurs.get(-lit, ()):
             old = status[cid]
             if old != IDLE:
-                new = _status(prefix, clauses[cid], assignment, policy)
+                new = self._state(cid)
                 if new != old:
                     changes.append((cid, old))
                     counts[old] -= 1
@@ -614,15 +581,19 @@ class TrailChecker:
                 status[cid] = old
             if e.lit:
                 del shadow.assignment[abs(e.lit)]
+                keep = ~(1 << self.prefix.rank[e.lit])
+                self._true &= keep
+                self._false &= keep
                 if e.antecedent is None:
                     shadow.starts.pop()
         self._fence = math.inf   # shared entries are never fenced
 
-    def _classify_unclassified(self):
+    def _catch_up(self):
         """List the clauses added since the last call and classify them,
         with the unclassified ones, at the shadow's depth. The last shadow
         entry's undo record notes them; with no entry, nothing undoes it."""
         clauses, status, counts = self.clauses, self._status, self._counts
+        fill_masks(self.masks, clauses, self.prefix)
         ids = self._unclassified
         for cid in range(len(status), len(clauses)):
             status.append(IDLE)
@@ -632,10 +603,8 @@ class TrailChecker:
             ids.append(cid)
         if not ids:
             return
-        prefix, assignment = self.prefix, self.shadow.assignment
-        policy = self.shadow.propagation_policy
         for cid in ids:
-            new = _status(prefix, clauses[cid], assignment, policy)
+            new = self._state(cid)
             counts[IDLE] -= 1
             counts[new] += 1
             status[cid] = new

@@ -164,6 +164,7 @@ def test_error_exit_code(tmp_path, capsys):
         ["gen", "--family", "qparity", "--n", "1"],
         ["gen", "--family", "random", "--n", "3"],
         ["gen", "--family", "random", "--n", "3", "--m", "2", "--c", "inf"],
+        ["gen", "--family", "random", "--n", "3", "--m", "2", "--c", "1e300"],
         ["gen", "--family", "php", "--n", "0"],
         ["goldens", "--qparity-n", "1"],
         solve + ["--max-conflicts", "0"],
@@ -211,6 +212,9 @@ WORDS_OF = {
     "scheme": ("asserting", "dec", "index:0", "index:9", "index:"),
 }
 WORDS = tuple(w for words in WORDS_OF.values() for w in words)
+# Values of the random family's size arguments, so that its draws reach the
+# generator: one it builds, and two it must refuse before drawing a clause.
+GENERATOR_ARGS = {"n": ("1", "2"), "m": ("1", "2"), "c": ("1.5", "1e300", "inf")}
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,7 +247,7 @@ def _value(action):
     if action.type is int:
         return st.integers(-1, 5).map(str)
     if action.type is float:
-        return st.sampled_from(("0.5", "2", "-1", "x", "inf", "nan"))
+        return st.sampled_from(("0.5", "2", "-1", "x", "inf", "nan", "1e300"))
     if action.dest in INPUT_OF:
         return _mostly(st.just(INPUT_OF[action.dest]), st.sampled_from(INPUTS))
     if action.dest in OUTPUT_DESTS:
@@ -254,13 +258,17 @@ def _value(action):
 @st.composite
 def cli_argv(draw):
     """A subcommand with each required option and a drawn subset of the
-    optional ones, each with a drawn value, and now and then a stray token."""
+    optional ones, each with a drawn value, and now and then a stray token.
+    A random family gets ``--n``, ``--m`` and ``--c`` from ``GENERATOR_ARGS``."""
     name = draw(st.sampled_from(sorted(_subcommands())))
     argv = [name]
     for action in _subcommands()[name]._actions:
         if not action.option_strings or action.dest == "help":
             continue
-        if action.required or draw(st.booleans()):
+        if action.dest in GENERATOR_ARGS and "random" in argv:
+            argv += [action.option_strings[0],
+                     draw(st.sampled_from(GENERATOR_ARGS[action.dest]))]
+        elif action.required or draw(st.booleans()):
             argv.append(draw(st.sampled_from(action.option_strings)))
             if action.nargs != 0:
                 argv.append(draw(_value(action)))

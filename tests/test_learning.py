@@ -29,9 +29,9 @@ from qcdcl_lab.formula import Clause, make_clause
 from qcdcl_lab.goldens import qparity_script
 from qcdcl_lab.learning import LearningScheme, learn
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import _classify
 
 from conftest import ALL_PAIRS_FALSE, corpus_cases, entry_times, random_small_qcnf, trail_corpus
+from test_trail import reference_classify
 
 
 def red_example_trail(qcnf):
@@ -76,7 +76,7 @@ class TestWorkedSequences:
             seq = learnable_sequence(trail, example_phi)
             for c in seq.elements:
                 # Not satisfied, and nothing left after (under red) reduction.
-                assert _classify(
+                assert reference_classify(
                     example_phi.prefix, c, trail.assignment, trail.propagation_policy
                 ) == (0, False)
 
@@ -262,13 +262,13 @@ def reference_asserting_time(clause, trail, qcnf):
     if r == 0:
         return None
     assignment = {}
-    if _classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
+    if reference_classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
         return (0, 0)
     for e, time in zip(trail.entries, times):
         if time[0] >= r:
             break
         assignment[abs(e.lit)] = e.lit > 0
-        if _classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
+        if reference_classify(qcnf.prefix, clause, assignment, policy)[0] is not None:
             return time
     return None
 

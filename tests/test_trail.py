@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcdcl_lab import (
     ANY_ORD,
@@ -29,9 +30,9 @@ from qcdcl_lab.errors import (
     PendingPropagationError,
 )
 from qcdcl_lab.families import FamilySpec, generate
-from qcdcl_lab.formula import FORALL, QCNF, make_clause
+from qcdcl_lab.formula import EXISTS, FORALL, QCNF, Prefix, clause_masks, make_clause
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import TrailChecker, TrailEntry, _admits, _classify
+from qcdcl_lab.trail import TrailChecker, TrailEntry, _admits, clause_status
 
 from conftest import (
     corpus_cases,
@@ -339,6 +340,41 @@ class UnitScanResult:
         return [(cid, lit) for cid, lit in self.entries if lit != 0]
 
 
+def reference_classify(prefix, clause, assignment, policy):
+    """(forced literal | 0 for conflict | None, satisfied flag): the
+    literal-by-literal walk ``clause_status`` is tested against, with
+    restriction and reduction fused."""
+    for v in clause.merged:
+        if v in assignment:
+            return None, True
+    alive = []
+    for l in clause.lits:
+        val = assignment.get(abs(l))
+        if val is None:
+            alive.append(l)
+        elif val == (l > 0):
+            return None, True
+    merged_alive = clause.merged
+    if policy == RED:
+        ex_max = 0
+        for l in alive:
+            if prefix.is_existential(l):
+                lev = prefix.level(l)
+                if lev > ex_max:
+                    ex_max = lev
+        if ex_max == 0:
+            return 0, False
+        alive = [
+            l for l in alive if prefix.is_existential(l) or prefix.level(l) <= ex_max
+        ]
+        merged_alive = [v for v in clause.merged if prefix.level(v) <= ex_max]
+    if not alive and not merged_alive:
+        return 0, False
+    if len(alive) == 1 and not merged_alive and prefix.is_existential(alive[0]):
+        return alive[0], False
+    return None, False
+
+
 def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
     """Enumerate every clause that is unit or falsified under the trail.
 
@@ -352,12 +388,61 @@ def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
     entries = []
     conflict = False
     for cid, clause in enumerate(qcnf.clauses):
-        forced, _ = _classify(qcnf.prefix, clause, trail.assignment, policy)
+        forced, _ = reference_classify(qcnf.prefix, clause, trail.assignment, policy)
         if forced is None:
             continue
         entries.append((cid, forced))
         conflict = conflict or forced == 0
     return UnitScanResult(tuple(entries), conflict)
+
+
+@st.composite
+def clause_cases(draw):
+    """A prefix of one to eight variables with shuffled ids, a clause over
+    it whose universals may be merged, and a partial assignment."""
+    quants = draw(st.lists(st.sampled_from((EXISTS, FORALL)), min_size=1, max_size=8))
+    ids = draw(st.permutations(range(1, len(quants) + 1)))
+    prefix = Prefix([(q, [v]) for q, v in zip(quants, ids)])
+    lits, merged = [], []
+    for v in draw(st.lists(st.sampled_from(ids), unique=True)):
+        sign = draw(st.sampled_from((1, -1, 0) if prefix.is_universal(v) else (1, -1)))
+        if sign:
+            lits.append(sign * v)
+        else:
+            merged.append(v)
+    assigned = draw(st.lists(st.sampled_from(ids), unique=True))
+    assignment = {v: draw(st.booleans()) for v in assigned}
+    return prefix, make_clause(prefix, lits, merged), assignment
+
+
+@given(clause_cases(), st.sampled_from((RED, NO_RED)))
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_clause_status_matches_the_reference(case, policy):
+    """The bitmask kernel finds a clause satisfied, unit on the same literal
+    or falsified exactly when the literal walk does. Otherwise it returns
+    unassigned members (a merged variable as its positive literal) that
+    keep the clause open: under RED an existential and a second one or a
+    universal of lower level; under NO-RED any two, or one universal."""
+    prefix, clause, assignment = case
+    rank = prefix.rank
+    true = sum(1 << rank[v] for v, value in assignment.items() if value)
+    false = sum(1 << rank[v] for v, value in assignment.items() if not value)
+    got = clause_status(clause_masks(prefix, clause), true, false, prefix, policy)
+    forced, satisfied = reference_classify(prefix, clause, assignment, policy)
+    if satisfied:
+        assert got is None
+    elif forced is not None:
+        assert got.__class__ is int and got == forced
+    else:
+        assert got.__class__ is tuple and len(set(got)) == len(got) in (1, 2)
+        assert set(got) <= set(clause.lits) | set(clause.merged)
+        assert not any(abs(l) in assignment for l in got)
+        *low, high = sorted(got, key=rank.__getitem__)
+        if policy == NO_RED:
+            assert low or prefix.is_universal(high)
+        else:
+            assert low and prefix.is_existential(high)
+            assert prefix.is_existential(low[0]) or prefix.level(low[0]) < prefix.level(high)
 
 
 def reference_legal_decisions(trail, qcnf):
@@ -401,7 +486,7 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
     times = entry_times(trail)
 
     def certifies(cid, lit):
-        return cid is not None and 0 <= cid < len(qcnf.clauses) and _classify(
+        return cid is not None and 0 <= cid < len(qcnf.clauses) and reference_classify(
             qcnf.prefix, qcnf.clauses[cid], shadow.assignment, trail.propagation_policy
         )[0] == lit
 
