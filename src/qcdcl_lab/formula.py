@@ -296,7 +296,8 @@ class QCNF:
         # module: ``clause_masks`` as far as propagation, a check or ``copy``
         # needed them; per propagation policy, the watch states of the empty
         # trail and of the trail propagation served last (with that trail);
-        # and the one ``TrailChecker`` of ``validate_trail``.
+        # and the one ``TrailChecker`` of ``validate_trail``, which keeps
+        # such watch states for its own shadow trail.
         self.masks: list[tuple[int, int, int]] = []
         self.watches: dict = {}
         self.checker = None

@@ -175,8 +175,8 @@ class _Watches:
     the true/false bitmasks of the trail entries it has processed."""
 
     def __init__(self, qcnf: QCNF, policy: str):
-        # The clause list, not the QCNF, so that the states the QCNF keeps
-        # do not make a reference cycle.
+        # The clause list, not the QCNF or checker, so that the states
+        # they keep do not make a reference cycle.
         self.clauses = qcnf.clauses
         self.masks = qcnf.masks
         self.prefix = qcnf.prefix
@@ -236,10 +236,11 @@ class _Watches:
             self.attached += 1
 
 
-def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
-    """The trail's watch state. The database keeps, per propagation policy,
-    the states of the empty trail and of the trail it served last; any
-    other trail forks the empty trail's state and replays its entries."""
+def _trail_watches(qcnf: QCNF | TrailChecker, trail: Trail) -> _Watches:
+    """The trail's watch state. The database (or a trail checker) keeps,
+    per propagation policy, the states of the empty trail and of the trail
+    it served last; any other trail forks the empty trail's state and
+    replays its entries."""
     policy = trail.propagation_policy
     empty, served, w = qcnf.watches.get(policy) or (_Watches(qcnf, policy), None, None)
     if served is not trail:
@@ -402,54 +403,45 @@ def decide_in_order(qcnf: QCNF, trail: Trail, decisions, forced=None) -> int | N
 
 # -- validation ------------------------------------------------------------
 
-# A clause's status under the checker's shadow trail. IDLE clauses are not
-# revisited: satisfied ones, and ones not classified at the current depth.
-OPEN, UNIT, FALSIFIED, IDLE = range(4)
-
 
 class TrailChecker:
     """Validates trails against a clause list that only grows, walking
     only what differs from the trail it checked last.
 
-    It keeps a shadow of the last trail walked and, per shadow entry, an
-    undo record: the problems found there that do not depend on
-    naturality, and (clause id, old status) pairs for the statuses the
-    entry changed; an old status of None marks a clause classified right
-    after the entry. ``check`` undoes the shadow to the longest prefix it
-    shares with the new trail and walks the rest. That prefix ends before
-    ``natural_from``, before a conflict marker (whether it is rightmost
-    depends on the trail) and before an antecedent id beyond the clause
-    list (it may name a clause later); its entries' problems are reported
-    again. Clause ids are stable and clauses are only added, so the other
-    verdicts of a shared entry stand.
+    It keeps a shadow of the last trail walked and, per shadow entry, the
+    problems found there that do not depend on naturality. ``check``
+    undoes the shadow to the longest prefix it shares with the new trail
+    and walks the rest. That prefix ends before ``natural_from``, before a
+    conflict marker (whether it is rightmost depends on the trail) and
+    before an antecedent id beyond the clause list (it may name a clause
+    later); its entries' problems are reported again. Clause ids are
+    stable and clauses are only added, so the other verdicts of a shared
+    entry stand.
 
-    From the first natural position on, each clause's status is kept
-    current: an entry makes the clauses holding its literal satisfied and
-    reclassifies (with ``clause_status`` alone) those holding its negation. A
-    clause is classified in full only at the first natural position after
-    it was added, or after an undo passed the entry it was classified
-    after. A checker that never walks a natural position keeps no clause
-    state, and a trail under other policies than the last one starts it
-    afresh. Like ``_Watches`` it holds the clause list, its masks and the
-    prefix, not the QCNF that keeps it, and keeps the true/false bitmasks
-    of the shadow's assignment.
+    Naturality is asked the way ``decide`` asks it: at each natural
+    position ``_next_forced`` reads the shadow's watch state, which
+    ``_trail_watches`` keeps in the checker's own ``watches`` as it does
+    in a database's. Watch states are never undone: an undo that pops
+    entries makes the shadow a new trail object, whose state forks the
+    empty trail's again. A checker that never walks a natural position
+    keeps no watch state. Like ``_Watches`` it holds the clause list, its
+    masks and the prefix, not the QCNF that keeps it, and it keeps the
+    true/false bitmasks of the shadow's assignment for the antecedent
+    certificates.
     """
 
     def __init__(self, qcnf: QCNF):
         self.clauses = qcnf.clauses
         self.masks = qcnf.masks
         self.prefix = qcnf.prefix
+        self.watches: dict = {}
         self.shadow: Trail | None = None
 
     def _reset(self, decision_policy: str, propagation_policy: str):
         self.shadow = Trail(decision_policy, propagation_policy)
-        self._log: list[tuple[list[str], list]] = []   # per shadow entry: its undo record
+        self._log: list[list[str]] = []   # per shadow entry: its problems
         self._true = self._false = 0       # the shadow's assignment, as bitmasks
         self._fence = math.inf             # first shadow position that may not be shared
-        self._status: list[int] = []       # clause id -> status; ids beyond are unlisted
-        self._counts = [0, 0, 0, 0]        # clauses per status
-        self._occurs: dict[int, list[int]] = {}   # literal -> ids of the listed clauses holding it
-        self._unclassified: list[int] = []        # listed clauses IDLE for want of a classification
 
     def check(self, trail: Trail, natural_from: int = 0) -> list[str]:
         """The trail's problems against the checker's clauses, naturality
@@ -466,14 +458,11 @@ class TrailChecker:
         while shared < limit and (entries[shared] is mine[shared] or entries[shared] == mine[shared]):
             shared += 1
         self._undo(shared)
-        problems = [p for found, _ in self._log for p in found]
+        problems = [p for found in self._log for p in found]
 
-        prefix, assignment, counts = self.prefix, shadow.assignment, self._counts
-        first_natural = max(shared, natural_from)
+        prefix, shadow = self.prefix, self.shadow
+        assignment = shadow.assignment
         for pos in range(shared, len(entries)):
-            if pos == first_natural:
-                self._catch_up()
-            natural_here = pos >= natural_from
             e = entries[pos]
             lit = e.lit
             found = []
@@ -492,8 +481,9 @@ class TrailChecker:
             if lit not in prefix:
                 problems.append(f"entry {pos}: variable {abs(lit)} not bound by the prefix")
                 break
+            pending = _next_forced(_trail_watches(self, shadow)) if pos >= natural_from else None
             if e.is_decision:
-                if natural_here and (counts[UNIT] or counts[FALSIFIED]):
+                if pending is not None:
                     problems.append(f"entry {pos}: decision skips pending propagation")
                 if not _admits(shadow, lit, prefix):
                     found.append(f"entry {pos}: decision {lit} violates {trail.decision_policy}")
@@ -504,17 +494,12 @@ class TrailChecker:
                 if not self._certifies(e.antecedent, lit):
                     found.append(f"entry {pos}: antecedent does not certify {lit}")
                 problems += found
-                if natural_here and counts[FALSIFIED]:
+                if pending is not None and pending[0] == 0:
                     problems.append(f"entry {pos}: propagation taken while a conflict exists")
                 if e.antecedent >= len(self.clauses):
                     self._fence = min(self._fence, pos)
             self._push(e, found)
         return problems
-
-    def _state(self, cid: int) -> int:
-        s = clause_status(self.masks[cid], self._true, self._false, self.prefix,
-                          self.shadow.propagation_policy)
-        return IDLE if s is None else OPEN if s.__class__ is tuple else UNIT if s else FALSIFIED
 
     def _certifies(self, clause_id, lit: int) -> bool:
         """Clause ``clause_id`` forces ``lit`` (0: is falsified) under the
@@ -526,91 +511,41 @@ class TrailChecker:
                              self.shadow.propagation_policy) == lit
 
     def _push(self, e: TrailEntry, found: list[str]):
-        """Append ``e`` to the shadow with its undo record, and update the
-        statuses it changes."""
+        """Append ``e`` to the shadow with its problems."""
         shadow = self.shadow
-        pos = len(shadow.entries)
-        changes = []
-        self._log.append((found, changes))
-        shadow.entries.append(e)
+        self._log.append(found)
         lit = e.lit
-        if lit == 0:
-            return
-        if e.antecedent is None:
-            shadow.starts.append(pos)
-        shadow.assignment[abs(lit)] = lit > 0
-        if lit > 0:
-            self._true |= 1 << self.prefix.rank[lit]
-        else:
-            self._false |= 1 << self.prefix.rank[lit]
-        if not self._status:
-            return
-        status, counts = self._status, self._counts
-        for cid in self._occurs.get(lit, ()):   # satisfied now
-            old = status[cid]
-            if old != IDLE:
-                changes.append((cid, old))
-                counts[old] -= 1
-                counts[IDLE] += 1
-                status[cid] = IDLE
-        for cid in self._occurs.get(-lit, ()):
-            old = status[cid]
-            if old != IDLE:
-                new = self._state(cid)
-                if new != old:
-                    changes.append((cid, old))
-                    counts[old] -= 1
-                    counts[new] += 1
-                    status[cid] = new
+        if lit:
+            if e.antecedent is None:
+                shadow.starts.append(len(shadow.entries))
+            shadow.assignment[abs(lit)] = lit > 0
+            bit = 1 << self.prefix.rank[lit]
+            if lit > 0:
+                self._true |= bit
+            else:
+                self._false |= bit
+        shadow.entries.append(e)
 
     def _undo(self, depth: int):
-        """Pop shadow entries down to ``depth``, restoring the statuses
-        their records hold; a clause classified after a popped entry
-        becomes unclassified again."""
+        """Pop shadow entries down to ``depth``. The shortened shadow is a
+        new trail object, so ``_trail_watches`` forks its watch state from
+        the empty trail's instead of reusing the popped entries' state."""
         shadow = self.shadow
-        entries, log = shadow.entries, self._log
-        status, counts, unclassified = self._status, self._counts, self._unclassified
-        while len(entries) > depth:
-            e = entries.pop()
-            for cid, old in reversed(log.pop()[1]):
-                if old is None:
-                    old = IDLE
-                    unclassified.append(cid)
-                counts[status[cid]] -= 1
-                counts[old] += 1
-                status[cid] = old
-            if e.lit:
-                del shadow.assignment[abs(e.lit)]
-                keep = ~(1 << self.prefix.rank[e.lit])
-                self._true &= keep
-                self._false &= keep
-                if e.antecedent is None:
-                    shadow.starts.pop()
+        entries = shadow.entries
+        if len(entries) > depth:
+            rank = self.prefix.rank
+            while len(entries) > depth:
+                e = entries.pop()
+                if e.lit:
+                    del shadow.assignment[abs(e.lit)]
+                    keep = ~(1 << rank[e.lit])
+                    self._true &= keep
+                    self._false &= keep
+                    if e.antecedent is None:
+                        shadow.starts.pop()
+            del self._log[depth:]
+            self.shadow = copy.copy(shadow)
         self._fence = math.inf   # shared entries are never fenced
-
-    def _catch_up(self):
-        """List the clauses added since the last call and classify them,
-        with the unclassified ones, at the shadow's depth. The last shadow
-        entry's undo record notes them; with no entry, nothing undoes it."""
-        clauses, status, counts = self.clauses, self._status, self._counts
-        fill_masks(self.masks, clauses, self.prefix)
-        ids = self._unclassified
-        for cid in range(len(status), len(clauses)):
-            status.append(IDLE)
-            counts[IDLE] += 1
-            for l in clauses[cid].all_literals():
-                self._occurs.setdefault(l, []).append(cid)
-            ids.append(cid)
-        if not ids:
-            return
-        for cid in ids:
-            new = self._state(cid)
-            counts[IDLE] -= 1
-            counts[new] += 1
-            status[cid] = new
-        if self._log:
-            self._log[-1][1].extend((cid, None) for cid in ids)
-        ids.clear()
 
 
 def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]:

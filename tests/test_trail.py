@@ -295,14 +295,33 @@ class TestValidator:
             assert TrailChecker(f).check(t, natural_from) == expected
             assert reference_validate_trail(f, t, natural_from) == expected
 
+    def test_a_reused_checker_gives_conflicts_priority(self):
+        # The first trail satisfies clause 1, (2 -3), with 2; the second
+        # decides -2 and 3 instead, so clause 1 is falsified when it
+        # propagates 1 through clause 0, (1 -3). The checker must not see
+        # the second trail through the watch state of the first.
+        f = parse_qdimacs("p cnf 4 2\ne 1 2 3 4 0\n1 -3 0\n2 -3 0\n")
+        pair = (ANY_ORD, NO_RED)
+        checker = TrailChecker(f)
+        first = trail_of([TrailEntry(4, None), TrailEntry(2, None), TrailEntry(3, None),
+                          TrailEntry(1, 0)], pair)
+        assert checker.check(first, 0) == []
+        second = trail_of([TrailEntry(4, None), TrailEntry(-2, None), TrailEntry(3, None),
+                           TrailEntry(1, 0)], pair)
+        expected = ["entry 3: propagation taken while a conflict exists"]
+        assert checker.check(second, 3) == expected
+        assert TrailChecker(f).check(second, 3) == expected
+        assert reference_validate_trail(f, second, 3) == expected
+
     def test_the_database_state_forms_no_reference_cycle(self, example_phi):
-        # The watch states and the checker a QCNF keeps hold its clause
-        # list and prefix, not the QCNF, so dropping the QCNF frees them
-        # without the cycle collector.
+        # The watch states and the checker a QCNF keeps, and the checker's
+        # own watch states, hold its clause list, masks and prefix, not the
+        # QCNF, so dropping the QCNF frees them without the cycle collector.
         f = example_phi.copy()
         t = propagate_to_fixpoint(f, Trail(LEV_ORD, RED))
         assert validate_trail(f, t) == []
-        refs = [weakref.ref(x) for x in (f, f.checker, *f.watches[RED][::2])]
+        refs = [weakref.ref(x) for x in (f, f.checker, *f.watches[RED][::2],
+                                          *f.checker.watches[RED][::2])]
         gc.disable()
         try:
             del f
