@@ -22,7 +22,7 @@ EQUALITY = "equality"
 LONSING = "lonsing"
 RANDOM = "random"
 FAMILIES = (QPARITY, PHP, TRAPDOOR, EQUALITY, LONSING, RANDOM)
-RANDOM_MAX_SIZE = 100_000   # variables, and clauses, of one random instance
+MAX_SIZE = 100_000   # variables, and clauses, of one generated instance
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,46 @@ class FamilySpec:
         return f"{self.family}_{self.n}" + (f"[{','.join(extra)}]" if extra else "")
 
 
-def generate(spec: FamilySpec) -> QCNF:
+def instance_size(spec: FamilySpec) -> tuple[int, int]:
+    """The variable and clause counts of ``generate(spec)``, computed from
+    the spec alone, for every family but random (whose clause count
+    ``random_qcnf`` bounds once it has checked ``c``). Negative sizes
+    count as 0, so that the generator, not the bound, rejects them."""
+    n = max(spec.n, 0)
     if spec.family == QPARITY:
-        return qparity(spec.n)
+        return 2 * n, 4 * n - 2
     if spec.family == PHP:
-        if spec.m is None:
-            return php(spec.n + 1, spec.n)
-        return php(spec.m, spec.n)
+        m = n + 1 if spec.m is None else max(spec.m, 0)
+        return m * n, m + n * m * (m - 1) // 2
     if spec.family == TRAPDOOR:
-        return trapdoor(spec.n)
-    if spec.family == EQUALITY:
-        return equality(spec.n)
+        s = trapdoor_size(n)
+        return 2 * s + 3, n + 1 + n * s // 2 + 6 * s
     if spec.family == LONSING:
-        return lonsing(spec.n)
+        s = trapdoor_size(n)
+        return s + 6, 5 + n + 1 + n * s // 2
+    if spec.family == EQUALITY:
+        return 3 * n, 2 * n + 1
+    raise ValueError(f"unknown family {spec.family!r}")
+
+
+def generate(spec: FamilySpec) -> QCNF:
+    """The instance ``spec`` names; TooLargeError before anything is built
+    if it would have over ``MAX_SIZE`` variables or clauses."""
     if spec.family == RANDOM:
         if spec.m is None or spec.c is None:
             raise ValueError("random family needs m and c")
         return random_qcnf(spec.n, spec.m, spec.c, spec.seed or 0)
-    raise ValueError(f"unknown family {spec.family!r}")
+    if max(instance_size(spec)) > MAX_SIZE:
+        raise TooLargeError(f"{spec.label()} exceeds {MAX_SIZE} variables or clauses")
+    if spec.family == QPARITY:
+        return qparity(spec.n)
+    if spec.family == PHP:
+        return php(spec.n + 1 if spec.m is None else spec.m, spec.n)
+    if spec.family == TRAPDOOR:
+        return trapdoor(spec.n)
+    if spec.family == EQUALITY:
+        return equality(spec.n)
+    return lonsing(spec.n)
 
 
 def qparity(n: int) -> QCNF:
@@ -202,8 +224,8 @@ def random_qcnf(n: int, m: int, c: float, seed: int) -> QCNF:
         raise ValueError("random family needs n >= 1 and m >= 1")
     if not math.isfinite(c):
         raise ValueError(f"random family needs a finite c, not {c}")
-    if max(n * (n + m + 1), c * n * n) > RANDOM_MAX_SIZE:
-        raise TooLargeError(f"random family exceeds {RANDOM_MAX_SIZE} variables or clauses")
+    if max(n * (n + m + 1), c * n * n) > MAX_SIZE:
+        raise TooLargeError(f"random family exceeds {MAX_SIZE} variables or clauses")
     per_block = int(c * n)
     if per_block < 1:
         raise ValueError("c too small: no clauses per block")

@@ -295,9 +295,9 @@ class QCNF:
         # Incremental state over the clause list, kept by the ``trail``
         # module: ``clause_masks`` as far as propagation, a check or ``copy``
         # needed them; per propagation policy, the watch states of the empty
-        # trail and of the trail propagation served last (with that trail);
-        # and the one ``TrailChecker`` of ``validate_trail``, which keeps
-        # such watch states for its own shadow trail.
+        # trail and of the trail served last (with that trail), be it a
+        # propagated trail or the checker's shadow; and the one
+        # ``TrailChecker`` of ``validate_trail``, which keeps no watch state.
         self.masks: list[tuple[int, int, int]] = []
         self.watches: dict = {}
         self.checker = None

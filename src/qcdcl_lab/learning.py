@@ -71,23 +71,21 @@ def learnable_sequence(trail: Trail, qcnf: QCNF,
     mode = LDQRES if trail.propagation_policy == RED else QRES
     prefix = qcnf.prefix
     steps: list[ProofStep] = []
-    axiom_cache: dict[int, tuple[int, Clause]] = {}
 
     def add(kind, clause, **kw) -> int:
         steps.append(ProofStep(len(steps), kind, clause, **kw))
         return len(steps) - 1
 
     def reduced_axiom(cid: int) -> tuple[int, Clause]:
-        """Step id and value of red(clause cid), deduplicated per conflict."""
-        if cid in axiom_cache:
-            return axiom_cache[cid]
+        """Step id and value of red(clause cid): an AXIOM step, and a
+        REDUCE step if reduction changes the clause. No id comes twice in
+        one analysis of a valid trail (a forcing clause stays satisfied)."""
         clause = qcnf.clauses[cid]
         sid = add(AXIOM, clause, source=cid)
         red = reduce_clause(clause, prefix)
         if red != clause:
             sid = add(REDUCE, red, src=sid)
-        axiom_cache[cid] = (sid, red)
-        return axiom_cache[cid]
+        return sid, red
 
     conflict = trail.entries[-1]
     cur_id, cur = reduced_axiom(conflict.antecedent)

@@ -196,10 +196,10 @@ def simulate_resolution(state: SimState, resolvent: Clause, pivot_var: int,
     w2 = state.witnesses.get(right)
     if w1 is None or w2 is None:
         raise SimulationError("premise witness missing; processing order broken")
-    return _resolution_cases(state, resolvent, pivot, left, right, w1, w2)
+    return _resolution_cases(state, resolvent, pivot, w1, w2)
 
 
-def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
+def _resolution_cases(state, resolvent, pivot, w1, w2):
     l1, a1 = w1.literal, w1.decisions
     l2, a2 = w2.literal, w2.decisions
 
@@ -241,7 +241,7 @@ def _resolution_cases(state, resolvent, pivot, left, right, w1, w2):
         return w
     # The new witness propagates the pivot itself: restart and run the
     # mixed construction with it.
-    return _resolution_cases(state, resolvent, pivot, left, right, w, w2)
+    return _resolution_cases(state, resolvent, pivot, w, w2)
 
 
 def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witness | None:

@@ -88,14 +88,12 @@ def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:
     saturations_total = 0
     saturation_streak = 0
 
-    def stats(extra=None):
-        out = {
+    def stats():
+        return {
             "conflicts": len(rounds),
             "saturations": saturations_total,
             "iota_size": sum(len(r.trail) for r in rounds),
         }
-        out.update(extra or {})
-        return out
 
     trail = Trail(cfg.decision_policy, cfg.propagation_policy)
     while True:

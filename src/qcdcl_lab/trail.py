@@ -175,8 +175,8 @@ class _Watches:
     the true/false bitmasks of the trail entries it has processed."""
 
     def __init__(self, qcnf: QCNF, policy: str):
-        # The clause list, not the QCNF or checker, so that the states
-        # they keep do not make a reference cycle.
+        # The clause list, not the QCNF, so that the states it keeps do
+        # not make a reference cycle.
         self.clauses = qcnf.clauses
         self.masks = qcnf.masks
         self.prefix = qcnf.prefix
@@ -236,11 +236,11 @@ class _Watches:
             self.attached += 1
 
 
-def _trail_watches(qcnf: QCNF | TrailChecker, trail: Trail) -> _Watches:
-    """The trail's watch state. The database (or a trail checker) keeps,
-    per propagation policy, the states of the empty trail and of the trail
-    it served last; any other trail forks the empty trail's state and
-    replays its entries."""
+def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
+    """The trail's watch state. The database keeps, per propagation
+    policy, the states of the empty trail and of the trail it served last,
+    be it a propagated trail or its trail checker's shadow; any other
+    trail forks the empty trail's state and replays its entries."""
     policy = trail.propagation_policy
     empty, served, w = qcnf.watches.get(policy) or (_Watches(qcnf, policy), None, None)
     if served is not trail:
@@ -405,8 +405,8 @@ def decide_in_order(qcnf: QCNF, trail: Trail, decisions, forced=None) -> int | N
 
 
 class TrailChecker:
-    """Validates trails against a clause list that only grows, walking
-    only what differs from the trail it checked last.
+    """Validates trails against a clause database that only grows,
+    walking only what differs from the trail it checked last.
 
     It keeps a shadow of the last trail walked and, per shadow entry, the
     problems found there that do not depend on naturality. ``check``
@@ -419,22 +419,15 @@ class TrailChecker:
     entry stand.
 
     Naturality is asked the way ``decide`` asks it: at each natural
-    position ``_next_forced`` reads the shadow's watch state, which
-    ``_trail_watches`` keeps in the checker's own ``watches`` as it does
-    in a database's. Watch states are never undone: an undo that pops
-    entries makes the shadow a new trail object, whose state forks the
-    empty trail's again. A checker that never walks a natural position
-    keeps no watch state. Like ``_Watches`` it holds the clause list, its
-    masks and the prefix, not the QCNF that keeps it, and it keeps the
-    true/false bitmasks of the shadow's assignment for the antecedent
-    certificates.
+    position ``_next_forced`` reads the shadow's watch state, which the
+    database passed to ``check`` keeps as it keeps any trail's. Watch
+    states are never undone: an undo that pops entries makes the shadow a
+    new trail object, whose state forks the empty trail's again. The
+    checker holds no reference to the database; it keeps the true/false
+    bitmasks of the shadow's assignment for the antecedent certificates.
     """
 
-    def __init__(self, qcnf: QCNF):
-        self.clauses = qcnf.clauses
-        self.masks = qcnf.masks
-        self.prefix = qcnf.prefix
-        self.watches: dict = {}
+    def __init__(self):
         self.shadow: Trail | None = None
 
     def _reset(self, decision_policy: str, propagation_policy: str):
@@ -443,9 +436,9 @@ class TrailChecker:
         self._true = self._false = 0       # the shadow's assignment, as bitmasks
         self._fence = math.inf             # first shadow position that may not be shared
 
-    def check(self, trail: Trail, natural_from: int = 0) -> list[str]:
-        """The trail's problems against the checker's clauses, naturality
-        enforced from entry ``natural_from`` on (see ``validate_trail``)."""
+    def check(self, qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]:
+        """The trail's problems against ``qcnf`` (the same database on every
+        call), naturality enforced from entry ``natural_from`` on."""
         shadow = self.shadow
         if shadow is None or (shadow.decision_policy, shadow.propagation_policy) != (
             trail.decision_policy, trail.propagation_policy
@@ -457,10 +450,11 @@ class TrailChecker:
         shared = 0
         while shared < limit and (entries[shared] is mine[shared] or entries[shared] == mine[shared]):
             shared += 1
-        self._undo(shared)
+        prefix = qcnf.prefix
+        self._undo(shared, prefix.rank)
         problems = [p for found in self._log for p in found]
 
-        prefix, shadow = self.prefix, self.shadow
+        shadow = self.shadow
         assignment = shadow.assignment
         for pos in range(shared, len(entries)):
             e = entries[pos]
@@ -469,11 +463,11 @@ class TrailChecker:
             if lit == 0:
                 if pos != len(entries) - 1:
                     found.append(f"entry {pos}: conflict marker not rightmost")
-                if not self._certifies(e.antecedent, 0):
+                if not self._certifies(qcnf, e.antecedent, 0):
                     found.append(f"entry {pos}: antecedent does not certify the conflict")
                 problems += found
                 self._fence = min(self._fence, pos)
-                self._push(e, found)
+                self._push(e, found, prefix.rank)
                 continue
             if abs(lit) in assignment:
                 problems.append(f"entry {pos}: variable {abs(lit)} repeated")
@@ -481,7 +475,7 @@ class TrailChecker:
             if lit not in prefix:
                 problems.append(f"entry {pos}: variable {abs(lit)} not bound by the prefix")
                 break
-            pending = _next_forced(_trail_watches(self, shadow)) if pos >= natural_from else None
+            pending = _next_forced(_trail_watches(qcnf, shadow)) if pos >= natural_from else None
             if e.is_decision:
                 if pending is not None:
                     problems.append(f"entry {pos}: decision skips pending propagation")
@@ -491,26 +485,26 @@ class TrailChecker:
             else:
                 if not prefix.is_existential(lit):
                     found.append(f"entry {pos}: propagated literal {lit} not existential")
-                if not self._certifies(e.antecedent, lit):
+                if not self._certifies(qcnf, e.antecedent, lit):
                     found.append(f"entry {pos}: antecedent does not certify {lit}")
                 problems += found
                 if pending is not None and pending[0] == 0:
                     problems.append(f"entry {pos}: propagation taken while a conflict exists")
-                if e.antecedent >= len(self.clauses):
+                if e.antecedent >= len(qcnf.clauses):
                     self._fence = min(self._fence, pos)
-            self._push(e, found)
+            self._push(e, found, prefix.rank)
         return problems
 
-    def _certifies(self, clause_id, lit: int) -> bool:
+    def _certifies(self, qcnf: QCNF, clause_id, lit: int) -> bool:
         """Clause ``clause_id`` forces ``lit`` (0: is falsified) under the
         shadow; an id naming no clause certifies nothing."""
-        if clause_id is None or not 0 <= clause_id < len(self.clauses):
+        if clause_id is None or not 0 <= clause_id < len(qcnf.clauses):
             return False
-        fill_masks(self.masks, self.clauses, self.prefix)
-        return clause_status(self.masks[clause_id], self._true, self._false, self.prefix,
+        fill_masks(qcnf.masks, qcnf.clauses, qcnf.prefix)
+        return clause_status(qcnf.masks[clause_id], self._true, self._false, qcnf.prefix,
                              self.shadow.propagation_policy) == lit
 
-    def _push(self, e: TrailEntry, found: list[str]):
+    def _push(self, e: TrailEntry, found: list[str], rank):
         """Append ``e`` to the shadow with its problems."""
         shadow = self.shadow
         self._log.append(found)
@@ -519,21 +513,20 @@ class TrailChecker:
             if e.antecedent is None:
                 shadow.starts.append(len(shadow.entries))
             shadow.assignment[abs(lit)] = lit > 0
-            bit = 1 << self.prefix.rank[lit]
+            bit = 1 << rank[lit]
             if lit > 0:
                 self._true |= bit
             else:
                 self._false |= bit
         shadow.entries.append(e)
 
-    def _undo(self, depth: int):
+    def _undo(self, depth: int, rank):
         """Pop shadow entries down to ``depth``. The shortened shadow is a
         new trail object, so ``_trail_watches`` forks its watch state from
         the empty trail's instead of reusing the popped entries' state."""
         shadow = self.shadow
         entries = shadow.entries
         if len(entries) > depth:
-            rank = self.prefix.rank
             while len(entries) > depth:
                 e = entries.pop()
                 if e.lit:
@@ -560,5 +553,5 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     the trail does not share with the trail checked before.
     """
     if qcnf.checker is None:
-        qcnf.checker = TrailChecker(qcnf)
-    return qcnf.checker.check(trail, natural_from)
+        qcnf.checker = TrailChecker()
+    return qcnf.checker.check(qcnf, trail, natural_from)

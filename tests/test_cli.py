@@ -167,6 +167,15 @@ def test_error_exit_code(tmp_path, capsys):
         ["gen", "--family", "random", "--n", "3", "--m", "2", "--c", "1e300"],
         ["gen", "--family", "php", "--n", "0"],
         ["goldens", "--qparity-n", "1"],
+        # Over 100,000 variables or clauses: refused before anything is
+        # built, which would run out of memory or time.
+        ["gen", "--family", "trapdoor", "--n", "300"],
+        ["gen", "--family", "lonsing", "--n", "3000"],
+        ["gen", "--family", "php", "--n", "2000"],
+        ["gen", "--family", "php", "--n", "1", "--m", "1000"],
+        ["gen", "--family", "qparity", "--n", "100000000"],
+        ["gen", "--family", "equality", "--n", "100000000"],
+        ["goldens", "--qparity-n", "100000000"],
         solve + ["--max-conflicts", "0"],
         solve[:2] + [str(tmp_path / "missing.q")] + solve[3:],
         ["gen", "--family", "equality", "--n", "2", "-o", str(tmp_path / "no" / "x.q")],

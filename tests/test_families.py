@@ -4,7 +4,7 @@ import pytest
 
 from qcdcl_lab import FamilySpec, evaluate_semantics, generate, xt_check
 from qcdcl_lab.errors import TooLargeError
-from qcdcl_lab.families import random_qcnf, trapdoor_size
+from qcdcl_lab.families import instance_size, random_qcnf, trapdoor_size
 from qcdcl_lab.formula import EXISTS, FORALL
 from qcdcl_lab.qdimacs import parse_qdimacs, serialize_qdimacs
 
@@ -82,6 +82,15 @@ class TestGenerators:
             assert sum(1 for v in vs if v <= n * n) == 2          # two X vars
             assert sum(1 for v in vs if n * n < v <= n * n + n * m) == 1
             assert sum(1 for v in vs if v > n * n + n * m) == 1   # the block output
+
+    def test_instance_size_counts_what_generate_builds(self):
+        specs = [FamilySpec(family, n) for family in ("qparity", "php", "trapdoor",
+                                                      "lonsing", "equality")
+                 for n in (2, 3, 4)]
+        specs += [FamilySpec("php", 3, m=2), FamilySpec("php", 2, m=5)]
+        for spec in specs:
+            f = generate(spec)
+            assert instance_size(spec) == (f.num_vars, len(f.clauses)), spec
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import Clause, make_clause
 from qcdcl_lab.goldens import qparity_script
 from qcdcl_lab.learning import LearningScheme, learn
+from qcdcl_lab.proofs import AXIOM
 from qcdcl_lab.solver import SolverConfig, solve
 
 from conftest import ALL_PAIRS_FALSE, corpus_cases, entry_times, random_small_qcnf, trail_corpus
@@ -293,10 +294,14 @@ def _conflicted_corpus():
 
 def test_step_ids_are_positions():
     """``derivation_for`` slices the steps by the conclusion's id, which
-    relies on every step's id being its position in the list."""
+    relies on every step's id being its position in the list. No clause
+    id is the source of two AXIOM steps: on a valid trail no clause comes
+    twice in one analysis, so ``learnable_sequence`` keeps no cache."""
     for qcnf, trail in _conflicted_corpus():
         seq = learnable_sequence(trail, qcnf)
         assert [s.step_id for s in seq.steps] == list(range(len(seq.steps)))
+        sources = [s.source for s in seq.steps if s.kind == AXIOM]
+        assert len(sources) == len(set(sources))
 
 
 def _assert_early_stop_agrees(qcnf, trail):

@@ -201,7 +201,7 @@ def rebuilt(trail, entries, pair=None):
 
 def fresh_walk(qcnf, trail, natural_from=0):
     """A fresh ``TrailChecker`` walks the whole trail."""
-    return TrailChecker(qcnf).check(trail, natural_from)
+    return TrailChecker().check(qcnf, trail, natural_from)
 
 
 def from_scratch(qcnf, proof):

@@ -39,10 +39,11 @@ from qcdcl_lab.trail import (
     decide,
     legal_decisions,
     propagate_to_fixpoint,
+    validate_trail,
 )
 
 from conftest import ALL_POLICY_PAIRS, last_time, random_small_qcnf
-from test_trail import unit_scan
+from test_trail import reference_validate_trail, unit_scan
 
 ENGINE_USERS = (
     "qcdcl_lab.solver", "qcdcl_lab.replay", "qcdcl_lab.simulation", "qcdcl_lab.trail"
@@ -146,7 +147,10 @@ def test_random_walks_with_added_clauses_and_copies():
     backtrack to the trail's own last time) and backtracks; after every
     step the engine's trail equals the oracle's. Before each propagation
     ``decide`` must refuse exactly when the oracle's scan finds a unit or a
-    conflict; when it accepts, the oracle's trail takes the same decision."""
+    conflict; when it accepts, the oracle's trail takes the same decision.
+    Before every step and after every propagation the database's trail
+    check, which shares the database's watch states with propagation,
+    agrees with the rescanning reference on the oracle's trail."""
     rng = random.Random(11)
     for _ in range(400):
         f = random_small_qcnf(rng, max_vars=8, max_clauses=10)
@@ -155,6 +159,7 @@ def test_random_walks_with_added_clauses_and_copies():
             ta, tb = Trail(d, r), Trail(d, r)
             variables = sorted(f.prefix.variables)
             for _step in range(12):
+                assert validate_trail(fa, ta) == reference_validate_trail(fb, tb), (d, r)
                 pending = bool(unit_scan(fb, tb).entries)
                 legal = sorted(legal_decisions(ta, fa))
                 if legal:
@@ -168,6 +173,7 @@ def test_random_walks_with_added_clauses_and_copies():
                 propagate_to_fixpoint(fa, ta)
                 rescan_to_fixpoint(fb, tb)
                 assert dump_trail(ta) == dump_trail(tb), (d, r)
+                assert validate_trail(fa, ta) == reference_validate_trail(fb, tb), (d, r)
                 if ta.conflicted:
                     break
                 move = rng.random()

@@ -150,11 +150,11 @@ class TestStore:
                 bad = mutated_trail(qcnf, t, (ASS_ORD, NO_RED), rng.choice(MUTATIONS),
                                     rng.randrange(size), rng.randrange(size),
                                     rng.randrange(len(qcnf.clauses)))
-                assert validate_trail(qcnf, bad, len(bad)) == TrailChecker(qcnf).check(
-                    bad, len(bad))
+                assert validate_trail(qcnf, bad, len(bad)) == TrailChecker().check(
+                    qcnf, bad, len(bad))
             verdict = original(qcnf, witness, clause)
             assert verdict == original(qcnf.copy(), witness, clause)
-            assert validate_trail(qcnf, t, len(t)) == TrailChecker(qcnf).check(t, len(t))
+            assert validate_trail(qcnf, t, len(t)) == TrailChecker().check(qcnf, t, len(t))
             verdicts.append(verdict)
             return verdict
 

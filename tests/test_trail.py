@@ -273,10 +273,10 @@ class TestValidator:
         f = example_phi.copy()
         t = Trail(LEV_ORD, RED)
         t.append_propagation(-3, 4)
-        checker = TrailChecker(f)
-        assert checker.check(t, 1) == ["entry 0: antecedent does not certify -3"]
+        checker = TrailChecker()
+        assert checker.check(f, t, 1) == ["entry 0: antecedent does not certify -3"]
         f.add_clause(f.clauses[1])
-        assert checker.check(t, 1) == validate_trail(f, t, 1) == []
+        assert checker.check(f, t, 1) == validate_trail(f, t, 1) == []
 
     def test_checker_reclassifies_clauses_an_undo_unclassified(self):
         # Clause 1, (1 -2), is added after the first check and classified
@@ -285,14 +285,14 @@ class TestValidator:
         # 1 once 2 is decided.
         f = parse_qdimacs("p cnf 3 1\ne 1 2 3 0\n1 2 3 0\n")
         pair = (ANY_ORD, NO_RED)
-        checker = TrailChecker(f)
-        assert checker.check(trail_of([TrailEntry(-1, None)], pair), 0) == []
+        checker = TrailChecker()
+        assert checker.check(f, trail_of([TrailEntry(-1, None)], pair), 0) == []
         f.add_clause(make_clause(f.prefix, [1, -2]))
         expected = ["entry 1: decision skips pending propagation"]
         for entries, natural_from in (((-1, 3), 1), ((2, 3), 0)):
             t = trail_of([TrailEntry(lit, None) for lit in entries], pair)
-            assert checker.check(t, natural_from) == expected
-            assert TrailChecker(f).check(t, natural_from) == expected
+            assert checker.check(f, t, natural_from) == expected
+            assert TrailChecker().check(f, t, natural_from) == expected
             assert reference_validate_trail(f, t, natural_from) == expected
 
     def test_a_reused_checker_gives_conflicts_priority(self):
@@ -302,26 +302,25 @@ class TestValidator:
         # the second trail through the watch state of the first.
         f = parse_qdimacs("p cnf 4 2\ne 1 2 3 4 0\n1 -3 0\n2 -3 0\n")
         pair = (ANY_ORD, NO_RED)
-        checker = TrailChecker(f)
+        checker = TrailChecker()
         first = trail_of([TrailEntry(4, None), TrailEntry(2, None), TrailEntry(3, None),
                           TrailEntry(1, 0)], pair)
-        assert checker.check(first, 0) == []
+        assert checker.check(f, first, 0) == []
         second = trail_of([TrailEntry(4, None), TrailEntry(-2, None), TrailEntry(3, None),
                            TrailEntry(1, 0)], pair)
         expected = ["entry 3: propagation taken while a conflict exists"]
-        assert checker.check(second, 3) == expected
-        assert TrailChecker(f).check(second, 3) == expected
+        assert checker.check(f, second, 3) == expected
+        assert TrailChecker().check(f, second, 3) == expected
         assert reference_validate_trail(f, second, 3) == expected
 
     def test_the_database_state_forms_no_reference_cycle(self, example_phi):
-        # The watch states and the checker a QCNF keeps, and the checker's
-        # own watch states, hold its clause list, masks and prefix, not the
+        # The watch states a QCNF keeps hold its clause list, masks and
+        # prefix, not the QCNF, and its checker holds no reference to the
         # QCNF, so dropping the QCNF frees them without the cycle collector.
         f = example_phi.copy()
         t = propagate_to_fixpoint(f, Trail(LEV_ORD, RED))
         assert validate_trail(f, t) == []
-        refs = [weakref.ref(x) for x in (f, f.checker, *f.watches[RED][::2],
-                                          *f.checker.watches[RED][::2])]
+        refs = [weakref.ref(x) for x in (f, f.checker, *f.watches[RED][::2])]
         gc.disable()
         try:
             del f
