@@ -80,4 +80,7 @@ class InputNotRefutationError(QcdclError):
 
 
 class TooLargeError(QcdclError):
-    """The formula exceeds the exhaustive game evaluator's variable bound."""
+    """An instance exceeds a size bound: ``generate`` and ``random_qcnf``
+    refuse one over ``families.MAX_SIZE`` variables or clauses before
+    building it, and the exhaustive game evaluator one over its variable
+    bound."""

@@ -294,13 +294,11 @@ class QCNF:
             self._ids.setdefault(c, cid)
         # Incremental state over the clause list, kept by the ``trail``
         # module: ``clause_masks`` as far as propagation, a check or ``copy``
-        # needed them; per propagation policy, the watch states of the empty
-        # trail and of the trail served last (with that trail), be it a
-        # propagated trail or the checker's shadow; and the one
-        # ``TrailChecker`` of ``validate_trail``, which keeps no watch state.
+        # needed them; and per propagation policy, the watch states of the
+        # empty trail and of the trail served last (with that trail), be it
+        # a propagated trail or the shadow a ``validate_trail`` walk grows.
         self.masks: list[tuple[int, int, int]] = []
         self.watches: dict = {}
-        self.checker = None
 
     def add_clause(self, c: Clause) -> tuple[int, bool]:
         """Append ``c``; returns its id and whether it was already present."""
@@ -321,7 +319,6 @@ class QCNF:
         fill_masks(self.masks, self.clauses, self.prefix)
         out.masks = self.masks[:]
         out.watches = {}
-        out.checker = None
         return out
 
     @property

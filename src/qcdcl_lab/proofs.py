@@ -235,11 +235,9 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
     trail with problems is not run: its sequence is not defined.
 
     The rounds are checked through ``validate_trail`` on one copy of the
-    formula, whose checker undoes each round's trail to the prefix shared
-    with the trail checked before, at most to the backtrack point, and
-    walks only the entries after it. A round reports the problems of every
-    entry of its trail, inherited ones included, exactly as a fresh
-    ``TrailChecker`` would.
+    formula that grows by each round's learned clause. Each round's trail
+    is walked from entry 0, so a round reports the problems of every entry
+    of its trail, inherited ones included.
     """
     from .learning import LearningScheme, learnable_sequence  # cycle guard
 

@@ -59,9 +59,9 @@ def parse_script(text: str) -> ReplayScript:
         cur = rounds[-1]
         directive, args = fields[0], fields[1:]
         if directive == "d":
-            cur.decisions.extend(_ints(line_no, args))
+            cur.decisions.extend(_literals(line_no, args))
         elif directive == "p" and len(args) == 2:
-            cur.forced.append(tuple(_ints(line_no, args)))
+            cur.forced.append((*_literals(line_no, args[:1]), *_ints(line_no, args[1:])))
         elif directive == "learn" and len(args) == 1:
             try:
                 parse_scheme(args[0])
@@ -86,6 +86,13 @@ def _ints(line_no, fields):
         return [int(f) for f in fields]
     except ValueError:
         raise ScriptDivergenceError(f"line {line_no}: non-integer token") from None
+
+
+def _literals(line_no, fields):
+    lits = _ints(line_no, fields)
+    if 0 in lits:
+        raise ScriptDivergenceError(f"line {line_no}: 0 is not a literal")
+    return lits
 
 
 def serialize_script(script: ReplayScript) -> str:

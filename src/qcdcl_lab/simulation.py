@@ -65,9 +65,7 @@ def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause) -> bool:
 
     A witness trail is never extended, clause ids are stable and clauses
     are only ever added, so a witness that validates once stays valid as
-    the formula grows. For the same reason the formula's trail checker
-    (``validate_trail``) walks only the part of the trail that differs
-    from the one it checked last.
+    the formula grows: ``store`` validates each witness once.
     """
     t = witness.trail
     if t.conflicted:

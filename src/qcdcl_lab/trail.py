@@ -12,7 +12,6 @@ Times: (s, t) names the subtrail through the t-th propagation of level s;
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -239,8 +238,8 @@ class _Watches:
 def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
     """The trail's watch state. The database keeps, per propagation
     policy, the states of the empty trail and of the trail it served last,
-    be it a propagated trail or its trail checker's shadow; any other
-    trail forks the empty trail's state and replays its entries."""
+    be it a propagated trail or the shadow ``validate_trail`` grows; any
+    other trail forks the empty trail's state and replays its entries."""
     policy = trail.propagation_policy
     empty, served, w = qcnf.watches.get(policy) or (_Watches(qcnf, policy), None, None)
     if served is not trail:
@@ -404,143 +403,6 @@ def decide_in_order(qcnf: QCNF, trail: Trail, decisions, forced=None) -> int | N
 # -- validation ------------------------------------------------------------
 
 
-class TrailChecker:
-    """Validates trails against a clause database that only grows,
-    walking only what differs from the trail it checked last.
-
-    It keeps a shadow of the last trail walked and, per shadow entry, the
-    problems found there that do not depend on naturality. ``check``
-    undoes the shadow to the longest prefix it shares with the new trail
-    and walks the rest. That prefix ends before ``natural_from``, before a
-    conflict marker (whether it is rightmost depends on the trail) and
-    before an antecedent id beyond the clause list (it may name a clause
-    later); its entries' problems are reported again. Clause ids are
-    stable and clauses are only added, so the other verdicts of a shared
-    entry stand.
-
-    Naturality is asked the way ``decide`` asks it: at each natural
-    position ``_next_forced`` reads the shadow's watch state, which the
-    database passed to ``check`` keeps as it keeps any trail's. Watch
-    states are never undone: an undo that pops entries makes the shadow a
-    new trail object, whose state forks the empty trail's again. The
-    checker holds no reference to the database; it keeps the true/false
-    bitmasks of the shadow's assignment for the antecedent certificates.
-    """
-
-    def __init__(self):
-        self.shadow: Trail | None = None
-
-    def _reset(self, decision_policy: str, propagation_policy: str):
-        self.shadow = Trail(decision_policy, propagation_policy)
-        self._log: list[list[str]] = []   # per shadow entry: its problems
-        self._true = self._false = 0       # the shadow's assignment, as bitmasks
-        self._fence = math.inf             # first shadow position that may not be shared
-
-    def check(self, qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]:
-        """The trail's problems against ``qcnf`` (the same database on every
-        call), naturality enforced from entry ``natural_from`` on."""
-        shadow = self.shadow
-        if shadow is None or (shadow.decision_policy, shadow.propagation_policy) != (
-            trail.decision_policy, trail.propagation_policy
-        ):
-            self._reset(trail.decision_policy, trail.propagation_policy)
-            shadow = self.shadow
-        entries, mine = trail.entries, shadow.entries
-        limit = min(natural_from, len(entries), len(mine), self._fence)
-        shared = 0
-        while shared < limit and (entries[shared] is mine[shared] or entries[shared] == mine[shared]):
-            shared += 1
-        prefix = qcnf.prefix
-        self._undo(shared, prefix.rank)
-        problems = [p for found in self._log for p in found]
-
-        shadow = self.shadow
-        assignment = shadow.assignment
-        for pos in range(shared, len(entries)):
-            e = entries[pos]
-            lit = e.lit
-            found = []
-            if lit == 0:
-                if pos != len(entries) - 1:
-                    found.append(f"entry {pos}: conflict marker not rightmost")
-                if not self._certifies(qcnf, e.antecedent, 0):
-                    found.append(f"entry {pos}: antecedent does not certify the conflict")
-                problems += found
-                self._fence = min(self._fence, pos)
-                self._push(e, found, prefix.rank)
-                continue
-            if abs(lit) in assignment:
-                problems.append(f"entry {pos}: variable {abs(lit)} repeated")
-                break
-            if lit not in prefix:
-                problems.append(f"entry {pos}: variable {abs(lit)} not bound by the prefix")
-                break
-            pending = _next_forced(_trail_watches(qcnf, shadow)) if pos >= natural_from else None
-            if e.is_decision:
-                if pending is not None:
-                    problems.append(f"entry {pos}: decision skips pending propagation")
-                if not _admits(shadow, lit, prefix):
-                    found.append(f"entry {pos}: decision {lit} violates {trail.decision_policy}")
-                problems += found
-            else:
-                if not prefix.is_existential(lit):
-                    found.append(f"entry {pos}: propagated literal {lit} not existential")
-                if not self._certifies(qcnf, e.antecedent, lit):
-                    found.append(f"entry {pos}: antecedent does not certify {lit}")
-                problems += found
-                if pending is not None and pending[0] == 0:
-                    problems.append(f"entry {pos}: propagation taken while a conflict exists")
-                if e.antecedent >= len(qcnf.clauses):
-                    self._fence = min(self._fence, pos)
-            self._push(e, found, prefix.rank)
-        return problems
-
-    def _certifies(self, qcnf: QCNF, clause_id, lit: int) -> bool:
-        """Clause ``clause_id`` forces ``lit`` (0: is falsified) under the
-        shadow; an id naming no clause certifies nothing."""
-        if clause_id is None or not 0 <= clause_id < len(qcnf.clauses):
-            return False
-        fill_masks(qcnf.masks, qcnf.clauses, qcnf.prefix)
-        return clause_status(qcnf.masks[clause_id], self._true, self._false, qcnf.prefix,
-                             self.shadow.propagation_policy) == lit
-
-    def _push(self, e: TrailEntry, found: list[str], rank):
-        """Append ``e`` to the shadow with its problems."""
-        shadow = self.shadow
-        self._log.append(found)
-        lit = e.lit
-        if lit:
-            if e.antecedent is None:
-                shadow.starts.append(len(shadow.entries))
-            shadow.assignment[abs(lit)] = lit > 0
-            bit = 1 << rank[lit]
-            if lit > 0:
-                self._true |= bit
-            else:
-                self._false |= bit
-        shadow.entries.append(e)
-
-    def _undo(self, depth: int, rank):
-        """Pop shadow entries down to ``depth``. The shortened shadow is a
-        new trail object, so ``_trail_watches`` forks its watch state from
-        the empty trail's instead of reusing the popped entries' state."""
-        shadow = self.shadow
-        entries = shadow.entries
-        if len(entries) > depth:
-            while len(entries) > depth:
-                e = entries.pop()
-                if e.lit:
-                    del shadow.assignment[abs(e.lit)]
-                    keep = ~(1 << rank[e.lit])
-                    self._true &= keep
-                    self._false &= keep
-                    if e.antecedent is None:
-                        shadow.starts.pop()
-            del self._log[depth:]
-            self.shadow = copy.copy(shadow)
-        self._fence = math.inf   # shared entries are never fenced
-
-
 def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]:
     """Re-derive every trail condition from the formula; returns violations.
 
@@ -549,9 +411,62 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     legality and shape conditions are always enforced. Positions before
     ``natural_from`` belong to an inherited backtrack prefix, whose
     propagations were natural with respect to an earlier clause set.
-    The database keeps one ``TrailChecker``, so a check walks only what
-    the trail does not share with the trail checked before.
+
+    The walk grows a shadow of the trail from entry 0, with the true/false
+    bitmasks of its assignment for the antecedent certificates. Naturality
+    is asked the way ``decide`` asks it: at each natural position
+    ``_next_forced`` reads the shadow's watch state, which the database
+    keeps as it keeps any trail's.
     """
-    if qcnf.checker is None:
-        qcnf.checker = TrailChecker()
-    return qcnf.checker.check(qcnf, trail, natural_from)
+    prefix, clauses, masks, rank = qcnf.prefix, qcnf.clauses, qcnf.masks, qcnf.prefix.rank
+    policy = trail.propagation_policy
+    fill_masks(masks, clauses, prefix)
+    shadow = Trail(trail.decision_policy, policy)
+    assignment = shadow.assignment
+    true = false = 0
+
+    def certifies(cid, lit: int) -> bool:
+        """Clause ``cid`` forces ``lit`` (0: is falsified) under the shadow;
+        an id naming no clause certifies nothing."""
+        return (cid is not None and 0 <= cid < len(clauses)
+                and clause_status(masks[cid], true, false, prefix, policy) == lit)
+
+    problems: list[str] = []
+    entries = trail.entries
+    for pos, e in enumerate(entries):
+        lit = e.lit
+        if lit == 0:
+            if pos != len(entries) - 1:
+                problems.append(f"entry {pos}: conflict marker not rightmost")
+            if not certifies(e.antecedent, 0):
+                problems.append(f"entry {pos}: antecedent does not certify the conflict")
+            shadow.entries.append(e)
+            continue
+        if abs(lit) in assignment:
+            problems.append(f"entry {pos}: variable {abs(lit)} repeated")
+            break
+        if lit not in prefix:
+            problems.append(f"entry {pos}: variable {abs(lit)} not bound by the prefix")
+            break
+        pending = _next_forced(_trail_watches(qcnf, shadow)) if pos >= natural_from else None
+        if e.is_decision:
+            if pending is not None:
+                problems.append(f"entry {pos}: decision skips pending propagation")
+            if not _admits(shadow, lit, prefix):
+                problems.append(f"entry {pos}: decision {lit} violates {trail.decision_policy}")
+            shadow.starts.append(pos)
+        else:
+            if not prefix.is_existential(lit):
+                problems.append(f"entry {pos}: propagated literal {lit} not existential")
+            if not certifies(e.antecedent, lit):
+                problems.append(f"entry {pos}: antecedent does not certify {lit}")
+            if pending is not None and pending[0] == 0:
+                problems.append(f"entry {pos}: propagation taken while a conflict exists")
+        # Shared entries, not ``append_*`` calls: those allocate an entry each.
+        shadow.entries.append(e)
+        assignment[abs(lit)] = lit > 0
+        if lit > 0:
+            true |= 1 << rank[lit]
+        else:
+            false |= 1 << rank[lit]
+    return problems

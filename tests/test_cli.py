@@ -155,6 +155,8 @@ def test_error_exit_code(tmp_path, capsys):
     solve = ["solve", "--input", str(formula), "--decision", "lev-ord", "--propagation", "red"]
     not_utf8 = tmp_path / "not-utf8.txt"
     not_utf8.write_bytes(b"p cnf 1 1\ne 1 0\n1 0\nc \xff\n")
+    zero = tmp_path / "zero.script"
+    zero.write_text("round\nd 0\nlearn dec\nback restart\n")
     for argv in (
         ["eval", "--input", str(not_utf8)],
         ["check", "--input", str(formula), "--proof", str(not_utf8)],
@@ -176,6 +178,8 @@ def test_error_exit_code(tmp_path, capsys):
         ["gen", "--family", "qparity", "--n", "100000000"],
         ["gen", "--family", "equality", "--n", "100000000"],
         ["goldens", "--qparity-n", "100000000"],
+        ["replay", "--input", str(formula), "--script", str(zero),
+         "--decision", "lev-ord", "--propagation", "red"],
         solve + ["--max-conflicts", "0"],
         solve[:2] + [str(tmp_path / "missing.q")] + solve[3:],
         ["gen", "--family", "equality", "--n", "2", "-o", str(tmp_path / "no" / "x.q")],

@@ -31,7 +31,7 @@ from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.learning import DEC
 from qcdcl_lab.proofs import AXIOM, Derivation, ProofStep, QcdclProof, RESOLVE, Round
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import TrailChecker, TrailEntry
+from qcdcl_lab.trail import TrailEntry
 
 from conftest import (
     EVERY_POLICY_PAIR,
@@ -43,6 +43,7 @@ from conftest import (
     proof_corpus,
     trail_of,
 )
+from test_trail import reference_validate_trail
 
 
 class TestCheckDerivation:
@@ -199,15 +200,10 @@ def rebuilt(trail, entries, pair=None):
                     trail.resumed_at)
 
 
-def fresh_walk(qcnf, trail, natural_from=0):
-    """A fresh ``TrailChecker`` walks the whole trail."""
-    return TrailChecker().check(qcnf, trail, natural_from)
-
-
 def from_scratch(qcnf, proof):
     """The per-round from-scratch validator: every round's trail check is
-    a fresh walk instead of the database's incremental checker."""
-    with mock.patch.object(proofs, "validate_trail", fresh_walk):
+    the rescanning ``reference_validate_trail`` instead of the watch engine."""
+    with mock.patch.object(proofs, "validate_trail", reference_validate_trail):
         return validate_qcdcl_proof(qcnf, proof)
 
 
@@ -261,8 +257,8 @@ def mutated_proofs(draw):
 
 
 class TestRoundsMatchTheFromScratchValidator:
-    """One checker across the rounds reports exactly what a fresh
-    ``TrailChecker`` per round reports, shared-prefix problems included."""
+    """The rounds' trail checks report exactly what the rescanning oracle
+    reports per round, inherited-prefix problems included."""
 
     def test_every_corpus_proof(self):
         for qcnf, proof in proof_corpus():

@@ -166,6 +166,11 @@ class TestScriptMechanics:
             parse_script(f"round\n{directive}\n")
         assert err.value.args[0].startswith("line 2: ")
 
+    @pytest.mark.parametrize("directive", ["d 0", "d 1 0 -2", "p 0 3"])
+    def test_literal_zero_rejected(self, directive):
+        with pytest.raises(ScriptDivergenceError, match=r"^line 2: 0 is not a literal$"):
+            parse_script(f"round\n{directive}\n")
+
     def test_learn_index_beyond_the_sequence_is_a_divergence(self):
         f = generate(FamilySpec("equality", 2))
         text = serialize_script(equality_script(2)).replace("index:1", "index:99", 1)

@@ -32,12 +32,12 @@ from qcdcl_lab.trail import (
     LEV_ORD,
     NO_RED,
     Trail,
-    TrailChecker,
     propagate_to_fixpoint,
     validate_trail,
 )
 
 from conftest import MUTATIONS, check_refutation, mutated_trail, random_small_qcnf
+from test_trail import reference_validate_trail
 
 
 def state_for(qcnf) -> SimState:
@@ -132,11 +132,10 @@ class TestStore:
     )
     def test_the_store_checker_agrees_with_a_fresh_walk(self, family, n, decision,
                                                          monkeypatch):
-        # Every witness ``store`` checks gets the verdict of a fresh walk
-        # (``witness_valid`` on a copy of the formula, which has no checker
-        # yet) and its trail problems; before every other one, a mutated
-        # copy goes through the formula's checker, which must also match a
-        # fresh walk.
+        # Every witness ``store`` checks gets the verdict it gets on a copy
+        # of the formula, which has no watch state yet, and the trail
+        # problems of the rescanning oracle; before every other one, a
+        # mutated copy must also get the oracle's problems.
         f = generate(FamilySpec(family, n))
         refutation = glue_qcdcl_proof(f, solve(f, SolverConfig(decision, NO_RED)).proof)
         original = simulation.witness_valid
@@ -150,11 +149,11 @@ class TestStore:
                 bad = mutated_trail(qcnf, t, (ASS_ORD, NO_RED), rng.choice(MUTATIONS),
                                     rng.randrange(size), rng.randrange(size),
                                     rng.randrange(len(qcnf.clauses)))
-                assert validate_trail(qcnf, bad, len(bad)) == TrailChecker().check(
+                assert validate_trail(qcnf, bad, len(bad)) == reference_validate_trail(
                     qcnf, bad, len(bad))
             verdict = original(qcnf, witness, clause)
             assert verdict == original(qcnf.copy(), witness, clause)
-            assert validate_trail(qcnf, t, len(t)) == TrailChecker().check(qcnf, t, len(t))
+            assert validate_trail(qcnf, t, len(t)) == reference_validate_trail(qcnf, t, len(t))
             verdicts.append(verdict)
             return verdict
 

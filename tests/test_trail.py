@@ -32,7 +32,7 @@ from qcdcl_lab.errors import (
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import EXISTS, FORALL, QCNF, Prefix, clause_masks, make_clause
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import TrailChecker, TrailEntry, _admits, clause_status
+from qcdcl_lab.trail import TrailEntry, _admits, clause_status
 
 from conftest import (
     corpus_cases,
@@ -267,60 +267,57 @@ class TestValidator:
             assert validate_trail(f, bad) == expected
             assert reference_validate_trail(f, bad) == expected
 
-    def test_checker_rechecks_an_antecedent_id_added_since(self, example_phi):
+    def test_an_antecedent_id_added_later_is_rechecked(self, example_phi):
         # Clause 4 does not exist at the first check and certifies -3 at
-        # the second, so the entry's first verdict must not be reused.
+        # the second; between them ``add_clause`` grows the database the
+        # shadow's watch state is kept in.
         f = example_phi.copy()
         t = Trail(LEV_ORD, RED)
         t.append_propagation(-3, 4)
-        checker = TrailChecker()
-        assert checker.check(f, t, 1) == ["entry 0: antecedent does not certify -3"]
+        expected = ["entry 0: antecedent does not certify -3"]
+        assert validate_trail(f, t, 1) == reference_validate_trail(f, t, 1) == expected
         f.add_clause(f.clauses[1])
-        assert checker.check(f, t, 1) == validate_trail(f, t, 1) == []
+        assert validate_trail(f, t, 1) == reference_validate_trail(f, t, 1) == []
 
-    def test_checker_reclassifies_clauses_an_undo_unclassified(self):
-        # Clause 1, (1 -2), is added after the first check and classified
-        # after entry 0 of the second, where it forces -2. The third check
-        # undoes entry 0, so clause 1 must be classified again: it forces
-        # 1 once 2 is decided.
+    def test_a_clause_added_between_checks_is_watched_on_later_trails(self):
+        # Clause 1, (1 -2), is added after the first check. It forces -2
+        # after entry 0 of the second trail, and 1 once 2 is decided on
+        # the third, so a decision of 3 skips it on both.
         f = parse_qdimacs("p cnf 3 1\ne 1 2 3 0\n1 2 3 0\n")
         pair = (ANY_ORD, NO_RED)
-        checker = TrailChecker()
-        assert checker.check(f, trail_of([TrailEntry(-1, None)], pair), 0) == []
+        first = trail_of([TrailEntry(-1, None)], pair)
+        assert validate_trail(f, first, 0) == reference_validate_trail(f, first, 0) == []
         f.add_clause(make_clause(f.prefix, [1, -2]))
         expected = ["entry 1: decision skips pending propagation"]
         for entries, natural_from in (((-1, 3), 1), ((2, 3), 0)):
             t = trail_of([TrailEntry(lit, None) for lit in entries], pair)
-            assert checker.check(f, t, natural_from) == expected
-            assert TrailChecker().check(f, t, natural_from) == expected
+            assert validate_trail(f, t, natural_from) == expected
             assert reference_validate_trail(f, t, natural_from) == expected
 
-    def test_a_reused_checker_gives_conflicts_priority(self):
+    def test_conflicts_have_priority_after_a_trail_that_satisfied_the_clause(self):
         # The first trail satisfies clause 1, (2 -3), with 2; the second
         # decides -2 and 3 instead, so clause 1 is falsified when it
-        # propagates 1 through clause 0, (1 -3). The checker must not see
+        # propagates 1 through clause 0, (1 -3). The check must not see
         # the second trail through the watch state of the first.
         f = parse_qdimacs("p cnf 4 2\ne 1 2 3 4 0\n1 -3 0\n2 -3 0\n")
         pair = (ANY_ORD, NO_RED)
-        checker = TrailChecker()
         first = trail_of([TrailEntry(4, None), TrailEntry(2, None), TrailEntry(3, None),
                           TrailEntry(1, 0)], pair)
-        assert checker.check(f, first, 0) == []
+        assert validate_trail(f, first, 0) == reference_validate_trail(f, first, 0) == []
         second = trail_of([TrailEntry(4, None), TrailEntry(-2, None), TrailEntry(3, None),
                            TrailEntry(1, 0)], pair)
         expected = ["entry 3: propagation taken while a conflict exists"]
-        assert checker.check(f, second, 3) == expected
-        assert TrailChecker().check(f, second, 3) == expected
+        assert validate_trail(f, second, 3) == expected
         assert reference_validate_trail(f, second, 3) == expected
 
     def test_the_database_state_forms_no_reference_cycle(self, example_phi):
         # The watch states a QCNF keeps hold its clause list, masks and
-        # prefix, not the QCNF, and its checker holds no reference to the
-        # QCNF, so dropping the QCNF frees them without the cycle collector.
+        # prefix, not the QCNF, so dropping the QCNF frees them without the
+        # cycle collector.
         f = example_phi.copy()
         t = propagate_to_fixpoint(f, Trail(LEV_ORD, RED))
         assert validate_trail(f, t) == []
-        refs = [weakref.ref(x) for x in (f, f.checker, *f.watches[RED][::2])]
+        refs = [weakref.ref(x) for x in (f, *f.watches[RED][::2])]
         gc.disable()
         try:
             del f
