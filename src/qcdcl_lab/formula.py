@@ -5,6 +5,8 @@ arithmetic negation. The conflict marker used in trails is 0; it never occurs
 inside a clause. A clause may carry "merged" universal variables (both
 polarities present, as created by long-distance resolution); a merged
 variable is stored once in ``Clause.merged`` instead of as two literals.
+Both inferences run on a clause's ``clause_masks`` (``resolve_masks``,
+``reduce_masks``); ``resolve_clauses`` and ``reduce_clause`` wrap them.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ class Prefix:
         self.ranked = [v for _, variables in self.blocks for v in variables]
         self.rank = {l: i for i, v in enumerate(self.ranked) for l in (v, -v)}
         self.exist_bits = sum(1 << i for i, v in enumerate(self.ranked) if self._quant[v] == EXISTS)
+        # ``below[i]``: every bit whose level is at most the level of bit i,
+        # a prefix of the bits since rank order starts with the level.
+        self.below = []
+        for _, variables in self.blocks:
+            self.below += [(1 << (len(self.below) + len(variables))) - 1] * len(variables)
 
     def level(self, var: int) -> int:
         return self._level[abs(var)]
@@ -180,6 +187,24 @@ def fill_masks(masks: list, clauses: list, prefix: Prefix):
         masks.extend(clause_masks(prefix, c) for c in clauses[len(masks):])
 
 
+def _bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def masks_clause(prefix: Prefix, masks) -> Clause:
+    """The normal-form clause whose ``clause_masks`` are ``masks``."""
+    pos, _, merged = masks
+    ranked = prefix.ranked
+    return Clause(
+        lits=tuple(ranked[i] if pos >> i & 1 else -ranked[i] for i in _bits(pos | masks[1])),
+        merged=tuple(ranked[i] for i in _bits(merged)),
+    )
+
+
 def clause_from_raw(lits) -> Clause:
     """Build a clause without a prefix (parsed proof traces).
 
@@ -187,82 +212,91 @@ def clause_from_raw(lits) -> Clause:
     merged marker. Checking against a formula re-normalizes, so the
     different sort order is harmless.
     """
-    pol: dict[int, set[int]] = {}
-    for l in lits:
-        pol.setdefault(abs(l), set()).add(1 if l > 0 else -1)
-    plain, merged = [], []
-    for v in sorted(pol):
-        if len(pol[v]) == 2:
-            merged.append(v)
-        else:
-            plain.append(v if 1 in pol[v] else -v)
-    return Clause(lits=tuple(sorted(plain, key=abs)), merged=tuple(merged))
+    lits = set(lits)
+    merged = sorted(l for l in lits if l > 0 and -l in lits)
+    if merged:
+        lits.difference_update(merged, [-v for v in merged])
+    return Clause(lits=tuple(sorted(lits, key=abs)), merged=tuple(merged))
 
 
-def reduce_clause(c: Clause, prefix: Prefix) -> Clause:
-    """Universal reduction: drop universal literals (and merged variables)
-    whose level exceeds the level of every existential literal in the clause.
-
-    A clause without existential literals reduces to the empty clause.
-    Idempotent, and never removes existential literals.
-    """
-    level = prefix.level
-    cut = max((level(l) for l in c.lits if prefix.is_existential(l)), default=0)
-    if not cut:
-        return Clause()
-    # Every existential literal lies at or below the cut.
-    return Clause(
-        lits=tuple(l for l in c.lits if level(l) <= cut),
-        merged=tuple(v for v in c.merged if level(v) <= cut),
-    )
+def reduce_masks(masks, prefix: Prefix) -> tuple[int, int, int]:
+    """Universal reduction: keep the bits at or below the level of the top
+    existential bit; no existential bit leaves the empty clause."""
+    pos, neg, merged = masks
+    top = (pos | neg) & prefix.exist_bits
+    if not top:
+        return 0, 0, 0
+    keep = prefix.below[top.bit_length() - 1]
+    return pos & keep, neg & keep, merged & keep
 
 
-def resolve_clauses(c1: Clause, c2: Clause, pivot: int, mode: str, prefix: Prefix) -> Clause:
-    """Resolve ``c1`` (containing ``pivot``) with ``c2`` (containing the
-    negation) over an existential pivot.
+def resolve_masks(m1, m2, pivot: int, mode: str, prefix: Prefix) -> tuple[int, int, int]:
+    """Resolve the clause with masks ``m1`` (containing ``pivot``) with the
+    one with masks ``m2`` (containing the negation) over an existential
+    pivot; ``mode`` must be one of ``MODES``.
 
     QRES mode rejects any tautological resolvent. LDQRES mode still rejects
     existential tautologies but admits a universal merge u/-u provided the
     variable occurs on both sides and its level exceeds the pivot's level;
-    merges already present in a single premise carry over unchecked.
+    merges already present in a single premise carry over unchecked. On
+    premises in normal form, a failure names the variable a walk in rank
+    order meets first: over the left premise's literals, its merged
+    variables, then the right premise's (for a blocked merge, over the
+    right premise's only).
     """
+    pv = abs(pivot)
+    bit = 1 << (r := prefix.rank[pv])
+    if not bit & prefix.exist_bits:
+        raise PivotMissingError(f"pivot variable {pv} is not existential")
+    p1, n1, x1 = m1
+    p2, n2, x2 = m2
+    if not (p1 & n2 if pivot > 0 else n1 & p2) & bit:
+        raise PivotMissingError(f"pivot {pivot} not present with both polarities")
+    pos = (p1 | p2) & ~bit
+    neg = (n1 | n2) & ~bit
+    merged = x1 | x2 | (pos & neg)
+    if not merged:
+        return pos, neg, 0
+    bad = merged if mode == QRES else merged & prefix.exist_bits
+    if bad:
+        v = prefix.ranked[next(_bits(bad & (p1 | n1) or bad & x1 or bad))]
+        raise IllegalTautologyError(f"resolvent tautological in variable {v} (mode {mode})")
+    crossed = (p1 & n2) | (n1 & p2) | (x1 & (p2 | n2 | x2)) | (x2 & (p1 | n1))
+    blocked = crossed & prefix.below[r] & ~bit
+    if blocked:
+        v = prefix.ranked[next(_bits(blocked & (p2 | n2) or blocked))]
+        raise IllegalTautologyError(
+            f"universal merge on {v} blocked: level {prefix.level(v)} "
+            f"not greater than pivot level {prefix.level(pv)}"
+        )
+    return pos & ~merged, neg & ~merged, merged
+
+
+def reduce_clause(c: Clause, prefix: Prefix) -> Clause:
+    """Universal reduction (``reduce_masks``) of a clause in any literal
+    order; the kept literals and merged variables keep their order.
+
+    A clause without existential literals reduces to the empty clause.
+    Idempotent, and never removes existential literals.
+    """
+    masks = clause_masks(prefix, c)
+    reduced = reduce_masks(masks, prefix)
+    if reduced == masks:
+        return c
+    kept = reduced[0] | reduced[1] | reduced[2]
+    rank = prefix.rank
+    return Clause(
+        lits=tuple(l for l in c.lits if kept >> rank[l] & 1),
+        merged=tuple(v for v in c.merged if kept >> rank[v] & 1),
+    )
+
+
+def resolve_clauses(c1: Clause, c2: Clause, pivot: int, mode: str, prefix: Prefix) -> Clause:
+    """``resolve_masks`` on clauses: the resolvent in normal form."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    pv = abs(pivot)
-    if not prefix.is_existential(pv):
-        raise PivotMissingError(f"pivot variable {pv} is not existential")
-    if pivot not in c1.lits or -pivot not in c2.lits:
-        raise PivotMissingError(f"pivot {pivot} not present with both polarities")
-    # Variable -> its literal in the resolvent, 0 once both polarities occur.
-    out = {abs(l): l for l in c1.lits}
-    for v in c1.merged:
-        out[v] = 0
-    crossed = []   # variables that occur in both premises and merge there
-    for l in c2.lits:
-        v = abs(l)
-        if out.setdefault(v, l) != l:
-            out[v] = 0
-            crossed.append(v)
-    for v in c2.merged:
-        if v in out:
-            crossed.append(v)
-        out[v] = 0
-    del out[pv]
-    merged = [v for v, l in out.items() if not l]
-    for v in merged:
-        if mode == QRES or prefix.is_existential(v):
-            raise IllegalTautologyError(
-                f"resolvent tautological in variable {v} (mode {mode})"
-            )
-    for v in crossed:
-        if v != pv and prefix.level(v) <= prefix.level(pv):
-            raise IllegalTautologyError(
-                f"universal merge on {v} blocked: level {prefix.level(v)} "
-                f"not greater than pivot level {prefix.level(pv)}"
-            )
-    key = prefix.rank.__getitem__
-    merged.sort(key=key)
-    return Clause(lits=tuple(sorted(filter(None, out.values()), key=key)), merged=tuple(merged))
+    m1, m2 = clause_masks(prefix, c1), clause_masks(prefix, c2)
+    return masks_clause(prefix, resolve_masks(m1, m2, pivot, mode, prefix))
 
 
 class QCNF:

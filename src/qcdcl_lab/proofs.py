@@ -2,14 +2,18 @@
 
 A derivation is a list of steps (axiom / resolve / reduce). The checker
 recomputes every clause from scratch: stored clause values are caches and
-never trusted. Gluing turns a multi-round QCDCL proof into one derivation by
-replacing axiom references to learned clauses with the steps that derived
-them.
+never trusted. It recomputes on ``clause_masks`` triples with the same
+kernels (``resolve_masks``, ``reduce_masks``) that ``resolve_clauses`` and
+``reduce_clause`` wrap, and turns a step's masks back into a ``Clause``
+only when ``Verdict.clauses`` is read. Gluing turns a multi-round QCDCL
+proof into one derivation by replacing axiom references to learned clauses
+with the steps that derived them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     NON_DECIMAL,
@@ -25,9 +29,11 @@ from .formula import (
     QCNF,
     QRES,
     clause_from_raw,
+    clause_masks,
     make_clause,
-    reduce_clause,
-    resolve_clauses,
+    masks_clause,
+    reduce_masks,
+    resolve_masks,
 )
 from .trail import RED, Time, Trail, validate_trail
 
@@ -36,8 +42,9 @@ RESOLVE = "r"
 REDUCE = "u"
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
+    """One derivation step: a NamedTuple, cheap to build per trace line."""
+
     step_id: int
     kind: str
     clause: Clause                 # cache; checkers recompute
@@ -58,10 +65,24 @@ class Derivation:
         return len(self.steps)
 
 
+class _Clauses(dict):
+    """Step id -> clause, turned from the checker's masks on first read."""
+
+    def __init__(self, prefix, masks: dict[int, tuple[int, int, int]]):
+        super().__init__()
+        self.prefix, self.masks = prefix, masks
+
+    def __missing__(self, step_id):
+        clause = self[step_id] = masks_clause(self.prefix, self.masks[step_id])
+        return clause
+
+
 @dataclass
 class Verdict:
     """The checker's answer. ``clauses`` maps every step id the checker
-    could recompute to its clause; on a valid derivation that is every step."""
+    could recompute to its clause; on a valid derivation that is every step.
+    It is filled lazily: a step's clause is built on its first read, so
+    reading only the conclusion builds one clause."""
 
     valid: bool
     failures: list[tuple[int, str]] = field(default_factory=list)
@@ -82,64 +103,68 @@ def check_derivation(qcnf: QCNF, d: Derivation, mode: str | None = None,
     mode = mode or d.mode
     if mode not in MODES:
         return Verdict(False, [(-1, f"unknown mode {mode!r}")])
+    prefix = qcnf.prefix
+    rank = prefix.rank
     failures: list[tuple[int, str]] = []
-    computed: dict[int, Clause] = {}
+    masks: dict[int, tuple[int, int, int]] = {}   # step id -> its clause's masks
     seen_ids: set[int] = set()
     for s in d.steps:
-        if s.step_id in seen_ids:
-            failures.append((s.step_id, "duplicate step id"))
+        sid = s.step_id
+        if sid in seen_ids:
+            failures.append((sid, "duplicate step id"))
             continue
-        seen_ids.add(s.step_id)
-        if s.kind == AXIOM:
+        seen_ids.add(sid)
+        kind = s.kind
+        if kind == AXIOM:
             # Learned long-distance clauses may be tautological and still act
             # as premises of later rounds; membership in the formula's clause
             # list is the criterion (matrix clauses are never tautological).
             try:
-                normal = make_clause(qcnf.prefix, s.clause.all_literals())
+                normal = make_clause(prefix, s.clause.all_literals())
             except ValueError as exc:
-                failures.append((s.step_id, f"axiom: {exc}"))
+                failures.append((sid, f"axiom: {exc}"))
                 continue
             if normal not in qcnf:
-                failures.append((s.step_id, "axiom not among the formula's clauses"))
+                failures.append((sid, "axiom not among the formula's clauses"))
                 continue
-            computed[s.step_id] = normal
-        elif s.kind == RESOLVE:
-            if s.left not in computed or s.right not in computed:
-                failures.append((s.step_id, "resolve premise missing or later"))
+            masks[sid] = clause_masks(prefix, normal)
+        elif kind == RESOLVE:
+            left, right = masks.get(s.left), masks.get(s.right)
+            if left is None or right is None:
+                failures.append((sid, "resolve premise missing or later"))
                 continue
-            left, right = computed[s.left], computed[s.right]
-            if s.pivot is None or s.pivot <= 0:
-                failures.append((s.step_id, "resolve step without pivot variable"))
+            pivot = s.pivot
+            if pivot is None or pivot <= 0:
+                failures.append((sid, "resolve step without pivot variable"))
                 continue
-            if s.pivot in left.lits:
-                pivot_lit = s.pivot
-            elif -s.pivot in left.lits:
-                pivot_lit = -s.pivot
+            bit = 1 << rank[pivot] if pivot in rank else 0
+            if left[0] & bit:
+                pivot_lit = pivot
+            elif left[1] & bit:
+                pivot_lit = -pivot
             else:
-                failures.append((s.step_id, f"pivot {s.pivot} missing from left premise"))
+                failures.append((sid, f"pivot {pivot} missing from left premise"))
                 continue
             try:
-                computed[s.step_id] = resolve_clauses(
-                    left, right, pivot_lit, mode, qcnf.prefix
-                )
+                masks[sid] = resolve_masks(left, right, pivot_lit, mode, prefix)
             except (IllegalTautologyError, PivotMissingError) as exc:
-                failures.append((s.step_id, str(exc)))
+                failures.append((sid, str(exc)))
+        elif kind == REDUCE:
+            src = masks.get(s.src)
+            if src is None:
+                failures.append((sid, "reduce premise missing or later"))
                 continue
-        elif s.kind == REDUCE:
-            if s.src not in computed:
-                failures.append((s.step_id, "reduce premise missing or later"))
-                continue
-            computed[s.step_id] = reduce_clause(computed[s.src], qcnf.prefix)
+            masks[sid] = reduce_masks(src, prefix)
         else:
-            failures.append((s.step_id, f"unknown step kind {s.kind!r}"))
-    if d.conclusion not in computed:
+            failures.append((sid, f"unknown step kind {kind!r}"))
+    end = masks.get(d.conclusion)
+    if end is None:
         failures.append((d.conclusion, "conclusion step missing or invalid"))
     elif d.steps and d.steps[-1].step_id != d.conclusion:
         failures.append((d.conclusion, "conclusion is not the last step"))
-    if require_refutation and computed.get(d.conclusion) is not None:
-        if not computed[d.conclusion].is_empty():
-            failures.append((d.conclusion, "refutation does not end in the empty clause"))
-    return Verdict(not failures, failures, computed)
+    if require_refutation and end is not None and any(end):
+        failures.append((d.conclusion, "refutation does not end in the empty clause"))
+    return Verdict(not failures, failures, _Clauses(prefix, masks))
 
 
 def count_reductions(d: Derivation) -> int:
@@ -314,13 +339,14 @@ def parse_proof(text: str) -> Derivation:
 
     Axiom literals keep their file identity (re-normalization against a
     prefix happens inside the checker). Derived steps carry no literals;
-    their clauses are computed on demand by the checker, so the cached
-    clause here is a placeholder.
+    their clauses are computed by the checker, so every derived
+    ``ProofStep`` tuple shares one empty placeholder ``Clause``.
     """
     steps: list[ProofStep] = []
     mode = None
     conclusion = None
     ids: set[int] = set()
+    placeholder = Clause()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c "):
@@ -335,7 +361,7 @@ def parse_proof(text: str) -> Derivation:
             continue
         kind = fields[0]
         try:
-            nums = [int(f) for f in fields[1:]]
+            nums = list(map(int, fields[1:]))
         except ValueError:
             raise QcdclError(f"line {line_no}: non-integer token") from None
         if kind == "conclusion":
@@ -345,28 +371,28 @@ def parse_proof(text: str) -> Derivation:
             continue
         if not nums or nums[-1] != 0:
             raise QcdclError(f"line {line_no}: missing terminating 0")
-        nums = nums[:-1]
-        if kind == AXIOM:
-            if not nums:
-                raise QcdclError(f"line {line_no}: axiom needs a step id")
-            steps.append(ProofStep(nums[0], AXIOM, clause_from_raw(nums[1:])))
-        elif kind == RESOLVE:
-            if len(nums) != 4:
+        if kind == RESOLVE:
+            if len(nums) != 5:
                 raise QcdclError(f"line {line_no}: resolve needs pivot, left, right")
-            sid, pivot, left, right = nums
+            sid, pivot, left, right, _ = nums
             if left not in ids or right not in ids:
                 raise QcdclError(f"line {line_no}: dangling premise id")
-            steps.append(ProofStep(sid, RESOLVE, Clause(), pivot=pivot, left=left, right=right))
+            steps.append(ProofStep(sid, RESOLVE, placeholder, None, pivot, left, right))
+        elif kind == AXIOM:
+            if len(nums) == 1:
+                raise QcdclError(f"line {line_no}: axiom needs a step id")
+            sid = nums[0]
+            steps.append(ProofStep(sid, AXIOM, clause_from_raw(nums[1:-1])))
         elif kind == REDUCE:
-            if len(nums) != 2:
+            if len(nums) != 3:
                 raise QcdclError(f"line {line_no}: reduce needs a source id")
-            sid, src = nums
+            sid, src, _ = nums
             if src not in ids:
                 raise QcdclError(f"line {line_no}: dangling premise id")
-            steps.append(ProofStep(sid, REDUCE, Clause(), src=src))
+            steps.append(ProofStep(sid, REDUCE, placeholder, src=src))
         else:
             raise QcdclError(f"line {line_no}: unknown record {kind!r}")
-        ids.add(steps[-1].step_id)
+        ids.add(sid)
     if mode is None:
         raise QcdclError("missing 'p qrp-lite' header")
     if conclusion is None:

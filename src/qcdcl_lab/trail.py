@@ -365,10 +365,13 @@ def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
 def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
     """Open a new decision level with ``lit``.
 
-    Refuses repeated variables and policy violations. Naturality forbids
-    deciding while a propagation (or conflict) is still available; the
-    watch engine answers that, naming the clause propagation would take.
+    Refuses unbound and repeated variables and policy violations.
+    Naturality forbids deciding while a propagation (or conflict) is still
+    available; the watch engine answers that, naming the clause propagation
+    would take.
     """
+    if lit not in qcnf.prefix:
+        raise IllegalDecisionError(f"variable {abs(lit)} not bound by the prefix")
     if abs(lit) in trail.assignment:
         raise IllegalDecisionError(f"variable {abs(lit)} already assigned")
     pending = _next_forced(_trail_watches(qcnf, trail))

@@ -90,6 +90,21 @@ def test_replay_cli(tmp_path, capsys):
     assert json.loads(out)["status"] == "refuted"
 
 
+def test_replay_names_an_unbound_decision_variable(tmp_path, capsys):
+    """A scripted decision on a variable the prefix does not bind is
+    reported in ``validate_trail``'s words, not as a policy violation."""
+    formula = tmp_path / "eq.qdimacs"
+    script = tmp_path / "bad.script"
+    run(capsys, "gen", "--family", "equality", "--n", "2", "-o", str(formula))
+    script.write_text("round\nd 99\nlearn index:0\nback restart\n")
+    code, _, err = run(
+        capsys, "replay", "--input", str(formula), "--script", str(script),
+        "--decision", "lev-ord", "--propagation", "red",
+    )
+    assert code == 1
+    assert err == "error: variable 99 not bound by the prefix\n"
+
+
 def test_simulate_cli(tmp_path, capsys):
     formula = tmp_path / "t.qdimacs"
     proof = tmp_path / "t.qrp"

@@ -12,9 +12,13 @@ from qcdcl_lab.formula import (
     LDQRES,
     Prefix,
     QRES,
+    clause_masks,
     make_clause,
+    masks_clause,
     reduce_clause,
+    reduce_masks,
     resolve_clauses,
+    resolve_masks,
 )
 
 
@@ -328,6 +332,28 @@ def test_reduce_matches_reference(pcc, data):
     for lits in (c1.lits, c1.lits[::-1], shuffled):
         c = Clause(lits=lits, merged=c1.merged[::-1])
         assert reduce_clause(c, prefix) == reference_reduce(c, prefix)
+
+
+@given(premises())
+@settings(max_examples=300)
+def test_mask_kernels_match_reference(pcc):
+    """``resolve_masks`` and ``reduce_masks`` agree, through
+    ``clause_masks``, with the reference rules; exceptions by type."""
+    prefix, c1, c2 = pcc
+
+    def expected(ref):
+        return ref if isinstance(ref, type) else clause_masks(prefix, ref)
+
+    masks = {c: clause_masks(prefix, c) for c in (c1, c2)}
+    for c, m in masks.items():
+        assert masks_clause(prefix, m) == c
+        assert reduce_masks(m, prefix) == expected(reference_reduce(c, prefix))
+    for mode in (QRES, LDQRES):
+        for v in prefix.variables:
+            for pivot in (v, -v):
+                for a, b in ((c1, c2), (c2, c1)):
+                    new = outcome(resolve_masks, masks[a], masks[b], pivot, mode, prefix)
+                    assert new == expected(outcome(reference_resolve, a, b, pivot, mode, prefix))
 
 
 @given(shuffled_prefix())

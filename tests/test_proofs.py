@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import replace
 from unittest import mock
 
@@ -24,16 +26,26 @@ from qcdcl_lab import (
     validate_qcdcl_proof,
 )
 import qcdcl_lab.proofs as proofs
-from qcdcl_lab.errors import QcdclError
-from qcdcl_lab.formula import Clause, LDQRES, QRES
+from qcdcl_lab.errors import IllegalTautologyError, PivotMissingError, QcdclError
+from qcdcl_lab.formula import QCNF, Clause, LDQRES, MODES, QRES, make_clause
 from qcdcl_lab.goldens import fig_trapdoor_refutation
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.learning import DEC
-from qcdcl_lab.proofs import AXIOM, Derivation, ProofStep, QcdclProof, RESOLVE, Round
+from qcdcl_lab.proofs import (
+    AXIOM,
+    REDUCE,
+    RESOLVE,
+    Derivation,
+    ProofStep,
+    QcdclProof,
+    Round,
+    Verdict,
+)
 from qcdcl_lab.solver import SolverConfig, solve
 from qcdcl_lab.trail import TrailEntry
 
 from conftest import (
+    ALL_POLICY_PAIRS,
     EVERY_POLICY_PAIR,
     MUTATIONS,
     PSI_TRUE,
@@ -41,8 +53,11 @@ from conftest import (
     last_time,
     mutated_trail,
     proof_corpus,
+    random_small_qcnf,
     trail_of,
 )
+from test_acceptance import small_generator_instances
+from test_formula import premises, reference_reduce
 from test_trail import reference_validate_trail
 
 
@@ -83,6 +98,239 @@ class TestCheckDerivation:
         d = Derivation([ProofStep(0, AXIOM, f.clauses[0], source=0)], QRES, 0)
         assert check_derivation(f, d)
         assert not check_derivation(f, d, require_refutation=True)
+
+
+# -- the mask checker against the Clause checker it replaced -----------------
+
+
+def reference_resolve_clauses(c1, c2, pivot, mode, prefix):
+    """Resolution as a per-variable dict pass over the premises' literals,
+    raising ``resolve_clauses``' messages."""
+    pv = abs(pivot)
+    if not prefix.is_existential(pv):
+        raise PivotMissingError(f"pivot variable {pv} is not existential")
+    if pivot not in c1.lits or -pivot not in c2.lits:
+        raise PivotMissingError(f"pivot {pivot} not present with both polarities")
+    # Variable -> its literal in the resolvent, 0 once both polarities occur.
+    out = {abs(l): l for l in c1.lits}
+    for v in c1.merged:
+        out[v] = 0
+    crossed = []   # variables that occur in both premises and merge there
+    for l in c2.lits:
+        v = abs(l)
+        if out.setdefault(v, l) != l:
+            out[v] = 0
+            crossed.append(v)
+    for v in c2.merged:
+        if v in out:
+            crossed.append(v)
+        out[v] = 0
+    del out[pv]
+    merged = [v for v, l in out.items() if not l]
+    for v in merged:
+        if mode == QRES or prefix.is_existential(v):
+            raise IllegalTautologyError(
+                f"resolvent tautological in variable {v} (mode {mode})"
+            )
+    for v in crossed:
+        if v != pv and prefix.level(v) <= prefix.level(pv):
+            raise IllegalTautologyError(
+                f"universal merge on {v} blocked: level {prefix.level(v)} "
+                f"not greater than pivot level {prefix.level(pv)}"
+            )
+    key = prefix.rank.__getitem__
+    merged.sort(key=key)
+    return Clause(lits=tuple(sorted(filter(None, out.values()), key=key)), merged=tuple(merged))
+
+
+def reference_check_derivation(qcnf, d, mode=None, require_refutation=False):
+    """``check_derivation`` on ``Clause`` values: every step's clause is
+    built, resolution is the dict pass above and reduction the reference
+    rule of ``test_formula``."""
+    mode = mode or d.mode
+    if mode not in MODES:
+        return Verdict(False, [(-1, f"unknown mode {mode!r}")])
+    failures = []
+    computed = {}
+    seen_ids = set()
+    for s in d.steps:
+        if s.step_id in seen_ids:
+            failures.append((s.step_id, "duplicate step id"))
+            continue
+        seen_ids.add(s.step_id)
+        if s.kind == AXIOM:
+            try:
+                normal = make_clause(qcnf.prefix, s.clause.all_literals())
+            except ValueError as exc:
+                failures.append((s.step_id, f"axiom: {exc}"))
+                continue
+            if normal not in qcnf:
+                failures.append((s.step_id, "axiom not among the formula's clauses"))
+                continue
+            computed[s.step_id] = normal
+        elif s.kind == RESOLVE:
+            if s.left not in computed or s.right not in computed:
+                failures.append((s.step_id, "resolve premise missing or later"))
+                continue
+            left, right = computed[s.left], computed[s.right]
+            if s.pivot is None or s.pivot <= 0:
+                failures.append((s.step_id, "resolve step without pivot variable"))
+                continue
+            if s.pivot in left.lits:
+                pivot_lit = s.pivot
+            elif -s.pivot in left.lits:
+                pivot_lit = -s.pivot
+            else:
+                failures.append((s.step_id, f"pivot {s.pivot} missing from left premise"))
+                continue
+            try:
+                computed[s.step_id] = reference_resolve_clauses(
+                    left, right, pivot_lit, mode, qcnf.prefix
+                )
+            except (IllegalTautologyError, PivotMissingError) as exc:
+                failures.append((s.step_id, str(exc)))
+                continue
+        elif s.kind == REDUCE:
+            if s.src not in computed:
+                failures.append((s.step_id, "reduce premise missing or later"))
+                continue
+            computed[s.step_id] = reference_reduce(computed[s.src], qcnf.prefix)
+        else:
+            failures.append((s.step_id, f"unknown step kind {s.kind!r}"))
+    if d.conclusion not in computed:
+        failures.append((d.conclusion, "conclusion step missing or invalid"))
+    elif d.steps and d.steps[-1].step_id != d.conclusion:
+        failures.append((d.conclusion, "conclusion is not the last step"))
+    if require_refutation and computed.get(d.conclusion) is not None:
+        if not computed[d.conclusion].is_empty():
+            failures.append((d.conclusion, "refutation does not end in the empty clause"))
+    return Verdict(not failures, failures, computed)
+
+
+@functools.lru_cache(maxsize=None)
+def criterion_01_refutations() -> tuple:
+    """(formula, glued refutation) of every solver refutation of
+    criterion 01's corpus, under every policy pair."""
+    instances = [f for _, f in small_generator_instances()]
+    rng = random.Random(20260809)
+    instances += [random_small_qcnf(rng, max_vars=8, max_clauses=12) for _ in range(500)]
+    out = []
+    for f in instances:
+        for d, r in ALL_POLICY_PAIRS:
+            result = solve(f.copy(), SolverConfig(d, r, max_conflicts=4 ** f.num_vars))
+            if result.refuted:
+                out.append((f, glue_qcdcl_proof(f, result.proof)))
+    return tuple(out)
+
+
+DERIVATION_MUTATIONS = ("pivot", "premise", "kind", "duplicate-id", "foreign-axiom")
+
+
+def mutated_derivation(qcnf, d, kind, rng):
+    """``d`` with one step changed: its pivot swapped for another variable
+    (or an unbound one), a premise re-pointed at any step id, its kind
+    changed, its id set to an earlier step's, or a derived step restated
+    as an axiom of its cached clause (with an unbound literal now and then)."""
+    steps = list(d.steps)
+    derived = [i for i, s in enumerate(steps) if s.kind in (RESOLVE, REDUCE)]
+    ids = [s.step_id for s in steps]
+    unbound = qcnf.num_vars + 1
+    if kind == "pivot":
+        resolves = [i for i in derived if steps[i].kind == RESOLVE]
+        if not resolves:
+            return None
+        i = rng.choice(resolves)
+        options = [v for v in sorted(qcnf.prefix.variables) if v != steps[i].pivot]
+        steps[i] = steps[i]._replace(pivot=rng.choice(options + [unbound]))
+    elif kind == "premise":
+        if not derived:
+            return None
+        i = rng.choice(derived)
+        field = "src" if steps[i].kind == REDUCE else rng.choice(("left", "right"))
+        steps[i] = steps[i]._replace(**{field: rng.choice(ids)})
+    elif kind == "kind":
+        i = rng.randrange(len(steps))
+        new = rng.choice([k for k in (AXIOM, RESOLVE, REDUCE, "x") if k != steps[i].kind])
+        steps[i] = steps[i]._replace(kind=new)
+    elif kind == "duplicate-id":
+        if len(steps) < 2:
+            return None
+        i = rng.randrange(1, len(steps))
+        steps[i] = steps[i]._replace(step_id=ids[rng.randrange(i)])
+    else:
+        if not derived:
+            return None
+        i = rng.choice(derived)
+        clause = steps[i].clause
+        if rng.random() < 0.25:
+            clause = Clause(clause.lits + (unbound,), clause.merged)
+        steps[i] = ProofStep(steps[i].step_id, AXIOM, clause)
+    return Derivation(steps, d.mode, d.conclusion)
+
+
+def assert_same_verdict(qcnf, d, mode):
+    ref = reference_check_derivation(qcnf, d, mode, require_refutation=True)
+    new = check_derivation(qcnf, d, mode, require_refutation=True)
+    assert (new.valid, new.failures) == (ref.valid, ref.failures)
+    for s in d.steps:
+        if s.step_id in ref.clauses:
+            assert new.clauses[s.step_id] == ref.clauses[s.step_id]
+        else:
+            with pytest.raises(KeyError):
+                new.clauses[s.step_id]
+
+
+class TestMaskCheckerMatchesTheClauseChecker:
+    """Failure lists, message for message, and recomputed clauses equal
+    those of the ``Clause`` checker."""
+
+    def test_criterion_01_refutations(self):
+        for qcnf, d in criterion_01_refutations():
+            for mode in MODES:
+                assert_same_verdict(qcnf, d, mode)
+
+    def test_mutated_refutations(self):
+        rng = random.Random(20261019)
+        rejected = 0
+        for qcnf, d in criterion_01_refutations():
+            for kind in DERIVATION_MUTATIONS:
+                bad = mutated_derivation(qcnf, d, kind, rng)
+                if bad is None:
+                    continue
+                for mode in MODES:
+                    assert_same_verdict(qcnf, bad, mode)
+                rejected += not check_derivation(qcnf, bad)
+        assert rejected > 1000
+
+    @given(premises())
+    @settings(max_examples=200)
+    def test_one_resolution_and_reduction_per_pivot(self, pcc):
+        """Two premises that may carry merged universals, as clauses of
+        the database, resolved on every variable and reduced: every
+        tautology and blocked-merge message."""
+        prefix, c1, c2 = pcc
+        qcnf = QCNF(prefix, [])
+        qcnf.add_clause(c1)
+        qcnf.add_clause(c2)
+        for v in sorted(prefix.variables):
+            for left, right in ((0, 1), (1, 0)):
+                d = Derivation([
+                    ProofStep(0, AXIOM, c1), ProofStep(1, AXIOM, c2),
+                    ProofStep(2, RESOLVE, Clause(), pivot=v, left=left, right=right),
+                    ProofStep(3, REDUCE, Clause(), src=2),
+                ], LDQRES, 3)
+                for mode in MODES:
+                    assert_same_verdict(qcnf, d, mode)
+
+    def test_round_derivations_of_the_proof_corpus(self):
+        """Each round's derivation against the formula it was learned on:
+        learned long-distance axioms may be tautological."""
+        for qcnf, proof in proof_corpus():
+            work = qcnf.copy()
+            for rnd in proof.rounds:
+                for mode in MODES:
+                    assert_same_verdict(work, rnd.derivation, mode)
+                work.add_clause(rnd.learned)
 
 
 class TestGlue:
