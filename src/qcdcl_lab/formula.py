@@ -327,10 +327,11 @@ class QCNF:
         for cid, c in enumerate(self.clauses):
             self._ids.setdefault(c, cid)
         # Incremental state over the clause list, kept by the ``trail``
-        # module: ``clause_masks`` as far as propagation, a check or ``copy``
-        # needed them; and per propagation policy, the watch states of the
-        # empty trail and of the trail served last (with that trail), be it
-        # a propagated trail or the shadow a ``validate_trail`` walk grows.
+        # module: ``clause_masks`` as far as propagation, a check, conflict
+        # analysis or ``copy`` needed them; and per propagation policy, the
+        # watch states of the empty trail and of the trail served last (with
+        # that trail), be it a propagated trail or the shadow a
+        # ``validate_trail`` walk grows.
         self.masks: list[tuple[int, int, int]] = []
         self.watches: dict = {}
 

@@ -7,7 +7,9 @@ reduction applies after every resolution and at the start. The sequence is
 indexed from the conflict side: element 0 is the reduced conflict
 antecedent, the last element is the fully folded clause. The walk stops
 as soon as the learning scheme's pick is settled (see
-``learnable_sequence``): elements past the pick are not built.
+``learnable_sequence``): elements past the pick are not built. The walk
+runs on ``clause_masks``: its running clause's, and the antecedents' from
+``QCNF.masks``; a ``Clause`` is built only for a proof step.
 
 Resolution runs in long-distance mode when the trail propagates through
 reduction and in plain mode otherwise; with plain propagation no tautology
@@ -21,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import IllegalTautologyError, InternalTautologyError, QcdclError
-from .formula import Clause, LDQRES, QCNF, QRES, clause_masks, reduce_clause, resolve_clauses
+from .formula import (Clause, LDQRES, QCNF, QRES, clause_masks, fill_masks, masks_clause,
+                      reduce_masks, resolve_masks)
 from .proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE, Round
 from .trail import RED, Time, Trail, clause_status
 
@@ -35,6 +38,7 @@ class LearnableSequence:
     steps: list[ProofStep]
     conclusion_ids: list[int]   # per element, the step concluding it
     mode: str
+    masks: list[tuple[int, int, int]]   # per element, its ``clause_masks``
     # Asserting times of the first len(times) elements, in order, as the
     # asserting scheme's stop rule computed them; ``pick_learned`` reuses them.
     times: list[Time | None] = field(default_factory=list)
@@ -70,27 +74,30 @@ def learnable_sequence(trail: Trail, qcnf: QCNF,
         raise ValueError("clause learning needs a conflicting trail")
     mode = LDQRES if trail.propagation_policy == RED else QRES
     prefix = qcnf.prefix
+    rank = prefix.rank
+    masks = qcnf.masks
+    fill_masks(masks, qcnf.clauses, prefix)
     steps: list[ProofStep] = []
 
     def add(kind, clause, **kw) -> int:
         steps.append(ProofStep(len(steps), kind, clause, **kw))
         return len(steps) - 1
 
-    def reduced_axiom(cid: int) -> tuple[int, Clause]:
-        """Step id and value of red(clause cid): an AXIOM step, and a
+    def reduced_axiom(cid: int) -> tuple[int, Clause, tuple[int, int, int]]:
+        """Step id, value and masks of red(clause cid): an AXIOM step, and a
         REDUCE step if reduction changes the clause. No id comes twice in
         one analysis of a valid trail (a forcing clause stays satisfied)."""
         clause = qcnf.clauses[cid]
         sid = add(AXIOM, clause, source=cid)
-        red = reduce_clause(clause, prefix)
-        if red != clause:
-            sid = add(REDUCE, red, src=sid)
-        return sid, red
+        red = reduce_masks(masks[cid], prefix)
+        if red != masks[cid]:
+            clause = masks_clause(prefix, red)
+            sid = add(REDUCE, clause, src=sid)
+        return sid, clause, red
 
-    conflict = trail.entries[-1]
-    cur_id, cur = reduced_axiom(conflict.antecedent)
-    seq = LearnableSequence([cur], steps, [cur_id], mode)
-    elements, conclusions = seq.elements, seq.conclusion_ids
+    cur_id, cur, cm = reduced_axiom(trail.entries[-1].antecedent)
+    seq = LearnableSequence([cur], steps, [cur_id], mode, [cm])
+    elements, conclusions, element_masks = seq.elements, seq.conclusion_ids, seq.masks
     settled = _stop_rule(scheme, seq, trail, qcnf)
     for entry in reversed(trail.entries[:-1]):
         if entry.is_decision:
@@ -98,20 +105,21 @@ def learnable_sequence(trail: Trail, qcnf: QCNF,
         if settled is not None and settled():
             break
         p = entry.lit
-        if -p in cur.lits:
-            ante_id, ante = reduced_axiom(entry.antecedent)
+        if cm[p > 0] >> rank[p] & 1:   # -p is in the running clause
+            ante_id, _, am = reduced_axiom(entry.antecedent)
             try:
-                resolvent = resolve_clauses(cur, ante, -p, mode, prefix)
+                rm = resolve_masks(cm, am, -p, mode, prefix)
             except IllegalTautologyError as exc:
-                raise InternalTautologyError(
-                    f"conflict analysis at literal {p}: {exc}"
-                ) from exc
-            cur_id = add(RESOLVE, resolvent, pivot=abs(p), left=cur_id, right=ante_id)
-            cur = reduce_clause(resolvent, prefix)
-            if cur != resolvent:
+                raise InternalTautologyError(f"conflict analysis at literal {p}: {exc}") from exc
+            cur = masks_clause(prefix, rm)
+            cur_id = add(RESOLVE, cur, pivot=abs(p), left=cur_id, right=ante_id)
+            cm = reduce_masks(rm, prefix)
+            if cm != rm:
+                cur = masks_clause(prefix, cm)
                 cur_id = add(REDUCE, cur, src=cur_id)
         elements.append(cur)
         conclusions.append(cur_id)
+        element_masks.append(cm)
     return seq
 
 
@@ -126,20 +134,19 @@ def _stop_rule(scheme: LearningScheme | None, seq: LearnableSequence, trail: Tra
     if scheme.kind == "index":
         k = scheme.k
         return lambda: len(elements) > k
-    is_existential = qcnf.prefix.is_existential
-    entries = trail.entries
-    anchors = {v for v in (abs(entries[i].lit) for i in trail.starts[1:])
-               if is_existential(v)}
+    prefix, entries = qcnf.prefix, trail.entries
+    # The bits of the decided existential variables (a sum of distinct bits).
+    anchors = sum({1 << prefix.rank[entries[i].lit] for i in trail.starts[1:]}) & prefix.exist_bits
     times = seq.times
     safe = False
 
     def settled() -> bool:
         nonlocal safe
         if not safe:
-            last = elements[-1]
-            if last.is_empty():
+            pos, neg, merged = seq.masks[-1]
+            if not (pos or neg or merged):
                 return True
-            if anchors.isdisjoint(map(abs, last.lits)):
+            if not anchors & (pos | neg):
                 return False
             safe = True
         for c in elements[len(times):]:
@@ -174,26 +181,27 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     if r == 0:
         return None
     prefix = qcnf.prefix
+    rank = prefix.rank
     masks = clause_masks(prefix, clause)
     if clause_status(masks, 0, 0, prefix, policy).__class__ is int:
         return (0, 0)
-    own = {abs(l) for l in clause.all_literals()}
+    own = masks[0] | masks[1] | masks[2]
     true = false = level = 0
     for pos, e in enumerate(islice(trail.entries, starts[r])):
         if e.antecedent is None:
             level += 1
-        if abs(e.lit) in own:
-            if e.lit > 0:
-                true |= 1 << prefix.rank[e.lit]
+        lit = e.lit
+        if lit and own >> rank[lit] & 1:   # the conflict marker 0 has no rank
+            if lit > 0:
+                true |= 1 << rank[lit]
             else:
-                false |= 1 << prefix.rank[e.lit]
+                false |= 1 << rank[lit]
             if clause_status(masks, true, false, prefix, policy).__class__ is int:
                 return (level, pos - starts[level])
     return None
 
 
-@dataclass(frozen=True)
-class LearningScheme:
+class LearningScheme(NamedTuple):
     kind: str       # "dec" | "asserting" | "index"
     k: int = 0
 
@@ -215,8 +223,7 @@ def parse_scheme(text: str) -> LearningScheme:
     raise QcdclError(f"unknown learning scheme {text!r}")
 
 
-@dataclass(frozen=True)
-class Picked:
+class Picked(NamedTuple):
     clause: Clause
     time: Time
     index: int

@@ -15,6 +15,7 @@ from qcdcl_lab import (
     SolverConfig,
     Trail,
     check_derivation,
+    evaluate_semantics,
     generate,
     glue_qcdcl_proof,
     parse_qdimacs,
@@ -117,6 +118,42 @@ ALL_POLICY_PAIRS = [
 ]
 
 EVERY_POLICY_PAIR = [(d, r) for d in DECISION_POLICIES for r in PROPAGATION_POLICIES]
+
+
+def small_generator_instances():
+    specs = [
+        FamilySpec("equality", 1),
+        FamilySpec("equality", 2),
+        FamilySpec("qparity", 2),
+        FamilySpec("qparity", 3),
+        FamilySpec("php", 1, m=2),
+        FamilySpec("php", 2, m=3),
+        FamilySpec("trapdoor", 1),
+        FamilySpec("lonsing", 1),
+    ] + [FamilySpec("random", 2, m=1, c=1.5, seed=s) for s in range(5)]
+    return [(spec.label(), generate(spec)) for spec in specs]
+
+
+@functools.lru_cache(maxsize=None)
+def criterion_01_runs() -> tuple:
+    """Criterion 01's corpus, solved once for every test that reads it:
+    generator members plus 500 seeded random instances with at most 8
+    variables. Per instance (name, formula, truth, runs), where runs holds
+    (decision policy, propagation policy, refuted, status, glued refutation
+    or None) for each of ``ALL_POLICY_PAIRS``."""
+    instances = small_generator_instances()
+    rng = random.Random(20260809)
+    for i in range(500):
+        instances.append((f"random#{i}", random_small_qcnf(rng, max_vars=8, max_clauses=12)))
+    out = []
+    for name, f in instances:
+        runs = []
+        for d, r in ALL_POLICY_PAIRS:
+            result = solve(f.copy(), SolverConfig(d, r, max_conflicts=4 ** f.num_vars))
+            glued = glue_qcdcl_proof(f, result.proof) if result.refuted else None
+            runs.append((d, r, result.refuted, result.status, glued))
+        out.append((name, f, evaluate_semantics(f, max_vars=9), tuple(runs)))
+    return tuple(out)
 
 
 def _round_trails(base: QCNF, rounds):

@@ -17,7 +17,6 @@ from qcdcl_lab import (
     check_derivation,
     count_reductions,
     decide,
-    evaluate_semantics,
     generate,
     glue_qcdcl_proof,
     learnable_sequence,
@@ -43,7 +42,7 @@ from qcdcl_lab.simulation import run_simulation
 from qcdcl_lab.solver import SolverConfig, solve
 from qcdcl_lab.trail import ASS_ORD, ASS_R_ORD, LEV_ORD, NO_RED, RED
 
-from conftest import ALL_POLICY_PAIRS, EXAMPLE_PHI, random_small_qcnf
+from conftest import ALL_POLICY_PAIRS, EXAMPLE_PHI, criterion_01_runs, random_small_qcnf
 
 K1 = 6
 K2 = 8
@@ -55,37 +54,17 @@ def report(criterion, detail=""):
     print(f"ACCEPTANCE {criterion}: pass {detail}")
 
 
-def small_generator_instances():
-    specs = [
-        FamilySpec("equality", 1),
-        FamilySpec("equality", 2),
-        FamilySpec("qparity", 2),
-        FamilySpec("qparity", 3),
-        FamilySpec("php", 1, m=2),
-        FamilySpec("php", 2, m=3),
-        FamilySpec("trapdoor", 1),
-        FamilySpec("lonsing", 1),
-    ] + [FamilySpec("random", 2, m=1, c=1.5, seed=s) for s in range(5)]
-    return [(spec.label(), generate(spec)) for spec in specs]
-
-
 def test_criterion_01_soundness_oracle_equivalence():
     """Refuted iff the exhaustive evaluator says false, on every policy pair,
     with every refutation glue-checked; generator members plus 500 seeded
-    random instances with at most 8 variables."""
-    instances = small_generator_instances()
-    rng = random.Random(20260809)
-    for i in range(500):
-        instances.append((f"random#{i}", random_small_qcnf(rng, max_vars=8, max_clauses=12)))
+    random instances with at most 8 variables (``criterion_01_runs``)."""
+    instances = criterion_01_runs()
     refutations = 0
-    for name, f in instances:
+    for name, f, truth, runs in instances:
         assert f.num_vars <= 8, name
-        truth = evaluate_semantics(f, max_vars=9)
-        for d, r in ALL_POLICY_PAIRS:
-            result = solve(f.copy(), SolverConfig(d, r, max_conflicts=4 ** f.num_vars))
-            assert result.refuted == (not truth), (name, d, r, result.status)
-            if result.refuted:
-                glued = glue_qcdcl_proof(f, result.proof)
+        for d, r, refuted, status, glued in runs:
+            assert refuted == (not truth), (name, d, r, status)
+            if refuted:
                 verdict = check_derivation(f, glued, require_refutation=True)
                 assert verdict, (name, d, r, verdict.failures[:3])
                 refutations += 1

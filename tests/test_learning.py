@@ -23,15 +23,17 @@ from qcdcl_lab import (
     propagate_to_fixpoint,
     replay,
 )
-from qcdcl_lab.errors import QcdclError
+from qcdcl_lab.errors import IllegalTautologyError, InternalTautologyError, QcdclError
 from qcdcl_lab.families import FamilySpec, generate
-from qcdcl_lab.formula import Clause, make_clause
+from qcdcl_lab.formula import LDQRES, QRES, Clause, clause_masks, make_clause
 from qcdcl_lab.goldens import qparity_script
 from qcdcl_lab.learning import LearningScheme, learn
-from qcdcl_lab.proofs import AXIOM
+from qcdcl_lab.proofs import AXIOM, REDUCE, RESOLVE, ProofStep
 from qcdcl_lab.solver import SolverConfig, solve
 
 from conftest import ALL_PAIRS_FALSE, corpus_cases, entry_times, random_small_qcnf, trail_corpus
+from test_formula import reference_reduce
+from test_proofs import reference_resolve_clauses
 from test_trail import reference_classify
 
 
@@ -290,6 +292,104 @@ def test_asserting_time_matches_the_whole_trail_walk(case):
 
 def _conflicted_corpus():
     return [(qcnf, trail) for qcnf, trail in trail_corpus() if trail.conflicted]
+
+
+def reference_learnable_sequence(trail, qcnf, scheme=None):
+    """The ``Clause`` walk: the running clause as a ``Clause``, resolved by
+    the dict pass and reduced by the literal filter, the decided
+    existential variables as a set, and the whole-trail asserting times.
+    Returns (elements, steps, conclusion ids, times)."""
+    mode = LDQRES if trail.propagation_policy == RED else QRES
+    prefix = qcnf.prefix
+    steps = []
+
+    def add(kind, clause, **kw):
+        steps.append(ProofStep(len(steps), kind, clause, **kw))
+        return len(steps) - 1
+
+    def reduced_axiom(cid):
+        clause = qcnf.clauses[cid]
+        sid = add(AXIOM, clause, source=cid)
+        red = reference_reduce(clause, prefix)
+        if red != clause:
+            sid = add(REDUCE, red, src=sid)
+        return sid, red
+
+    anchors = {abs(l) for l in trail.decisions() if prefix.is_existential(l)}
+    cur_id, cur = reduced_axiom(trail.entries[-1].antecedent)
+    elements, conclusions, times = [cur], [cur_id], []
+    safe = False
+    for entry in reversed(trail.entries[:-1]):
+        if entry.is_decision:
+            continue
+        if scheme is not None and scheme.kind == "index" and len(elements) > scheme.k:
+            break
+        if scheme == ASSERTING:
+            if not safe:
+                if cur.is_empty():
+                    break
+                safe = not anchors.isdisjoint(map(abs, cur.lits))
+            if safe:
+                for c in elements[len(times):]:
+                    times.append(reference_asserting_time(c, trail, qcnf))
+                    if times[-1] is not None:
+                        break
+                if times[-1] is not None:
+                    break
+        p = entry.lit
+        if -p in cur.lits:
+            ante_id, ante = reduced_axiom(entry.antecedent)
+            try:
+                resolvent = reference_resolve_clauses(cur, ante, -p, mode, prefix)
+            except IllegalTautologyError as exc:
+                raise InternalTautologyError(f"conflict analysis at literal {p}: {exc}") from exc
+            cur_id = add(RESOLVE, resolvent, pivot=abs(p), left=cur_id, right=ante_id)
+            cur = reference_reduce(resolvent, prefix)
+            if cur != resolvent:
+                cur_id = add(REDUCE, cur, src=cur_id)
+        elements.append(cur)
+        conclusions.append(cur_id)
+    return elements, steps, conclusions, times
+
+
+def _assert_same_analysis(qcnf, trail):
+    """With no scheme and under ``asserting``, ``dec`` and every
+    ``index:k`` (one past any length too), ``learnable_sequence`` builds the
+    reference's elements, steps (every field), conclusion ids and times, and
+    the ``clause_masks`` of its elements, or fails with the reference's
+    error and message. Returns whether the whole walk failed."""
+    schemes = [None, ASSERTING, DEC] + [LearningScheme("index", k) for k in range(len(trail) + 1)]
+    failed = False
+    for scheme in schemes:
+        try:
+            want = reference_learnable_sequence(trail, qcnf, scheme)
+        except QcdclError as exc:
+            with pytest.raises(type(exc)) as got:
+                learnable_sequence(trail, qcnf, scheme)
+            assert str(got.value) == str(exc), scheme
+            failed |= scheme is None
+            continue
+        seq = learnable_sequence(trail, qcnf, scheme)
+        assert (seq.elements, seq.steps, seq.conclusion_ids, seq.times) == want, scheme
+        assert seq.masks == [clause_masks(qcnf.prefix, c) for c in seq.elements]
+    return failed
+
+
+def test_mask_analysis_matches_the_clause_walk():
+    """Every conflicted corpus trail, against the ``Clause`` walk."""
+    cases = _conflicted_corpus()
+    assert len(cases) > 50
+    assert not any(_assert_same_analysis(qcnf, trail) for qcnf, trail in cases)
+
+
+@given(corpus_cases())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_mask_analysis_matches_the_clause_walk_on_mutated_trails(case):
+    """The same on relabelled, mutated conflicted copies, whose walks may
+    fail: an antecedent without the pivot, or a merge the mode forbids."""
+    qcnf, _, trail = case
+    if trail.conflicted and trail.entries[-1].antecedent is not None:
+        _assert_same_analysis(qcnf, trail)
 
 
 def test_step_ids_are_positions():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import replace
 from unittest import mock
@@ -45,18 +44,16 @@ from qcdcl_lab.solver import SolverConfig, solve
 from qcdcl_lab.trail import TrailEntry
 
 from conftest import (
-    ALL_POLICY_PAIRS,
     EVERY_POLICY_PAIR,
     MUTATIONS,
     PSI_TRUE,
+    criterion_01_runs,
     entry_times,
     last_time,
     mutated_trail,
     proof_corpus,
-    random_small_qcnf,
     trail_of,
 )
-from test_acceptance import small_generator_instances
 from test_formula import premises, reference_reduce
 from test_trail import reference_validate_trail
 
@@ -207,20 +204,11 @@ def reference_check_derivation(qcnf, d, mode=None, require_refutation=False):
     return Verdict(not failures, failures, computed)
 
 
-@functools.lru_cache(maxsize=None)
 def criterion_01_refutations() -> tuple:
     """(formula, glued refutation) of every solver refutation of
     criterion 01's corpus, under every policy pair."""
-    instances = [f for _, f in small_generator_instances()]
-    rng = random.Random(20260809)
-    instances += [random_small_qcnf(rng, max_vars=8, max_clauses=12) for _ in range(500)]
-    out = []
-    for f in instances:
-        for d, r in ALL_POLICY_PAIRS:
-            result = solve(f.copy(), SolverConfig(d, r, max_conflicts=4 ** f.num_vars))
-            if result.refuted:
-                out.append((f, glue_qcdcl_proof(f, result.proof)))
-    return tuple(out)
+    return tuple((f, glued) for _, f, _, runs in criterion_01_runs()
+                 for *_, glued in runs if glued is not None)
 
 
 DERIVATION_MUTATIONS = ("pivot", "premise", "kind", "duplicate-id", "foreign-axiom")
