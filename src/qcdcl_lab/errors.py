@@ -7,7 +7,11 @@ NON_DECIMAL = "integers must be plain ASCII decimals (no '_', '+' or non-ASCII d
 def non_decimal(line: str) -> bool:
     """Whether ``int()`` might read a token of ``line`` that is not a plain
     ASCII decimal: it also accepts ``_`` separators, a ``+`` sign and
-    non-ASCII digits. One test per line costs far less than one per token."""
+    non-ASCII digits. The proof parser tests a whole text once, and each
+    line only if the text fails, to report the first line that does; the
+    QDIMACS parser tests each line that is not a comment, since instance
+    names in comments often hold a ``_``, and the script parser tests each
+    line once its ``#`` comment is cut."""
     return not line.isascii() or "_" in line or "+" in line
 
 

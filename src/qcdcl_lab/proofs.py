@@ -341,25 +341,52 @@ def parse_proof(text: str) -> Derivation:
     prefix happens inside the checker). Derived steps carry no literals;
     their clauses are computed by the checker, so every derived
     ``ProofStep`` tuple shares one empty placeholder ``Clause``.
+
+    The header and the conclusion record appear once each. The digit rule
+    of ``non_decimal`` is tested once on the whole text, and line by line
+    only if the text fails it, so the first bad line is the one reported.
+    Each line is split once. A resolve record of six fields, nearly every
+    line of a solver's proof, has its own branch: its terminator is read
+    only when it is not ``0``, and its step is a tuple built without
+    ``ProofStep``'s keyword defaults. A resolve record of any other length
+    only reaches the general branches to get their error messages.
     """
     steps: list[ProofStep] = []
     mode = None
     conclusion = None
     ids: set[int] = set()
     placeholder = Clause()
+    check = non_decimal(text)
+    append, add, new = steps.append, ids.add, tuple.__new__
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c "):
+        fields = raw.split()
+        if not fields or fields[0] == "c" and raw.strip().startswith("c "):
             continue
-        if non_decimal(line):
+        if check and non_decimal(raw.strip()):
             raise QcdclError(f"line {line_no}: {NON_DECIMAL}")
-        fields = line.split()
-        if fields[0] == "p":
+        kind = fields[0]
+        if kind == RESOLVE and len(fields) == 6:
+            try:
+                sid, pivot = int(fields[1]), int(fields[2])
+                left, right = int(fields[3]), int(fields[4])
+                if fields[5] != "0" and int(fields[5]):   # "-0" and "00" read 0
+                    raise QcdclError(f"line {line_no}: missing terminating 0")
+            except ValueError:
+                raise QcdclError(f"line {line_no}: non-integer token") from None
+            if left not in ids or right not in ids:
+                raise QcdclError(f"line {line_no}: dangling premise id")
+            append(new(ProofStep, (sid, RESOLVE, placeholder, None, pivot, left, right, None)))
+            add(sid)
+            continue
+        if kind == "p":
+            if mode is not None:
+                raise QcdclError(f"line {line_no}: duplicate header")
             if fields[1:] != ["qrp-lite", QRES] and fields[1:] != ["qrp-lite", LDQRES]:
-                raise QcdclError(f"line {line_no}: bad header {line!r}")
+                raise QcdclError(f"line {line_no}: bad header {raw.strip()!r}")
             mode = fields[2]
             continue
-        kind = fields[0]
+        if kind == "conclusion" and conclusion is not None:
+            raise QcdclError(f"line {line_no}: duplicate conclusion")
         try:
             nums = list(map(int, fields[1:]))
         except ValueError:
@@ -372,27 +399,22 @@ def parse_proof(text: str) -> Derivation:
         if not nums or nums[-1] != 0:
             raise QcdclError(f"line {line_no}: missing terminating 0")
         if kind == RESOLVE:
-            if len(nums) != 5:
-                raise QcdclError(f"line {line_no}: resolve needs pivot, left, right")
-            sid, pivot, left, right, _ = nums
-            if left not in ids or right not in ids:
-                raise QcdclError(f"line {line_no}: dangling premise id")
-            steps.append(ProofStep(sid, RESOLVE, placeholder, None, pivot, left, right))
-        elif kind == AXIOM:
+            raise QcdclError(f"line {line_no}: resolve needs pivot, left, right")
+        if kind == AXIOM:
             if len(nums) == 1:
                 raise QcdclError(f"line {line_no}: axiom needs a step id")
             sid = nums[0]
-            steps.append(ProofStep(sid, AXIOM, clause_from_raw(nums[1:-1])))
+            append(ProofStep(sid, AXIOM, clause_from_raw(nums[1:-1])))
         elif kind == REDUCE:
             if len(nums) != 3:
                 raise QcdclError(f"line {line_no}: reduce needs a source id")
             sid, src, _ = nums
             if src not in ids:
                 raise QcdclError(f"line {line_no}: dangling premise id")
-            steps.append(ProofStep(sid, REDUCE, placeholder, src=src))
+            append(ProofStep(sid, REDUCE, placeholder, src=src))
         else:
             raise QcdclError(f"line {line_no}: unknown record {kind!r}")
-        ids.add(sid)
+        add(sid)
     if mode is None:
         raise QcdclError("missing 'p qrp-lite' header")
     if conclusion is None:

@@ -37,10 +37,11 @@ def parse_qdimacs(text) -> QCNF:
             continue
         if non_decimal(line):
             raise QdimacsError(line_no, NON_DECIMAL)
-        if line.startswith("p"):
+        fields = line.split()
+        kind = fields[0]
+        if kind.startswith("p"):
             if header_seen:
                 raise QdimacsError(line_no, "duplicate header")
-            fields = line.split()
             if len(fields) != 4 or fields[:2] != ["p", "cnf"]:
                 raise QdimacsError(line_no, f"bad header {line!r}")
             try:   # the declared counts are advisory; only their syntax is checked
@@ -51,11 +52,10 @@ def parse_qdimacs(text) -> QCNF:
             continue
         if not header_seen:
             raise QdimacsError(line_no, "content before 'p cnf' header")
-        kind = line.split(None, 1)[0]
         if kind in ("e", "a"):
             if prefix_done:
                 raise QdimacsError(line_no, "quantifier line after clauses")
-            nums = _int_fields(line_no, line.split()[1:])
+            nums = _int_fields(line_no, fields[1:])
             if not nums or nums[-1] != 0 or any(n == 0 for n in nums[:-1]):
                 raise QdimacsError(line_no, "quantifier line must end with a single 0")
             if any(n < 0 for n in nums[:-1]):
@@ -63,7 +63,7 @@ def parse_qdimacs(text) -> QCNF:
             quant = EXISTS if kind == "e" else FORALL
             blocks.append((quant, nums[:-1]))
             continue
-        nums = _int_fields(line_no, line.split())
+        nums = _int_fields(line_no, fields)
         if not nums or nums[-1] != 0:
             raise QdimacsError(line_no, "clause line must end with 0")
         if any(n == 0 for n in nums[:-1]):

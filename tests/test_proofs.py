@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import replace
 from unittest import mock
@@ -25,8 +26,14 @@ from qcdcl_lab import (
     validate_qcdcl_proof,
 )
 import qcdcl_lab.proofs as proofs
-from qcdcl_lab.errors import IllegalTautologyError, PivotMissingError, QcdclError
-from qcdcl_lab.formula import QCNF, Clause, LDQRES, MODES, QRES, make_clause
+from qcdcl_lab.errors import (
+    NON_DECIMAL,
+    IllegalTautologyError,
+    PivotMissingError,
+    QcdclError,
+    non_decimal,
+)
+from qcdcl_lab.formula import QCNF, Clause, LDQRES, MODES, QRES, clause_from_raw, make_clause
 from qcdcl_lab.goldens import fig_trapdoor_refutation
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.learning import DEC
@@ -55,6 +62,7 @@ from conftest import (
     trail_of,
 )
 from test_formula import premises, reference_reduce
+from test_fuzz import line as soup_line, soup, token as soup_token
 from test_trail import reference_validate_trail
 
 
@@ -534,6 +542,170 @@ class TestPurelyExistential:
         assert count_reductions(glued) == 0
 
 
+# -- the one-split proof parser against the parser it replaced ---------------
+
+
+def reference_parse_proof(text: str) -> Derivation:
+    """``parse_proof`` as one strip, one digit test, one split and one
+    ``int`` per token for every line, with the rule that the header and the
+    conclusion record appear once each."""
+    steps: list[ProofStep] = []
+    mode = None
+    conclusion = None
+    ids: set[int] = set()
+    placeholder = Clause()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c "):
+            continue
+        if non_decimal(line):
+            raise QcdclError(f"line {line_no}: {NON_DECIMAL}")
+        fields = line.split()
+        if fields[0] == "p":
+            if mode is not None:
+                raise QcdclError(f"line {line_no}: duplicate header")
+            if fields[1:] != ["qrp-lite", QRES] and fields[1:] != ["qrp-lite", LDQRES]:
+                raise QcdclError(f"line {line_no}: bad header {line!r}")
+            mode = fields[2]
+            continue
+        kind = fields[0]
+        if kind == "conclusion" and conclusion is not None:
+            raise QcdclError(f"line {line_no}: duplicate conclusion")
+        try:
+            nums = list(map(int, fields[1:]))
+        except ValueError:
+            raise QcdclError(f"line {line_no}: non-integer token") from None
+        if kind == "conclusion":
+            if len(nums) != 1:
+                raise QcdclError(f"line {line_no}: conclusion needs one step id")
+            conclusion = nums[0]
+            continue
+        if not nums or nums[-1] != 0:
+            raise QcdclError(f"line {line_no}: missing terminating 0")
+        if kind == RESOLVE:
+            if len(nums) != 5:
+                raise QcdclError(f"line {line_no}: resolve needs pivot, left, right")
+            sid, pivot, left, right, _ = nums
+            if left not in ids or right not in ids:
+                raise QcdclError(f"line {line_no}: dangling premise id")
+            steps.append(ProofStep(sid, RESOLVE, placeholder, None, pivot, left, right))
+        elif kind == AXIOM:
+            if len(nums) == 1:
+                raise QcdclError(f"line {line_no}: axiom needs a step id")
+            sid = nums[0]
+            steps.append(ProofStep(sid, AXIOM, clause_from_raw(nums[1:-1])))
+        elif kind == REDUCE:
+            if len(nums) != 3:
+                raise QcdclError(f"line {line_no}: reduce needs a source id")
+            sid, src, _ = nums
+            if src not in ids:
+                raise QcdclError(f"line {line_no}: dangling premise id")
+            steps.append(ProofStep(sid, REDUCE, placeholder, src=src))
+        else:
+            raise QcdclError(f"line {line_no}: unknown record {kind!r}")
+        ids.add(sid)
+    if mode is None:
+        raise QcdclError("missing 'p qrp-lite' header")
+    if conclusion is None:
+        raise QcdclError("missing conclusion record")
+    if conclusion not in ids:
+        raise QcdclError("conclusion references a missing step")
+    return Derivation(steps, mode, conclusion)
+
+
+def parse_outcome(parse, text):
+    """The error's type and message, or the mode, the conclusion and every
+    step field by field (clauses by ``key()``)."""
+    try:
+        d = parse(text)
+    except QcdclError as exc:
+        return type(exc), str(exc)
+    return d.mode, d.conclusion, [(type(s), s.step_id, s.kind, s.clause.key(), *s[3:])
+                                  for s in d.steps]
+
+
+def assert_same_parse(text):
+    assert parse_outcome(parse_proof, text) == parse_outcome(reference_parse_proof, text)
+
+
+@functools.lru_cache(maxsize=None)
+def serialized_proofs() -> tuple[str, ...]:
+    """The trapdoor figure (qres) and a glued solver refutation of
+    ``qparity_4`` (ldqres, with reductions and merged universals)."""
+    f = generate(FamilySpec("qparity", 4))
+    glued = glue_qcdcl_proof(f, solve(f.copy(), SolverConfig(LEV_ORD, RED)).proof)
+    return serialize_proof(fig_trapdoor_refutation(2)), serialize_proof(glued)
+
+
+# Whitespace that ``str.split`` and ``str.strip`` skip; the no-break space is non-ASCII.
+PADDING = st.text(alphabet=" \t\xa0\x1f", min_size=1, max_size=3)
+
+
+@st.composite
+def mutated_proof_texts(draw):
+    """A serialized proof with one to three line mutations: a line deleted,
+    a soup line or a copy of a line inserted, a token replaced by a soup
+    token, or whitespace padded in at a token boundary."""
+    lines = draw(st.sampled_from(serialized_proofs())).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("delete", "insert", "retoken", "pad")))
+        i = draw(st.integers(0, len(lines)))
+        if op == "insert":
+            lines.insert(i, draw(st.one_of(soup_line, st.sampled_from(lines or [""]))))
+            continue
+        if i == len(lines):
+            continue
+        if op == "delete":
+            del lines[i]
+        elif op == "retoken":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(soup_token)
+            lines[i] = " ".join(tokens)
+        else:
+            at = draw(st.sampled_from(
+                [0, len(lines[i])] + [j for j, ch in enumerate(lines[i]) if ch == " "]))
+            lines[i] = lines[i][:at] + draw(PADDING) + lines[i][at:]
+    return "\n".join(lines) + "\n"
+
+
+# Lines at the edges of the comment rule, the six-field resolve branch and
+# the digit rule; a non-ASCII or ``_`` comment makes the digit rule fail
+# on the whole text.
+EDGE_LINES = (
+    "", "\t", "\x1f", "c", "c 1 0", "c\t1 0", "\tc 1 2", "\xa0c 1", "c\xa01", "C 1",
+    "c \u00e9", "c 1_0", "r 9 1 0 1 0", " r\t9 1 0 1 0 ", "r 9 1 0 1 -0", "r 9 1 0 1 00",
+    "r 9 1 0 1 5", "r 9 1 0 1 x", "r 9 x 0 1 5", "r 9 1 0 99 5", "r 9 1 0 1 0 0", "r 9 1 0 1", "r 9 x 0 1 0", "r 9 1_0 0 1 0", "r 9 \u0661 0 1 0",
+    "r 9 +1 0 1 0", "r 9 1 0 99 0", "r 9 1 99 0 0", "u 9 0 0", "a 9 1 -1 0",
+    "conclusion 0", "p qrp-lite qres", "p  qrp-lite\tldqres", "p qrp-lite qres x",
+)
+
+
+class TestParserMatchesTheReference:
+    """``parse_proof`` returns the reference parser's steps, mode and
+    conclusion, or raises its error with the same message."""
+
+    def test_serialized_proofs(self):
+        for text in serialized_proofs():
+            assert_same_parse(text)
+            assert parse_outcome(parse_proof, text)[0] in MODES
+
+    @pytest.mark.parametrize("edge", EDGE_LINES)
+    def test_edge_line_at_every_position(self, edge):
+        lines = serialized_proofs()[0].splitlines()
+        for i in range(len(lines) + 1):
+            assert_same_parse("\n".join(lines[:i] + [edge] + lines[i:]) + "\n")
+
+    @given(soup)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_line_soup(self, text):
+        assert_same_parse(text)
+
+    @given(mutated_proof_texts())
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    def test_mutated_proofs(self, text):
+        assert_same_parse(text)
+
+
 class TestTraceFormat:
     def test_roundtrip_identity_on_the_figure(self):
         d = fig_trapdoor_refutation(2)
@@ -557,9 +729,20 @@ class TestTraceFormat:
             parse_proof("p qrp-lite qres\na 0 1 2 0\n")
 
     @pytest.mark.parametrize(
-        "bad", ["a 0", "conclusion", "conclusion x", "a 1 1_0 0", "a 1 +2 0", "a \u0660 1 0"]
+        "bad", ["a 0", "conclusion", "conclusion x", "a 1 1_0 0", "a 1 +2 0", "a \u0660 1 0",
+                "p qrp-lite ldqres"]
     )
     def test_malformed_record_rejected(self, bad):
         with pytest.raises(QcdclError) as err:
             parse_proof(f"p qrp-lite qres\na 0 1 2 0\n{bad}\nconclusion 0\n")
         assert err.value.args[0].startswith("line 3: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("p qrp-lite qres\na 0 1 0\np qrp-lite ldqres\nconclusion 0\n", "line 3: duplicate header"),
+        ("p qrp-lite qres\na 0 1 0\na 1 2 0\nconclusion 1\nconclusion 0\n",
+         "line 5: duplicate conclusion"),
+    ])
+    def test_second_header_or_conclusion_rejected(self, text, message):
+        with pytest.raises(QcdclError) as err:
+            parse_proof(text)
+        assert err.value.args[0] == message
