@@ -181,10 +181,18 @@ def clause_masks(prefix: Prefix, clause: Clause) -> tuple[int, int, int]:
     return masks[0], masks[1], masks[2]
 
 
-def fill_masks(masks: list, clauses: list, prefix: Prefix):
-    """Extend a database's ``clause_masks`` list to every clause."""
-    if len(masks) < len(clauses):
-        masks.extend(clause_masks(prefix, c) for c in clauses[len(masks):])
+def fill_masks(masks: list, occ: list, clauses: list, prefix: Prefix):
+    """Extend a database's ``clause_masks`` list and its occurrence index
+    to every clause: bit ``cid`` of ``occ[2 * rank + (lit < 0)]`` is set
+    when literal ``lit`` satisfies clause ``cid``, in both polarities for
+    a merged variable."""
+    rank = prefix.rank
+    for cid in range(len(masks), len(clauses)):
+        c = clauses[cid]
+        masks.append(clause_masks(prefix, c))
+        bit = 1 << cid
+        for l in c.all_literals():
+            occ[2 * rank[l] + (l < 0)] |= bit
 
 
 def _bits(mask: int):
@@ -327,12 +335,13 @@ class QCNF:
         for cid, c in enumerate(self.clauses):
             self._ids.setdefault(c, cid)
         # Incremental state over the clause list, kept by the ``trail``
-        # module: ``clause_masks`` as far as propagation, a check, conflict
-        # analysis or ``copy`` needed them; and per propagation policy, the
-        # watch states of the empty trail and of the trail served last (with
-        # that trail), be it a propagated trail or the shadow a
-        # ``validate_trail`` walk grows.
+        # module: ``clause_masks`` and the occurrence index (``fill_masks``)
+        # as far as propagation, a check, conflict analysis or ``copy``
+        # needed them; and per propagation policy, the watch states of the
+        # empty trail and of the trail served last (with that trail), be it
+        # a propagated trail or the shadow a ``validate_trail`` walk grows.
         self.masks: list[tuple[int, int, int]] = []
+        self.occ: list[int] = [0] * (2 * len(prefix.ranked))
         self.watches: dict = {}
 
     def add_clause(self, c: Clause) -> tuple[int, bool]:
@@ -346,13 +355,16 @@ class QCNF:
         return c in self._ids
 
     def copy(self) -> "QCNF":
-        """A database to propagate or check on: it shares this one's clause
-        masks, filled here, so runs on copies of one formula compute them once."""
+        """A database to propagate or check on: it starts from this one's
+        clause masks and occurrence index, filled here, so runs on copies of
+        one formula compute them once. Both are copied, since ``fill_masks``
+        extends them in place."""
         out = copy.copy(self)
         out.clauses = list(self.clauses)
         out._ids = dict(self._ids)
-        fill_masks(self.masks, self.clauses, self.prefix)
+        fill_masks(self.masks, self.occ, self.clauses, self.prefix)
         out.masks = self.masks[:]
+        out.occ = self.occ[:]
         out.watches = {}
         return out
 

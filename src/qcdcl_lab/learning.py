@@ -76,7 +76,7 @@ def learnable_sequence(trail: Trail, qcnf: QCNF,
     prefix = qcnf.prefix
     rank = prefix.rank
     masks = qcnf.masks
-    fill_masks(masks, qcnf.clauses, prefix)
+    fill_masks(masks, qcnf.occ, qcnf.clauses, prefix)
     steps: list[ProofStep] = []
 
     def add(kind, clause, **kw) -> int:

@@ -170,69 +170,81 @@ def clause_status(masks, true: int, false: int, prefix, policy: str):
 
 
 class _Watches:
-    """Watched-literal state over one clause list under one policy, with
-    the true/false bitmasks of the trail entries it has processed."""
+    """Watch state over one clause list under one policy, kept as bitmasks
+    over clause ids: ``sat`` holds the satisfied clauses, ``pending`` those
+    found unit or falsified, and ``watchers[r]`` those watching the variable
+    of rank r. ``true`` and ``false`` are the assignment of the trail
+    entries processed so far, as bitmasks over ranks."""
 
     def __init__(self, qcnf: QCNF, policy: str):
         # The clause list, not the QCNF, so that the states it keeps do
         # not make a reference cycle.
         self.clauses = qcnf.clauses
         self.masks = qcnf.masks
+        self.occ = qcnf.occ
         self.prefix = qcnf.prefix
         self.policy = policy
         self.cursor = 0                    # trail entries before it are processed
         self.true = self.false = 0         # their assignment, as bitmasks
         self.attached = 0                  # clause ids below it are attached
-        self.lists: dict[int, list[int]] = {}        # variable -> watching clause ids
-        self.watching: dict[int, tuple[int, ...]] = {}   # clause id -> watched literals
-        self.pending: set[int] = set()     # clause ids found unit or falsified
+        self.sat = self.pending = 0
+        self.watchers = [0] * len(qcnf.prefix.ranked)
 
     def fork(self) -> "_Watches":
         out = copy.copy(self)
-        out.lists = {v: cids[:] for v, cids in self.lists.items()}
-        out.watching = dict(self.watching)
-        out.pending = set(self.pending)
+        out.watchers = self.watchers[:]
         return out
 
     def status(self, cid: int):
         return clause_status(self.masks[cid], self.true, self.false, self.prefix, self.policy)
 
-    def place(self, cid: int):
-        """(Re)compute the watches of clause ``cid``; a satisfied clause
-        gets none, a unit or falsified one joins the pending set."""
-        w = clause_status(self.masks[cid], self.true, self.false, self.prefix, self.policy)
-        old = self.watching.pop(cid, ())
-        if w.__class__ is tuple:
-            self.watching[cid] = w
-            for l in w:
-                if l not in old:
-                    self.lists.setdefault(abs(l), []).append(cid)
-        elif w is not None:
-            self.pending.add(cid)
+    def place(self, ids: int):
+        """Classify the clauses whose ids are the set bits of ``ids``: each
+        joins ``sat``, ``pending``, or the watchers of the literals
+        ``clause_status`` keeps it open with."""
+        masks, true, false, prefix, policy = self.masks, self.true, self.false, self.prefix, self.policy
+        rank, watchers = prefix.rank, self.watchers
+        while ids:
+            low = ids & -ids
+            ids ^= low
+            w = clause_status(masks[low.bit_length() - 1], true, false, prefix, policy)
+            if w.__class__ is tuple:
+                for l in w:
+                    watchers[rank[l]] |= low
+            elif w is None:
+                self.sat |= low
+            else:
+                self.pending |= low
 
     def catch_up(self, entries):
-        """Assign the new trail entries, visiting the watchers of each
-        entry's variable, then attach the clauses added to the database
-        since the last call."""
-        lists, watching, rank = self.lists, self.watching, self.prefix.rank
+        """Assign the new trail entries, then attach the clauses added to
+        the database since the last call. An assignment ORs the clauses its
+        literal satisfies into ``sat`` and visits the unsatisfied watchers of
+        its variable. A clause whose watch moved off a variable keeps its
+        bit there; a visit only recomputes it."""
+        rank, occ, watchers = self.prefix.rank, self.occ, self.watchers
         for e in islice(entries, self.cursor, None):
             lit = e.lit
+            if not lit:
+                continue
+            r = rank[lit]
             if lit > 0:
-                self.true |= 1 << rank[lit]
-            elif lit:
-                self.false |= 1 << rank[lit]
-            for cid in lists.pop(abs(lit), ()):
-                w = watching.get(cid, ())
-                if lit in w:           # a watched literal came true
-                    del watching[cid]
-                elif -lit in w:
-                    self.place(cid)
+                self.true |= 1 << r
+                self.sat |= occ[2 * r]
+            else:
+                self.false |= 1 << r
+                self.sat |= occ[2 * r + 1]
+            ids = watchers[r] & ~self.sat
+            watchers[r] = 0
+            if ids:
+                self.place(ids)
         self.cursor = len(entries)
         clauses = self.clauses
-        fill_masks(self.masks, clauses, self.prefix)
-        while self.attached < len(clauses):
-            self.place(self.attached)
-            self.attached += 1
+        n = len(clauses)
+        if self.attached < n:
+            fill_masks(self.masks, occ, clauses, self.prefix)
+            self.place((1 << n) - (1 << self.attached))
+            self.attached = n
 
 
 def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
@@ -254,14 +266,16 @@ def _next_forced(w: _Watches):
     """The (literal, clause id) propagation would take next on the trail
     ``w`` serves: the lowest-id conflict (literal 0), else the lowest-id
     unit; None at quiescence."""
+    w.pending = ids = w.pending & ~w.sat
     unit = None
-    for cid in sorted(w.pending):
+    while ids:
+        low = ids & -ids
+        ids ^= low
+        cid = low.bit_length() - 1
         lit = w.status(cid)
-        if lit.__class__ is not int:
-            w.pending.discard(cid)   # satisfied since it was found
-        elif lit == 0:
+        if lit == 0:
             return 0, cid
-        elif unit is None:
+        if unit is None:
             unit = (lit, cid)
     return unit
 
@@ -280,18 +294,22 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     existentials, or one plus an unassigned universal (or merged variable)
     of lower level; under NO-RED any two unassigned literals or merged
     variables, or a last one that is universal or merged. A clause that
-    cannot be watched so is satisfied, unit or falsified: satisfied clauses
-    drop out for the rest of the trail, the others join a pending set.
-    ``clause_status`` answers all of this from bitmasks: the database's
-    clause masks and the watch state's true/false masks of the trail.
-    Before each choice ``_next_forced`` re-checks the pending clauses and
-    the rule above picks among them, which is the choice a rescan of every
-    clause would give; a scripted override is tested the same way. The
-    database keeps the watch state of the trail it served last
-    (``_trail_watches``): calls on that trail visit only the watchers of
-    newly assigned variables and attach clauses added since. Trails only
-    grow (backtracks and restarts make fresh trails), so no watch is ever
-    undone.
+    cannot be watched so is satisfied, unit or falsified: it joins the
+    satisfied or the pending clauses. ``clause_status`` answers all of
+    this from bitmasks: the database's clause masks and the watch state's
+    true/false masks of the trail. The watch state keeps its clause sets as
+    bitmasks over clause ids. Assigning a literal ORs in the clauses it
+    satisfies (the database's occurrence index), then recomputes only the
+    unsatisfied watchers of its variable. An open clause changes status
+    only when a watched variable is assigned or one of its literals comes
+    true, so the pending clauses include every unit or falsified one.
+    Before each choice ``_next_forced`` re-checks the unsatisfied pending
+    clauses and the rule above picks among them, which is the choice a
+    rescan of every clause would give; a scripted override is tested the
+    same way. The database keeps the watch state of the trail it served
+    last (``_trail_watches``): calls on that trail process only the newly
+    assigned variables and attach clauses added since. Trails only grow
+    (backtracks and restarts make fresh trails), so no watch is ever undone.
     """
     if trail.conflicted:
         return trail
@@ -423,7 +441,7 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     """
     prefix, clauses, masks, rank = qcnf.prefix, qcnf.clauses, qcnf.masks, qcnf.prefix.rank
     policy = trail.propagation_policy
-    fill_masks(masks, clauses, prefix)
+    fill_masks(masks, qcnf.occ, clauses, prefix)
     shadow = Trail(trail.decision_policy, policy)
     assignment = shadow.assignment
     true = false = 0

@@ -26,8 +26,9 @@ from qcdcl_lab import (
     solve,
 )
 from qcdcl_lab.errors import PendingPropagationError, QcdclError, ScriptDivergenceError
-from qcdcl_lab.formula import make_clause
+from qcdcl_lab.formula import clause_masks, make_clause
 from qcdcl_lab.goldens import equality_script, lonsing_script, qparity_script, trapdoor_script
+from qcdcl_lab.learning import ASSERTING, learn
 from qcdcl_lab.simulation import run_simulation
 from qcdcl_lab.trail import (
     ANY_ORD,
@@ -36,6 +37,8 @@ from qcdcl_lab.trail import (
     NO_RED,
     RED,
     Trail,
+    _Watches,
+    clause_status,
     decide,
     legal_decisions,
     propagate_to_fixpoint,
@@ -196,6 +199,116 @@ def test_random_walks_with_added_clauses_and_copies():
                     lit = rng.choice(legal)
                     ta.append_decision(lit)
                     tb.append_decision(lit)
+
+
+def random_clause(rng, f, variables):
+    """A clause of one to three literals, possibly with merged universals."""
+    chosen = rng.sample(variables, rng.randint(1, min(3, len(variables))))
+    merged = [v for v in chosen[1:] if f.prefix.is_universal(v)]
+    lits = [v * rng.choice((1, -1)) for v in chosen if v not in merged]
+    return make_clause(f.prefix, lits, merged)
+
+
+def check_watch_state(w):
+    """Each attached clause is in ``sat`` exactly when it is satisfied, in
+    ``pending`` when unit or falsified, and otherwise among the watchers of
+    every literal ``clause_status`` keeps it open with."""
+    rank = w.prefix.rank
+    for cid in range(w.attached):
+        status = clause_status(w.masks[cid], w.true, w.false, w.prefix, w.policy)
+        assert bool(w.sat >> cid & 1) == (status is None), (cid, status)
+        if status.__class__ is int:
+            assert w.pending >> cid & 1, (cid, status)
+        elif status is not None:
+            for lit in status:
+                assert w.watchers[rank[lit]] >> cid & 1, (cid, lit)
+
+
+def test_watch_state_invariants_over_random_walks(monkeypatch):
+    """White-box: the walks of ``test_random_walks_with_added_clauses_and_copies``
+    (decisions, clause additions between calls, copies and backtracks), with
+    every watch state checked after every ``catch_up``. Half the trail
+    checks are skipped, so that the database often still serves the trail
+    when a clause is added, and attaches it under the trail's assignment."""
+    original = _Watches.catch_up
+    checked = []
+
+    def catch_up(self, entries):
+        original(self, entries)
+        check_watch_state(self)
+        checked.append(self.attached)
+
+    monkeypatch.setattr(_Watches, "catch_up", catch_up)
+    rng = random.Random(11)
+    for _ in range(150):
+        f = random_small_qcnf(rng, max_vars=8, max_clauses=10)
+        variables = sorted(f.prefix.variables)
+        for d, r in ALL_POLICY_PAIRS:
+            work, trail = f.copy(), Trail(d, r)
+            for _step in range(12):
+                if rng.random() < 0.5:
+                    validate_trail(work, trail)
+                legal = sorted(legal_decisions(trail, work))
+                if legal:
+                    try:
+                        decide(trail, legal[0], work)
+                    except PendingPropagationError:
+                        pass
+                propagate_to_fixpoint(work, trail)
+                if rng.random() < 0.5:
+                    validate_trail(work, trail)
+                if trail.conflicted:
+                    break
+                move = rng.random()
+                if move < 0.3:
+                    work.add_clause(random_clause(rng, f, variables))
+                elif move < 0.4:
+                    trail = trail.backtrack(last_time(trail))
+                elif move < 0.5 and trail.last_level > 0:
+                    trail = trail.backtrack((rng.randint(0, trail.last_level - 1), 0))
+                else:
+                    legal = sorted(legal_decisions(trail, work))
+                    if not legal:
+                        break
+                    trail.append_decision(rng.choice(legal))
+    assert len(checked) > 10_000
+
+
+def reference_occurrences(f):
+    """The occurrence index of ``f``'s clauses, built from scratch."""
+    rank = f.prefix.rank
+    occ = [0] * (2 * len(f.prefix.ranked))
+    for cid, c in enumerate(f.clauses):
+        for lit in c.all_literals():
+            occ[2 * rank[lit] + (lit < 0)] |= 1 << cid
+    return occ
+
+
+def test_copies_do_not_share_the_occurrence_index():
+    """A clause learned on a copy and propagated there leaves the original's
+    clause masks and occurrence index describing exactly its own clauses,
+    and propagation on the original still matches the rescanning engine."""
+    rng = random.Random(26)
+    learned = 0
+    for _ in range(60):
+        f = random_small_qcnf(rng, max_vars=8, max_clauses=12)
+        for d, r in ALL_POLICY_PAIRS:
+            result = solve(f.copy(), SolverConfig(d, r, max_conflicts=4 ** f.num_vars))
+            if result.proof is None or not result.proof.rounds:
+                continue
+            trail = result.proof.rounds[0].trail
+            g = f.copy()
+            learn(ASSERTING, trail, g, [])
+            propagate_to_fixpoint(g, Trail(d, r))
+            learned += 1
+            assert len(g.clauses) == len(f.clauses) + 1
+            assert f.masks == [clause_masks(f.prefix, c) for c in f.clauses]
+            assert f.occ == reference_occurrences(f)
+            assert g.occ == reference_occurrences(g)
+            ta = propagate_to_fixpoint(f, Trail(d, r))
+            tb = rescan_to_fixpoint(f.copy(), Trail(d, r))
+            assert dump_trail(ta) == dump_trail(tb), (d, r)
+    assert learned > 100
 
 
 def test_clause_added_between_calls_is_seen_at_once():
