@@ -1,4 +1,4 @@
-"""Core QBF data model and the two primitive inferences.
+"""Core QBF data model, the two primitive inferences and the clause database.
 
 Literals are DIMACS-style integers: variables are positive ids, negation is
 arithmetic negation. The conflict marker used in trails is 0; it never occurs
@@ -7,6 +7,7 @@ polarities present, as created by long-distance resolution); a merged
 variable is stored once in ``Clause.merged`` instead of as two literals.
 Both inferences run on a clause's ``clause_masks`` (``resolve_masks``,
 ``reduce_masks``); ``resolve_clauses`` and ``reduce_clause`` wrap them.
+``QCNF.add_clause`` stores each clause's masks and occurrence bits on entry.
 """
 
 from __future__ import annotations
@@ -173,26 +174,16 @@ def make_clause(prefix: Prefix, lits, merged=()) -> Clause:
 
 def clause_masks(prefix: Prefix, clause: Clause) -> tuple[int, int, int]:
     """The clause's (positive, negative, merged) bitmasks over ``prefix.rank``."""
-    masks = [0, 0, 0]
-    for l in clause.lits:
-        masks[l < 0] |= 1 << prefix.rank[l]
-    for v in clause.merged:
-        masks[2] |= 1 << prefix.rank[v]
-    return masks[0], masks[1], masks[2]
-
-
-def fill_masks(masks: list, occ: list, clauses: list, prefix: Prefix):
-    """Extend a database's ``clause_masks`` list and its occurrence index
-    to every clause: bit ``cid`` of ``occ[2 * rank + (lit < 0)]`` is set
-    when literal ``lit`` satisfies clause ``cid``, in both polarities for
-    a merged variable."""
     rank = prefix.rank
-    for cid in range(len(masks), len(clauses)):
-        c = clauses[cid]
-        masks.append(clause_masks(prefix, c))
-        bit = 1 << cid
-        for l in c.all_literals():
-            occ[2 * rank[l] + (l < 0)] |= bit
+    pos = neg = merged = 0
+    for l in clause.lits:
+        if l > 0:
+            pos |= 1 << rank[l]
+        else:
+            neg |= 1 << rank[l]
+    for v in clause.merged:
+        merged |= 1 << rank[v]
+    return pos, neg, merged
 
 
 def _bits(mask: int):
@@ -309,60 +300,69 @@ def resolve_clauses(c1: Clause, c2: Clause, pivot: int, mode: str, prefix: Prefi
 
 class QCNF:
     """A prenex QCNF and its clause database: prefix plus a clause list
-    with stable ids and a duplicate index.
+    with stable ids, a duplicate index and each clause's masks.
 
     Indices into ``clauses`` are the clause ids used everywhere (trails,
     proofs). The first ``matrix_size`` entries are the original matrix;
-    learned clauses are appended behind them, only through ``add_clause``.
+    learned clauses are appended behind them. All enter through
+    ``add_clause``, the one writer of the database's state.
 
     Precondition: every clause is in ``make_clause`` normal form, i.e. its
     literals and merged variables are sorted by (level, variable). Parsing,
-    the generators, ``reduce_clause`` and ``resolve_clauses`` all emit that
+    the generators and ``masks_clause`` (every learned clause) emit that
     form. Duplicates and membership are decided by ``Clause.key()``, so two
     orderings of the same clause would count as different clauses.
     """
 
     def __init__(self, prefix: Prefix, clauses):
         self.prefix = prefix
-        self.clauses: list[Clause] = list(clauses)
-        self.matrix_size = len(self.clauses)
-        for c in self.clauses:
-            if c.is_tautological():
-                raise ValueError("matrix clauses must be non-tautological")
+        self.clauses: list[Clause] = []
         # Clause -> first clause id. A Clause hashes and compares as its
         # key(), so using it directly saves allocating a key tuple per clause.
         self._ids: dict[Clause, int] = {}
-        for cid, c in enumerate(self.clauses):
-            self._ids.setdefault(c, cid)
-        # Incremental state over the clause list, kept by the ``trail``
-        # module: ``clause_masks`` and the occurrence index (``fill_masks``)
-        # as far as propagation, a check, conflict analysis or ``copy``
-        # needed them; and per propagation policy, the watch states of the
-        # empty trail and of the trail served last (with that trail), be it
-        # a propagated trail or the shadow a ``validate_trail`` walk grows.
+        # Per clause id its ``clause_masks``, and the occurrence index: bit
+        # ``cid`` of ``occ[2 * rank + (lit < 0)]`` is set when literal ``lit``
+        # satisfies clause ``cid`` (a merged variable in both polarities).
         self.masks: list[tuple[int, int, int]] = []
         self.occ: list[int] = [0] * (2 * len(prefix.ranked))
+        for c in clauses:
+            if c.is_tautological():
+                raise ValueError("matrix clauses must be non-tautological")
+            self.add_clause(c)
+        self.matrix_size = len(self.clauses)
+        # Per propagation policy, the ``trail`` module's watch states of the
+        # empty trail and of the trail served last (with that trail).
         self.watches: dict = {}
 
     def add_clause(self, c: Clause) -> tuple[int, bool]:
-        """Append ``c``; returns its id and whether it was already present."""
+        """Append ``c`` with its masks and occurrence bits; returns its id
+        and whether it was already present. A variable the prefix does not
+        bind raises ValueError before anything changes."""
+        try:
+            masks = clause_masks(self.prefix, c)
+        except KeyError as exc:
+            raise ValueError(f"variable {abs(exc.args[0])} not bound by the prefix") from None
         cid = len(self.clauses)
         duplicate = self._ids.setdefault(c, cid) != cid
         self.clauses.append(c)
+        self.masks.append(masks)
+        bit, occ, rank = 1 << cid, self.occ, self.prefix.rank
+        for l in c.all_literals():
+            occ[2 * rank[l] + (l < 0)] |= bit
         return cid, duplicate
+
+    def id_of(self, c: Clause) -> int | None:
+        """The first id of ``c`` in the database, None if it is absent."""
+        return self._ids.get(c)
 
     def __contains__(self, c: Clause) -> bool:
         return c in self._ids
 
     def copy(self) -> "QCNF":
-        """A database to propagate or check on: it starts from this one's
-        clause masks and occurrence index, filled here, so runs on copies of
-        one formula compute them once. Both are copied, since ``fill_masks``
-        extends them in place."""
+        """A database that grows apart from this one, with no watch states."""
         out = copy.copy(self)
         out.clauses = list(self.clauses)
         out._ids = dict(self._ids)
-        fill_masks(self.masks, self.occ, self.clauses, self.prefix)
         out.masks = self.masks[:]
         out.occ = self.occ[:]
         out.watches = {}

@@ -26,7 +26,7 @@ from itertools import islice
 from typing import Callable, NamedTuple
 
 from .errors import IllegalTautologyError, InternalTautologyError, QcdclError
-from .formula import (Clause, LDQRES, QCNF, QRES, clause_masks, fill_masks, masks_clause,
+from .formula import (Clause, LDQRES, QCNF, QRES, clause_masks, masks_clause,
                       reduce_masks, resolve_masks)
 from .proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE, Round
 from .trail import RED, Time, Trail, clause_status
@@ -76,7 +76,6 @@ def learnable_sequence(trail: Trail, qcnf: QCNF,
     prefix = qcnf.prefix
     rank = prefix.rank
     masks = qcnf.masks
-    fill_masks(masks, qcnf.occ, qcnf.clauses, prefix)
     steps: list[ProofStep] = []
 
     def add(kind, clause, **kw) -> int:

@@ -4,10 +4,10 @@ A derivation is a list of steps (axiom / resolve / reduce). The checker
 recomputes every clause from scratch: stored clause values are caches and
 never trusted. It recomputes on ``clause_masks`` triples with the same
 kernels (``resolve_masks``, ``reduce_masks``) that ``resolve_clauses`` and
-``reduce_clause`` wrap, and turns a step's masks back into a ``Clause``
-only when ``Verdict.clauses`` is read. Gluing turns a multi-round QCDCL
-proof into one derivation by replacing axiom references to learned clauses
-with the steps that derived them.
+``reduce_clause`` wrap, takes an axiom's from ``QCNF.masks``, and turns a
+step's masks back into a ``Clause`` only when ``Verdict.clauses`` is read.
+Gluing turns a multi-round QCDCL proof into one derivation by replacing
+axiom references to learned clauses with the steps that derived them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .formula import (
     QCNF,
     QRES,
     clause_from_raw,
-    clause_masks,
     make_clause,
     masks_clause,
     reduce_masks,
@@ -124,10 +123,11 @@ def check_derivation(qcnf: QCNF, d: Derivation, mode: str | None = None,
             except ValueError as exc:
                 failures.append((sid, f"axiom: {exc}"))
                 continue
-            if normal not in qcnf:
+            cid = qcnf.id_of(normal)
+            if cid is None:
                 failures.append((sid, "axiom not among the formula's clauses"))
                 continue
-            masks[sid] = clause_masks(prefix, normal)
+            masks[sid] = qcnf.masks[cid]
         elif kind == RESOLVE:
             left, right = masks.get(s.left), masks.get(s.right)
             if left is None or right is None:
@@ -308,7 +308,11 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
             problems.append(f"{tag}: derivation invalid: {verdict.failures[:3]}")
         elif verdict.clauses[rnd.derivation.conclusion] != rnd.learned:
             problems.append(f"{tag}: derivation does not conclude the learned clause")
-        clause_id, duplicate = work.add_clause(rnd.learned)
+        try:
+            clause_id, duplicate = work.add_clause(rnd.learned)
+        except ValueError as exc:
+            problems.append(f"{tag}: learned clause: {exc}")
+            break
         if rnd.clause_id != clause_id:
             problems.append(f"{tag}: clause id {rnd.clause_id} out of sequence")
         if rnd.duplicate != duplicate:

@@ -21,7 +21,7 @@ from .errors import (
     PendingPropagationError,
     ScriptDivergenceError,
 )
-from .formula import FORALL, QCNF, fill_masks
+from .formula import FORALL, QCNF
 
 LEV_ORD = "lev-ord"
 ASS_ORD = "ass-ord"
@@ -170,16 +170,15 @@ def clause_status(masks, true: int, false: int, prefix, policy: str):
 
 
 class _Watches:
-    """Watch state over one clause list under one policy, kept as bitmasks
+    """Watch state over one clause database under one policy, kept as bitmasks
     over clause ids: ``sat`` holds the satisfied clauses, ``pending`` those
     found unit or falsified, and ``watchers[r]`` those watching the variable
     of rank r. ``true`` and ``false`` are the assignment of the trail
     entries processed so far, as bitmasks over ranks."""
 
     def __init__(self, qcnf: QCNF, policy: str):
-        # The clause list, not the QCNF, so that the states it keeps do
-        # not make a reference cycle.
-        self.clauses = qcnf.clauses
+        # The database's lists, not the QCNF, so that the states it keeps
+        # do not make a reference cycle.
         self.masks = qcnf.masks
         self.occ = qcnf.occ
         self.prefix = qcnf.prefix
@@ -239,10 +238,8 @@ class _Watches:
             if ids:
                 self.place(ids)
         self.cursor = len(entries)
-        clauses = self.clauses
-        n = len(clauses)
+        n = len(self.masks)
         if self.attached < n:
-            fill_masks(self.masks, occ, clauses, self.prefix)
             self.place((1 << n) - (1 << self.attached))
             self.attached = n
 
@@ -319,7 +316,7 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
         if unit is not None and unit[0] == 0:
             trail.append_conflict(unit[1])
             return trail
-        if forced and 0 <= forced[0][1] < len(w.clauses) and w.status(forced[0][1]) == forced[0][0]:
+        if forced and 0 <= forced[0][1] < len(w.masks) and w.status(forced[0][1]) == forced[0][0]:
             unit = forced.popleft()
         elif unit is None:
             return trail
@@ -439,9 +436,8 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     ``_next_forced`` reads the shadow's watch state, which the database
     keeps as it keeps any trail's.
     """
-    prefix, clauses, masks, rank = qcnf.prefix, qcnf.clauses, qcnf.masks, qcnf.prefix.rank
+    prefix, masks, rank = qcnf.prefix, qcnf.masks, qcnf.prefix.rank
     policy = trail.propagation_policy
-    fill_masks(masks, qcnf.occ, clauses, prefix)
     shadow = Trail(trail.decision_policy, policy)
     assignment = shadow.assignment
     true = false = 0
@@ -449,7 +445,7 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     def certifies(cid, lit: int) -> bool:
         """Clause ``cid`` forces ``lit`` (0: is falsified) under the shadow;
         an id naming no clause certifies nothing."""
-        return (cid is not None and 0 <= cid < len(clauses)
+        return (cid is not None and 0 <= cid < len(masks)
                 and clause_status(masks[cid], true, false, prefix, policy) == lit)
 
     problems: list[str] = []

@@ -22,6 +22,7 @@ from qcdcl_lab import (
     parse_qdimacs,
     pick_learned,
     propagate_to_fixpoint,
+    replay,
     serialize_proof,
     validate_qcdcl_proof,
 )
@@ -34,7 +35,7 @@ from qcdcl_lab.errors import (
     non_decimal,
 )
 from qcdcl_lab.formula import QCNF, Clause, LDQRES, MODES, QRES, clause_from_raw, make_clause
-from qcdcl_lab.goldens import fig_trapdoor_refutation
+from qcdcl_lab.goldens import fig_trapdoor_refutation, qparity_script
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.learning import DEC
 from qcdcl_lab.proofs import (
@@ -413,6 +414,20 @@ class TestValidateQcdclProof:
         for got, message in cases:
             assert got and got[0].startswith(message), (message, got)
 
+
+    @pytest.mark.parametrize("which", ["first", "last"])
+    def test_a_learned_clause_outside_the_prefix_is_a_problem(self, which):
+        """A round that learns a clause on a variable the prefix does not
+        bind is reported, and the check stops there instead of raising."""
+        f = generate(FamilySpec("qparity", 4))
+        proof = replay(f, qparity_script(4), LEV_ORD, RED)
+        assert validate_qcdcl_proof(f, proof) == []
+        idx = 0 if which == "first" else len(proof.rounds) - 1
+        rounds = list(proof.rounds)
+        rounds[idx] = replace(rounds[idx], learned=Clause((99,)))
+        got = validate_qcdcl_proof(f, QcdclProof(rounds, LEV_ORD, RED))
+        assert got[-1] == f"round {idx}: learned clause: variable 99 not bound by the prefix"
+        assert all(p.startswith(f"round {idx}: ") for p in got), got
 
     def test_analysis_of_an_invalid_trail_is_not_run(self):
         """A conflict marker without antecedent and a last propagation

@@ -26,7 +26,7 @@ from qcdcl_lab import (
     solve,
 )
 from qcdcl_lab.errors import PendingPropagationError, QcdclError, ScriptDivergenceError
-from qcdcl_lab.formula import clause_masks, make_clause
+from qcdcl_lab.formula import Clause, clause_masks, make_clause
 from qcdcl_lab.goldens import equality_script, lonsing_script, qparity_script, trapdoor_script
 from qcdcl_lab.learning import ASSERTING, learn
 from qcdcl_lab.simulation import run_simulation
@@ -282,6 +282,39 @@ def reference_occurrences(f):
         for lit in c.all_literals():
             occ[2 * rank[lit] + (lit < 0)] |= 1 << cid
     return occ
+
+
+def test_the_database_fills_its_masks_and_occurrences_as_clauses_enter():
+    """Construction, each ``add_clause`` (a duplicate and a clause with a
+    merged universal among them) and an add on a copy leave the clause
+    masks and the occurrence index equal to a rebuild, before anything has
+    propagated or checked a trail; a clause naming a variable outside the
+    prefix is refused and changes nothing."""
+
+    def assert_rebuilt(f):
+        assert f.watches == {}
+        assert f.masks == [clause_masks(f.prefix, c) for c in f.clauses]
+        assert f.occ == reference_occurrences(f)
+
+    f = parse_qdimacs("p cnf 4 2\ne 1 0\na 2 0\ne 3 4 0\n1 2 3 0\n-1 -2 4 0\n")
+    assert_rebuilt(f)
+    added = [(f.clauses[1], (2, True)),
+             (make_clause(f.prefix, [-3], merged=[2]), (3, False)),
+             (make_clause(f.prefix, [1, -4]), (4, False))]
+    for c, expected in added:
+        assert f.add_clause(c) == expected
+        assert_rebuilt(f)
+    assert (f.id_of(f.clauses[1]), f.id_of(make_clause(f.prefix, [1, 4]))) == (1, None)
+    g = f.copy()
+    assert g.add_clause(make_clause(g.prefix, [-1, 3])) == (5, False)
+    assert_rebuilt(f)
+    assert_rebuilt(g)
+    assert len(g.clauses) == len(f.clauses) + 1
+    state = (f.clauses[:], f.masks[:], f.occ[:])
+    for c in (Clause((1, 99)), Clause((3,), merged=(98,))):
+        with pytest.raises(ValueError, match=r"^variable 9\d not bound by the prefix$"):
+            f.add_clause(c)
+        assert (f.clauses, f.masks, f.occ) == state and c not in f
 
 
 def test_copies_do_not_share_the_occurrence_index():
