@@ -64,10 +64,12 @@ class Prefix:
         self.rank = {l: i for i, v in enumerate(self.ranked) for l in (v, -v)}
         self.exist_bits = sum(1 << i for i, v in enumerate(self.ranked) if self._quant[v] == EXISTS)
         # ``below[i]``: every bit whose level is at most the level of bit i,
-        # a prefix of the bits since rank order starts with the level.
-        self.below = []
+        # a prefix of the bits since rank order starts with the level;
+        # ``lower[i]``: every bit whose level is less than that level.
+        self.below, self.lower = [], []
         for _, variables in self.blocks:
-            self.below += [(1 << (len(self.below) + len(variables))) - 1] * len(variables)
+            self.lower += [(1 << len(self.below)) - 1] * len(variables)
+            self.below += [(1 << len(self.lower)) - 1] * len(variables)
 
     def level(self, var: int) -> int:
         return self._level[abs(var)]

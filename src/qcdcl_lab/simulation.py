@@ -159,8 +159,7 @@ def make_unreliable(state: SimState, target: Clause, initial: Trail,
 
 
 def _level_sorted(state: SimState, lits) -> list[int]:
-    prefix = state.work.prefix
-    return sorted(set(lits), key=lambda l: (prefix.level(l), abs(l)))
+    return sorted(set(lits), key=state.work.prefix.rank.__getitem__)
 
 
 def _finish(state: SimState, target: Clause, order, trail: Trail,

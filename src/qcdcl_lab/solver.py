@@ -21,7 +21,7 @@ from .trail import (
     DECISION_POLICIES,
     PROPAGATION_POLICIES,
     Trail,
-    _admitted_levels,
+    legal_bits,
     legal_decisions,
     propagate_to_fixpoint,
 )
@@ -68,16 +68,13 @@ def _pick_decision(trail, qcnf, cfg, flip_counter, rng):
         return rng.choice(sorted(legal)) if legal else None
     # Minimal (level, id) legal variable: prefix-order exploration is legal
     # under every decision policy and, combined with the polarity counter,
-    # guarantees a conflicting branch is reached on false inputs. Admitted
-    # levels ascend and blocks are sorted, so it is the first unassigned
-    # variable of the first admitted level that has one. Every level >= 1
-    # opens with one decision, so the trail's last level is the decision depth.
-    blocks, assigned = qcnf.prefix.blocks, trail.assignment
-    for lev in _admitted_levels(trail, qcnf.prefix):
-        for var in blocks[lev - 1][1]:
-            if var not in assigned:
-                return -var if (flip_counter >> trail.last_level) & 1 else var
-    return None
+    # guarantees a conflicting branch is reached on false inputs. It is the
+    # lowest legal rank bit. Every level >= 1 opens with one decision, so
+    # the trail's last level is the decision depth.
+    if not (bits := legal_bits(trail, qcnf)):
+        return None
+    var = qcnf.prefix.ranked[(bits & -bits).bit_length() - 1]
+    return -var if (flip_counter >> trail.last_level) & 1 else var
 
 
 def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:

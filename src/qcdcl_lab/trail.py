@@ -21,7 +21,7 @@ from .errors import (
     PendingPropagationError,
     ScriptDivergenceError,
 )
-from .formula import FORALL, QCNF
+from .formula import QCNF
 
 LEV_ORD = "lev-ord"
 ASS_ORD = "ass-ord"
@@ -173,8 +173,8 @@ class _Watches:
     """Watch state over one clause database under one policy, kept as bitmasks
     over clause ids: ``sat`` holds the satisfied clauses, ``pending`` those
     found unit or falsified, and ``watchers[r]`` those watching the variable
-    of rank r. ``true`` and ``false`` are the assignment of the trail
-    entries processed so far, as bitmasks over ranks."""
+    of rank r. ``true``, ``false`` and ``decided`` are the assignment and the
+    decisions of the trail entries processed so far, as bitmasks over ranks."""
 
     def __init__(self, qcnf: QCNF, policy: str):
         # The database's lists, not the QCNF, so that the states it keeps
@@ -184,7 +184,7 @@ class _Watches:
         self.prefix = qcnf.prefix
         self.policy = policy
         self.cursor = 0                    # trail entries before it are processed
-        self.true = self.false = 0         # their assignment, as bitmasks
+        self.true = self.false = self.decided = 0  # their assignment and decisions, as bitmasks
         self.attached = 0                  # clause ids below it are attached
         self.sat = self.pending = 0
         self.watchers = [0] * len(qcnf.prefix.ranked)
@@ -219,8 +219,8 @@ class _Watches:
         """Assign the new trail entries, then attach the clauses added to
         the database since the last call. An assignment ORs the clauses its
         literal satisfies into ``sat`` and visits the unsatisfied watchers of
-        its variable. A clause whose watch moved off a variable keeps its
-        bit there; a visit only recomputes it."""
+        its variable; a decision also joins ``decided``. A clause whose watch
+        moved off a variable keeps its bit there; a visit only recomputes it."""
         rank, occ, watchers = self.prefix.rank, self.occ, self.watchers
         for e in islice(entries, self.cursor, None):
             lit = e.lit
@@ -233,6 +233,7 @@ class _Watches:
             else:
                 self.false |= 1 << r
                 self.sat |= occ[2 * r + 1]
+            self.decided |= (e.antecedent is None) << r
             ids = watchers[r] & ~self.sat
             watchers[r] = 0
             if ids:
@@ -331,50 +332,47 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
 # -- decisions -------------------------------------------------------------
 
 
-def _admitted_levels(trail: Trail, prefix):
-    """The quantifier levels whose unassigned variables the trail's decision
-    policy admits next: the one place the four policies are written."""
-    policy = trail.decision_policy
-    blocks = prefix.blocks
+def admitted_bits(policy: str, prefix, assigned: int, decided: int) -> int:
+    """The rank bits of the unassigned variables ``policy`` admits as the
+    next decision, from the rank bitmasks of the assigned and the decided
+    variables: the one place the four policies are written. A level bound
+    is a prefix of the bits (``Prefix.below``, ``Prefix.lower``)."""
+    every = (1 << len(prefix.ranked)) - 1
+    free = every & ~assigned
+    if not free or policy == ANY_ORD:
+        return free
     if policy == LEV_ORD:
-        # Blocks are in level order: the first block with an unassigned
-        # variable is the one level open.
-        assigned = trail.assignment
-        for lev, (_, block) in enumerate(blocks, start=1):
-            for v in block:
-                if v not in assigned:
-                    return (lev,)
-        return ()
-    if policy == ANY_ORD:
-        return range(1, len(blocks) + 1)
+        # Every lower level is assigned: the lowest free bit's level is open.
+        return free & prefix.below[(free & -free).bit_length() - 1]
     if policy == ASS_ORD:
-        # No universal below the deepest decision so far.
-        floor = max((prefix.level(d) for d in trail.decisions()), default=0)
-        return [lev for lev, (quant, _) in enumerate(blocks, start=1)
-                if quant != FORALL or lev >= floor]
+        # No universal below the level of the deepest decision so far.
+        floor = prefix.lower[decided.bit_length() - 1] if decided else 0
+        return free & (prefix.exist_bits | ~floor)
     if policy == ASS_R_ORD:
         # An existential waits until every lower universal is decided: its
-        # level must lie below the lowest level of an undecided universal.
-        decided = {abs(d) for d in trail.decisions()}
-        gate = next((lev for lev, (quant, block) in enumerate(blocks, start=1)
-                     if quant == FORALL and not decided.issuperset(block)), len(blocks) + 1)
-        return [lev for lev, (quant, _) in enumerate(blocks, start=1)
-                if quant == FORALL or lev < gate]
+        # level must lie below the level of the lowest undecided universal.
+        gate = every & ~(prefix.exist_bits | decided)
+        opened = prefix.lower[(gate & -gate).bit_length() - 1] if gate else every
+        return free & (~prefix.exist_bits | opened)
     raise ValueError(policy)  # pragma: no cover
 
 
-def _admits(trail: Trail, lit: int, prefix) -> bool:
-    """``lit in legal_decisions(trail, ...)``, testing only ``lit``: its
-    variable is bound, unassigned and at an admitted level."""
-    return (lit in prefix and abs(lit) not in trail.assignment
-            and prefix.level(lit) in _admitted_levels(trail, prefix))
+def legal_bits(trail: Trail, qcnf: QCNF) -> int:
+    """``admitted_bits`` of the trail, from the masks of its watch state."""
+    w = _trail_watches(qcnf, trail)
+    return admitted_bits(trail.decision_policy, qcnf.prefix, w.true | w.false, w.decided)
 
 
 def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
     """The literals the trail's decision policy admits as the next decision."""
-    blocks, assigned = qcnf.prefix.blocks, trail.assignment
-    return {lit for lev in _admitted_levels(trail, qcnf.prefix)
-            for v in blocks[lev - 1][1] if v not in assigned for lit in (v, -v)}
+    legal, bits, ranked = set(), legal_bits(trail, qcnf), qcnf.prefix.ranked
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        v = ranked[low.bit_length() - 1]
+        legal.add(v)
+        legal.add(-v)
+    return legal
 
 
 def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
@@ -389,13 +387,15 @@ def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
         raise IllegalDecisionError(f"variable {abs(lit)} not bound by the prefix")
     if abs(lit) in trail.assignment:
         raise IllegalDecisionError(f"variable {abs(lit)} already assigned")
-    pending = _next_forced(_trail_watches(qcnf, trail))
+    w = _trail_watches(qcnf, trail)
+    pending = _next_forced(w)
     if pending is not None:
         raise PendingPropagationError(
             f"cannot decide {lit}: clause {pending[1]} is "
             + ("falsified" if pending[0] == 0 else "unit")
         )
-    if not _admits(trail, lit, qcnf.prefix):
+    admitted = admitted_bits(trail.decision_policy, qcnf.prefix, w.true | w.false, w.decided)
+    if not admitted >> qcnf.prefix.rank[lit] & 1:
         raise IllegalDecisionError(f"literal {lit} violates policy {trail.decision_policy}")
     trail.append_decision(lit)
     return trail
@@ -430,17 +430,17 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     ``natural_from`` belong to an inherited backtrack prefix, whose
     propagations were natural with respect to an earlier clause set.
 
-    The walk grows a shadow of the trail from entry 0, with the true/false
-    bitmasks of its assignment for the antecedent certificates. Naturality
-    is asked the way ``decide`` asks it: at each natural position
+    The walk grows a shadow of the trail's entries from entry 0. It keeps
+    the true/false bitmasks of their assignment for the antecedent
+    certificates, and those and their decided bitmask for ``admitted_bits``.
+    Naturality is asked the way ``decide`` asks it: at each natural position
     ``_next_forced`` reads the shadow's watch state, which the database
     keeps as it keeps any trail's.
     """
     prefix, masks, rank = qcnf.prefix, qcnf.masks, qcnf.prefix.rank
     policy = trail.propagation_policy
     shadow = Trail(trail.decision_policy, policy)
-    assignment = shadow.assignment
-    true = false = 0
+    true = false = decided = 0
 
     def certifies(cid, lit: int) -> bool:
         """Clause ``cid`` forces ``lit`` (0: is falsified) under the shadow;
@@ -459,19 +459,21 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
                 problems.append(f"entry {pos}: antecedent does not certify the conflict")
             shadow.entries.append(e)
             continue
-        if abs(lit) in assignment:
-            problems.append(f"entry {pos}: variable {abs(lit)} repeated")
-            break
+        # An unbound variable ends the walk, so it is never a repeated one.
         if lit not in prefix:
             problems.append(f"entry {pos}: variable {abs(lit)} not bound by the prefix")
+            break
+        bit = 1 << rank[lit]
+        if (true | false) & bit:
+            problems.append(f"entry {pos}: variable {abs(lit)} repeated")
             break
         pending = _next_forced(_trail_watches(qcnf, shadow)) if pos >= natural_from else None
         if e.is_decision:
             if pending is not None:
                 problems.append(f"entry {pos}: decision skips pending propagation")
-            if not _admits(shadow, lit, prefix):
+            if not admitted_bits(trail.decision_policy, prefix, true | false, decided) & bit:
                 problems.append(f"entry {pos}: decision {lit} violates {trail.decision_policy}")
-            shadow.starts.append(pos)
+            decided |= bit
         else:
             if not prefix.is_existential(lit):
                 problems.append(f"entry {pos}: propagated literal {lit} not existential")
@@ -481,9 +483,8 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
                 problems.append(f"entry {pos}: propagation taken while a conflict exists")
         # Shared entries, not ``append_*`` calls: those allocate an entry each.
         shadow.entries.append(e)
-        assignment[abs(lit)] = lit > 0
         if lit > 0:
-            true |= 1 << rank[lit]
+            true |= bit
         else:
-            false |= 1 << rank[lit]
+            false |= bit
     return problems

@@ -32,7 +32,7 @@ from qcdcl_lab.errors import (
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import EXISTS, FORALL, QCNF, Prefix, clause_masks, make_clause
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import TrailEntry, _admits, clause_status
+from qcdcl_lab.trail import TrailEntry, clause_status, legal_bits
 
 from conftest import (
     corpus_cases,
@@ -625,7 +625,8 @@ def test_one_literal_legality_matches_the_admitted_set(case):
             legal = legal_decisions(shadow, qcnf)
             assert legal == reference_legal_decisions(shadow, qcnf), policy
             for lit in lits:
-                assert _admits(shadow, lit, prefix) == (lit in legal), (policy, lit)
+                bit = legal_bits(shadow, qcnf) >> prefix.rank[lit] & 1 if lit in prefix else 0
+                assert bit == (lit in legal), (policy, lit)
         shadow.decision_policy = trail.decision_policy
         legal = legal_decisions(shadow, qcnf)
         for lit in lits:
@@ -643,3 +644,65 @@ def test_one_literal_legality_matches_the_admitted_set(case):
             shadow.append_decision(e.lit)
         else:
             shadow.append_propagation(e.lit, e.antecedent)
+
+
+def test_every_short_decision_sequence_matches_the_reference_legality():
+    """On the prefix e{1,2} a{3,4} e{5,6} a{7,8} e{9,10}, with the one
+    clause (1 -2) so that a decision can fill block one, every sequence of
+    up to three decisions, legal or not, is built with propagation after
+    each. Under every policy ``legal_decisions`` equals the reference set,
+    ``decide`` refuses exactly the literals outside it, and
+    ``validate_trail`` reports exactly the decisions outside the set of the
+    trail they were taken on."""
+    blocks = [(EXISTS, [1, 2]), (FORALL, [3, 4]), (EXISTS, [5, 6]), (FORALL, [7, 8]),
+              (EXISTS, [9, 10])]
+    prefix = Prefix(blocks)
+    qcnf = QCNF(prefix, [make_clause(prefix, [1, -2])])
+    lits = [l for v in range(1, 11) for l in (v, -v)]
+    policies = (LEV_ORD, ASS_ORD, ASS_R_ORD, ANY_ORD)
+    reached = set()
+    # (trail, per policy the problems validate_trail must report, the
+    # parent's LEV-ORD open level)
+    stack = [(propagate_to_fixpoint(qcnf, Trail(LEV_ORD, RED)), {p: [] for p in policies}, 1)]
+    while stack:
+        trail, expected, parent_open = stack.pop()
+        decided = {abs(d) for d in trail.decisions()}
+        deepest = max((prefix.level(d) for d in decided), default=0)
+        refs = {}
+        for policy in policies:
+            trail.decision_policy = policy
+            refs[policy] = ref = reference_legal_decisions(trail, qcnf)
+            assert legal_decisions(trail, qcnf) == ref, (trail.decisions(), policy)
+            assert validate_trail(qcnf, trail) == expected[policy], (trail.decisions(), policy)
+            if len(decided) < 3:
+                for lit in [*lits, 0, 11]:
+                    try:
+                        decide(trail.backtrack(last_time(trail)), lit, qcnf)
+                    except IllegalDecisionError:
+                        assert lit not in ref, (trail.decisions(), policy, lit)
+                    else:
+                        assert lit in ref, (trail.decisions(), policy, lit)
+        if any(quant == FORALL and len(decided & set(block)) == 1 for quant, block in blocks):
+            reached.add("ass-r-ord, a universal block partly decided")
+        open_level = min(map(prefix.level, refs[LEV_ORD]), default=None)
+        if open_level and open_level > parent_open + 1:
+            reached.add("lev-ord, the open level past a fully assigned block")
+        if len(decided) == 3:
+            continue
+        for lit in lits:
+            if abs(lit) in trail.assignment:
+                continue
+            if prefix.level(lit) < deepest:
+                reached.add(("ass-ord, a lower level after a deeper one", lit in refs[ASS_ORD]))
+            child = trail.backtrack(last_time(trail))
+            child.append_decision(lit)
+            propagate_to_fixpoint(qcnf, child)
+            violation = f"entry {len(trail)}: decision {lit} violates "
+            stack.append((child, {p: expected[p] + [violation + p] * (lit not in refs[p])
+                                  for p in policies}, open_level or parent_open))
+    assert reached == {
+        "ass-r-ord, a universal block partly decided",
+        "lev-ord, the open level past a fully assigned block",
+        ("ass-ord, a lower level after a deeper one", True),
+        ("ass-ord, a lower level after a deeper one", False),
+    }
