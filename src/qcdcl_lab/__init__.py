@@ -9,8 +9,6 @@ from .formula import (
     QCNF,
     QRES,
     make_clause,
-    reduce_clause,
-    resolve_clauses,
 )
 from .learning import (
     ASSERTING,

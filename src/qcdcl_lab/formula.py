@@ -5,9 +5,12 @@ arithmetic negation. The conflict marker used in trails is 0; it never occurs
 inside a clause. A clause may carry "merged" universal variables (both
 polarities present, as created by long-distance resolution); a merged
 variable is stored once in ``Clause.merged`` instead of as two literals.
-Both inferences run on a clause's ``clause_masks`` (``resolve_masks``,
-``reduce_masks``); ``resolve_clauses`` and ``reduce_clause`` wrap them.
-``QCNF.add_clause`` stores each clause's masks and occurrence bits on entry.
+``clause_masks`` folds literals into a clause's (positive, negative,
+merged) bitmasks, the one normalization: ``make_clause`` is that fold read
+back by ``masks_clause``, and the clause database identifies clauses by
+their masks. Both inferences (``resolve_masks``, ``reduce_masks``) run on
+masks. ``QCNF.add_clause`` stores each clause's masks and occurrence bits
+on entry.
 """
 
 from __future__ import annotations
@@ -103,8 +106,9 @@ class Clause:
 
     ``lits`` never contains two literals of the same variable; a universal
     variable occurring in both polarities lives in ``merged`` instead.
-    Literal order is fixed at construction (sorted by quantifier level, then
-    variable id) so serialized output is deterministic.
+    ``make_clause`` and ``masks_clause`` sort literals by quantifier level,
+    then variable id, so serialized output is deterministic; a clause's
+    identity (its ``clause_masks``) does not depend on the order.
     """
 
     lits: tuple[int, ...] = ()
@@ -125,9 +129,6 @@ class Clause:
     def width(self) -> int:
         return len(self.lits) + 2 * len(self.merged)
 
-    def key(self):
-        return (self.lits, self.merged)
-
     def all_literals(self):
         """Literals including both polarities of merged variables."""
         out = list(self.lits)
@@ -140,78 +141,75 @@ class Clause:
         return "(" + " ".join(parts) + ")" if parts else "(empty)"
 
 
-def make_clause(prefix: Prefix, lits, merged=()) -> Clause:
-    """Normalize literals into a Clause sorted by (level, variable).
+def _lowest(mask: int) -> int:
+    """The position of the lowest set bit of a nonzero ``mask``."""
+    return (mask & -mask).bit_length() - 1
 
-    Duplicate literals collapse. A variable appearing in both polarities is
-    rejected unless it is universal and explicitly allowed via ``merged``;
-    callers that may legally create universal merges (long-distance
-    resolution) pass them through ``merged``.
+
+def clause_masks(prefix: Prefix, lits, merged=()) -> tuple[int, int, int]:
+    """Fold literals into the (positive, negative, merged) bitmasks over
+    ``prefix.rank``: the one normalization of a clause, and its identity.
+
+    Duplicate literals collapse. A variable in both polarities, or named in
+    ``merged`` (as long-distance resolution creates them), is merged, which
+    only a universal variable may be. The first fault raises ValueError:
+    a 0 or an unbound variable, walking ``lits`` and then ``merged``; an
+    existential merge once every variable is bound, naming the first such
+    variable in rank order.
     """
-    pol: dict[int, set[int]] = {}
-    for l in lits:
-        if l == 0:
-            raise ValueError("0 is not a literal")
-        pol.setdefault(abs(l), set()).add(1 if l > 0 else -1)
-    merged_vars = set(abs(v) for v in merged)
-    plain = []
-    for v, signs in pol.items():
-        if len(signs) == 2:
-            merged_vars.add(v)
-        else:
-            plain.append(v if 1 in signs else -v)
-    for v in merged_vars:
-        if v not in prefix:
-            raise ValueError(f"variable {v} not bound by the prefix")
-        if not prefix.is_universal(v):
-            raise ValueError(f"existential variable {v} cannot be merged")
-        if v in pol and len(pol[v]) == 1:
-            plain = [l for l in plain if abs(l) != v]
-    for l in plain:
-        if abs(l) not in prefix:
-            raise ValueError(f"variable {abs(l)} not bound by the prefix")
-    key = prefix.rank.__getitem__
-    return Clause(lits=tuple(sorted(plain, key=key)), merged=tuple(sorted(merged_vars, key=key)))
-
-
-def clause_masks(prefix: Prefix, clause: Clause) -> tuple[int, int, int]:
-    """The clause's (positive, negative, merged) bitmasks over ``prefix.rank``."""
     rank = prefix.rank
-    pos = neg = merged = 0
-    for l in clause.lits:
-        if l > 0:
-            pos |= 1 << rank[l]
-        else:
-            neg |= 1 << rank[l]
-    for v in clause.merged:
-        merged |= 1 << rank[v]
-    return pos, neg, merged
-
-
-def _bits(mask: int):
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    pos = neg = both = 0
+    try:
+        for l in lits:
+            if l > 0:
+                pos |= 1 << rank[l]
+            elif l:
+                neg |= 1 << rank[l]
+            else:
+                raise ValueError("0 is not a literal")
+        for v in merged:
+            both |= 1 << rank[v]
+    except KeyError as exc:
+        raise ValueError(f"variable {abs(exc.args[0])} not bound by the prefix") from None
+    both |= pos & neg
+    if both:
+        if bad := both & prefix.exist_bits:
+            raise ValueError(f"existential variable {prefix.ranked[_lowest(bad)]} cannot be merged")
+        pos &= ~both
+        neg &= ~both
+    return pos, neg, both
 
 
 def masks_clause(prefix: Prefix, masks) -> Clause:
-    """The normal-form clause whose ``clause_masks`` are ``masks``."""
-    pos, _, merged = masks
+    """The normal-form clause whose ``clause_masks`` are ``masks``: its
+    literals and merged variables sorted by (level, variable)."""
+    pos, neg, merged = masks
     ranked = prefix.ranked
-    return Clause(
-        lits=tuple(ranked[i] if pos >> i & 1 else -ranked[i] for i in _bits(pos | masks[1])),
-        merged=tuple(ranked[i] for i in _bits(merged)),
-    )
+    lits, out = [], []
+    rest = pos | neg
+    while rest:
+        low = rest & -rest
+        v = ranked[low.bit_length() - 1]
+        lits.append(v if pos & low else -v)
+        rest ^= low
+    while merged:
+        low = merged & -merged
+        out.append(ranked[low.bit_length() - 1])
+        merged ^= low
+    return Clause(tuple(lits), tuple(out))
+
+
+def make_clause(prefix: Prefix, lits, merged=()) -> Clause:
+    """The normal-form clause of ``lits`` and ``merged`` (``clause_masks``)."""
+    return masks_clause(prefix, clause_masks(prefix, lits, merged))
 
 
 def clause_from_raw(lits) -> Clause:
     """Build a clause without a prefix (parsed proof traces).
 
     Sorted by variable id only; both polarities of a variable become a
-    merged marker. Checking against a formula re-normalizes, so the
-    different sort order is harmless.
+    merged marker. The checker folds each axiom to its masks
+    (``clause_masks``), so the different sort order is harmless.
     """
     lits = set(lits)
     merged = sorted(l for l in lits if l > 0 and -l in lits)
@@ -260,12 +258,12 @@ def resolve_masks(m1, m2, pivot: int, mode: str, prefix: Prefix) -> tuple[int, i
         return pos, neg, 0
     bad = merged if mode == QRES else merged & prefix.exist_bits
     if bad:
-        v = prefix.ranked[next(_bits(bad & (p1 | n1) or bad & x1 or bad))]
+        v = prefix.ranked[_lowest(bad & (p1 | n1) or bad & x1 or bad)]
         raise IllegalTautologyError(f"resolvent tautological in variable {v} (mode {mode})")
     crossed = (p1 & n2) | (n1 & p2) | (x1 & (p2 | n2 | x2)) | (x2 & (p1 | n1))
     blocked = crossed & prefix.below[r] & ~bit
     if blocked:
-        v = prefix.ranked[next(_bits(blocked & (p2 | n2) or blocked))]
+        v = prefix.ranked[_lowest(blocked & (p2 | n2) or blocked)]
         raise IllegalTautologyError(
             f"universal merge on {v} blocked: level {prefix.level(v)} "
             f"not greater than pivot level {prefix.level(pv)}"
@@ -273,64 +271,33 @@ def resolve_masks(m1, m2, pivot: int, mode: str, prefix: Prefix) -> tuple[int, i
     return pos & ~merged, neg & ~merged, merged
 
 
-def reduce_clause(c: Clause, prefix: Prefix) -> Clause:
-    """Universal reduction (``reduce_masks``) of a clause in any literal
-    order; the kept literals and merged variables keep their order.
-
-    A clause without existential literals reduces to the empty clause.
-    Idempotent, and never removes existential literals.
-    """
-    masks = clause_masks(prefix, c)
-    reduced = reduce_masks(masks, prefix)
-    if reduced == masks:
-        return c
-    kept = reduced[0] | reduced[1] | reduced[2]
-    rank = prefix.rank
-    return Clause(
-        lits=tuple(l for l in c.lits if kept >> rank[l] & 1),
-        merged=tuple(v for v in c.merged if kept >> rank[v] & 1),
-    )
-
-
-def resolve_clauses(c1: Clause, c2: Clause, pivot: int, mode: str, prefix: Prefix) -> Clause:
-    """``resolve_masks`` on clauses: the resolvent in normal form."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    m1, m2 = clause_masks(prefix, c1), clause_masks(prefix, c2)
-    return masks_clause(prefix, resolve_masks(m1, m2, pivot, mode, prefix))
-
-
 class QCNF:
     """A prenex QCNF and its clause database: prefix plus a clause list
-    with stable ids, a duplicate index and each clause's masks.
+    with stable ids, each clause's masks and a duplicate index on them.
 
     Indices into ``clauses`` are the clause ids used everywhere (trails,
     proofs). The first ``matrix_size`` entries are the original matrix;
     learned clauses are appended behind them. All enter through
-    ``add_clause``, the one writer of the database's state.
-
-    Precondition: every clause is in ``make_clause`` normal form, i.e. its
-    literals and merged variables are sorted by (level, variable). Parsing,
-    the generators and ``masks_clause`` (every learned clause) emit that
-    form. Duplicates and membership are decided by ``Clause.key()``, so two
-    orderings of the same clause would count as different clauses.
+    ``add_clause``, the one writer of the database's state. A clause is
+    identified by its ``clause_masks``, so literal order and repeated
+    literals do not tell two clauses apart.
     """
 
     def __init__(self, prefix: Prefix, clauses):
         self.prefix = prefix
         self.clauses: list[Clause] = []
-        # Clause -> first clause id. A Clause hashes and compares as its
-        # key(), so using it directly saves allocating a key tuple per clause.
-        self._ids: dict[Clause, int] = {}
         # Per clause id its ``clause_masks``, and the occurrence index: bit
         # ``cid`` of ``occ[2 * rank + (lit < 0)]`` is set when literal ``lit``
         # satisfies clause ``cid`` (a merged variable in both polarities).
         self.masks: list[tuple[int, int, int]] = []
         self.occ: list[int] = [0] * (2 * len(prefix.ranked))
+        # Masks -> the first id of a clause with them: the tuple ``masks``
+        # holds, so the index allocates no key of its own.
+        self._ids: dict[tuple[int, int, int], int] = {}
         for c in clauses:
-            if c.is_tautological():
-                raise ValueError("matrix clauses must be non-tautological")
             self.add_clause(c)
+            if self.masks[-1][2]:
+                raise ValueError("matrix clauses must be non-tautological")
         self.matrix_size = len(self.clauses)
         # Per propagation policy, the ``trail`` module's watch states of the
         # empty trail and of the trail served last (with that trail).
@@ -338,14 +305,12 @@ class QCNF:
 
     def add_clause(self, c: Clause) -> tuple[int, bool]:
         """Append ``c`` with its masks and occurrence bits; returns its id
-        and whether it was already present. A variable the prefix does not
-        bind raises ValueError before anything changes."""
-        try:
-            masks = clause_masks(self.prefix, c)
-        except KeyError as exc:
-            raise ValueError(f"variable {abs(exc.args[0])} not bound by the prefix") from None
+        and whether a clause with the same masks was already present. A
+        clause ``clause_masks`` refuses raises its ValueError before
+        anything changes."""
+        masks = clause_masks(self.prefix, c.lits, c.merged)
         cid = len(self.clauses)
-        duplicate = self._ids.setdefault(c, cid) != cid
+        duplicate = self._ids.setdefault(masks, cid) != cid
         self.clauses.append(c)
         self.masks.append(masks)
         bit, occ, rank = 1 << cid, self.occ, self.prefix.rank
@@ -353,12 +318,10 @@ class QCNF:
             occ[2 * rank[l] + (l < 0)] |= bit
         return cid, duplicate
 
-    def id_of(self, c: Clause) -> int | None:
-        """The first id of ``c`` in the database, None if it is absent."""
-        return self._ids.get(c)
-
-    def __contains__(self, c: Clause) -> bool:
-        return c in self._ids
+    def id_of(self, masks) -> int | None:
+        """The first id of a clause with ``clause_masks`` ``masks``, None
+        if there is none."""
+        return self._ids.get(masks)
 
     def copy(self) -> "QCNF":
         """A database that grows apart from this one, with no watch states."""

@@ -165,8 +165,8 @@ def _run_scripted(name, qcnf, script, decision_policy, propagation_policy,
     if not verdict:
         return GoldenResult(name, False, f"glued derivation invalid: {verdict.failures[:3]}")
     if expect_learned is not None:
-        got = [c.key() for c in proof.learned_clauses()]
-        missing = [c for c in expect_learned if c.key() not in got]
+        got = proof.learned_clauses()
+        missing = [c for c in expect_learned if c not in got]
         if missing:
             return GoldenResult(name, False, f"expected learned clauses missing: {missing}")
     return GoldenResult(name, True, "ok", proof.size, len(glued.steps))

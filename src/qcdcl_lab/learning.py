@@ -181,7 +181,7 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
         return None
     prefix = qcnf.prefix
     rank = prefix.rank
-    masks = clause_masks(prefix, clause)
+    masks = clause_masks(prefix, clause.lits, clause.merged)
     if clause_status(masks, 0, 0, prefix, policy).__class__ is int:
         return (0, 0)
     own = masks[0] | masks[1] | masks[2]

@@ -2,9 +2,9 @@
 
 A derivation is a list of steps (axiom / resolve / reduce). The checker
 recomputes every clause from scratch: stored clause values are caches and
-never trusted. It recomputes on ``clause_masks`` triples with the same
-kernels (``resolve_masks``, ``reduce_masks``) that ``resolve_clauses`` and
-``reduce_clause`` wrap, takes an axiom's from ``QCNF.masks``, and turns a
+never trusted. It recomputes on ``clause_masks`` triples with the
+resolution kernels (``resolve_masks``, ``reduce_masks``), folds each axiom
+to its masks and looks them up in the formula's database, and turns a
 step's masks back into a ``Clause`` only when ``Verdict.clauses`` is read.
 Gluing turns a multi-round QCDCL proof into one derivation by replacing
 axiom references to learned clauses with the steps that derived them.
@@ -29,7 +29,7 @@ from .formula import (
     QCNF,
     QRES,
     clause_from_raw,
-    make_clause,
+    clause_masks,
     masks_clause,
     reduce_masks,
     resolve_masks,
@@ -119,11 +119,10 @@ def check_derivation(qcnf: QCNF, d: Derivation, mode: str | None = None,
             # as premises of later rounds; membership in the formula's clause
             # list is the criterion (matrix clauses are never tautological).
             try:
-                normal = make_clause(prefix, s.clause.all_literals())
+                cid = qcnf.id_of(clause_masks(prefix, s.clause.lits, s.clause.merged))
             except ValueError as exc:
                 failures.append((sid, f"axiom: {exc}"))
                 continue
-            cid = qcnf.id_of(normal)
             if cid is None:
                 failures.append((sid, "axiom not among the formula's clauses"))
                 continue

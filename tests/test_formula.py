@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,15 +17,28 @@ from qcdcl_lab.formula import (
     clause_masks,
     make_clause,
     masks_clause,
-    reduce_clause,
     reduce_masks,
-    resolve_clauses,
     resolve_masks,
 )
 
 
 def prefix_eae(*blocks):
     return Prefix(blocks)
+
+
+def masks_of(prefix, c):
+    return clause_masks(prefix, c.lits, c.merged)
+
+
+def reduced(c, prefix):
+    """Universal reduction of a clause, through its masks."""
+    return masks_clause(prefix, reduce_masks(masks_of(prefix, c), prefix))
+
+
+def resolved(c1, c2, pivot, mode, prefix):
+    """The resolvent of two clauses, through their masks."""
+    return masks_clause(prefix, resolve_masks(masks_of(prefix, c1), masks_of(prefix, c2),
+                                              pivot, mode, prefix))
 
 
 class TestPrefix:
@@ -42,29 +57,67 @@ class TestPrefix:
         assert p.blocks == ((FORALL, (2,)),)
 
 
+class TestClauseMasks:
+    """The fold from literals to masks: e{1} a{2} e{3}."""
+
+    P = Prefix([(EXISTS, [1]), (FORALL, [2]), (EXISTS, [3])])
+
+    def test_duplicates_collapse_and_opposite_literals_merge(self):
+        assert clause_masks(self.P, [3, 1, 3, 2, -2]) == (0b101, 0, 0b010)
+        assert make_clause(self.P, [3, 1, 3, 2, -2]) == Clause((1, 3), merged=(2,))
+        assert make_clause(self.P, [-2, -3, 1], merged=[2]) == Clause((1, -3), merged=(2,))
+        assert make_clause(self.P, [], merged=[-2, 2]) == Clause(merged=(2,))
+
+    @pytest.mark.parametrize("lits, merged, message", [
+        ([1, 0], (), "0 is not a literal"),
+        ([1, -9], (), "variable 9 not bound by the prefix"),
+        ([1], (-9,), "variable 9 not bound by the prefix"),
+        ([3, 1, -3], (), "existential variable 3 cannot be merged"),
+        ([1], (3,), "existential variable 3 cannot be merged"),
+    ])
+    def test_each_fault_has_its_message(self, lits, merged, message):
+        for fold in (clause_masks, make_clause):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                fold(self.P, lits, merged)
+
+    @pytest.mark.parametrize("lits, merged, message", [
+        ([9, 0], (), "variable 9 not bound by the prefix"),
+        ([0, 9], (), "0 is not a literal"),
+        ([1, 0], (9,), "0 is not a literal"),
+        ([3, -3, 9], (), "variable 9 not bound by the prefix"),
+        ([3, -3], (9,), "variable 9 not bound by the prefix"),
+        ([3, -3, -1, 1], (), "existential variable 1 cannot be merged"),
+    ])
+    def test_two_faults_report_the_first_walked(self, lits, merged, message):
+        """Literals, then ``merged``, in their order; existential merges
+        after every variable is bound, the first in rank order."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            clause_masks(self.P, lits, merged)
+
+
 class TestReduce:
     def test_trailing_universal_removed(self):
         p = prefix_eae((EXISTS, [1]), (FORALL, [2]))
         c = make_clause(p, [1, 2])
-        assert reduce_clause(c, p) == make_clause(p, [1])
+        assert reduced(c, p) == make_clause(p, [1])
 
     def test_no_existentials_gives_empty_clause(self):
         p = Prefix([(FORALL, [1, 2])])
         c = make_clause(p, [1, 2])
-        assert reduce_clause(c, p).is_empty()
+        assert reduced(c, p).is_empty()
 
     def test_blocked_universal_stays(self):
         # u sits left of y in the prefix, so y blocks its removal.
         p = prefix_eae((EXISTS, [1]), (FORALL, [2]), (EXISTS, [3, 4]))
         c = make_clause(p, [2, 3])
-        assert reduce_clause(c, p) == c
+        assert reduced(c, p) == c
 
     def test_merged_markers_reduce_like_literals(self):
         p = prefix_eae((EXISTS, [1]), (FORALL, [2]), (EXISTS, [3]))
         c = Clause(lits=(1,), merged=(2,))
-        assert reduce_clause(c, p) == Clause(lits=(1,))
+        assert reduced(c, p) == Clause(lits=(1,))
         blocked = Clause(lits=(1, 3), merged=(2,))
-        assert reduce_clause(blocked, p) == blocked
+        assert reduced(blocked, p) == blocked
 
 
 class TestResolve:
@@ -72,7 +125,7 @@ class TestResolve:
         p = prefix_eae((EXISTS, [1]), (FORALL, [2]), (EXISTS, [3, 4]))
         c1 = make_clause(p, [-1, -4])
         c2 = make_clause(p, [-1, 4])
-        assert resolve_clauses(c1, c2, -4, QRES, p) == make_clause(p, [-1])
+        assert resolved(c1, c2, -4, QRES, p) == make_clause(p, [-1])
 
     def test_low_universal_merge_rejected_both_modes(self):
         # forall u exists x: (u or -x) with (-u or x) over pivot x.
@@ -81,7 +134,7 @@ class TestResolve:
         c2 = make_clause(p, [1, -2])
         for mode in (QRES, LDQRES):
             with pytest.raises(IllegalTautologyError):
-                resolve_clauses(c1, c2, 2, mode, p)
+                resolved(c1, c2, 2, mode, p)
 
     def test_high_universal_merge_accepted_long_distance(self):
         # pivot at level 1, universal at level 2: merge admitted.
@@ -89,15 +142,15 @@ class TestResolve:
         c1 = make_clause(p, [1, 2, 3])
         c2 = make_clause(p, [-1, -2, 3])
         with pytest.raises(IllegalTautologyError):
-            resolve_clauses(c1, c2, 1, QRES, p)
-        r = resolve_clauses(c1, c2, 1, LDQRES, p)
+            resolved(c1, c2, 1, QRES, p)
+        r = resolved(c1, c2, 1, LDQRES, p)
         assert r == Clause(lits=(3,), merged=(2,))
 
     def test_merge_carries_over_from_one_premise(self):
         p = prefix_eae((EXISTS, [1]), (FORALL, [2]), (EXISTS, [3]))
         c1 = Clause(lits=(1, 3), merged=(2,))
         c2 = make_clause(p, [-1, 3])
-        r = resolve_clauses(c1, c2, 1, LDQRES, p)
+        r = resolved(c1, c2, 1, LDQRES, p)
         assert r == Clause(lits=(3,), merged=(2,))
 
     def test_existential_tautology_rejected_in_long_distance(self):
@@ -105,14 +158,14 @@ class TestResolve:
         c1 = make_clause(p, [1, 4])
         c2 = make_clause(p, [-1, -4])
         with pytest.raises(IllegalTautologyError):
-            resolve_clauses(c1, c2, 1, LDQRES, p)
+            resolved(c1, c2, 1, LDQRES, p)
 
     def test_missing_pivot(self):
         p = Prefix([(EXISTS, [1, 2])])
         c1 = make_clause(p, [1])
         c2 = make_clause(p, [2])
         with pytest.raises(PivotMissingError):
-            resolve_clauses(c1, c2, 1, QRES, p)
+            resolved(c1, c2, 1, QRES, p)
 
 
 # -- properties --------------------------------------------------------------
@@ -149,8 +202,8 @@ def prefix_and_clauses(draw):
 @settings(max_examples=200)
 def test_reduce_idempotent_and_monotone(pcc):
     prefix, clause, _ = pcc
-    once = reduce_clause(clause, prefix)
-    assert reduce_clause(once, prefix) == once
+    once = reduced(clause, prefix)
+    assert reduced(once, prefix) == once
     kept = set(once.lits)
     assert kept <= set(clause.lits)
     for l in clause.lits:
@@ -165,7 +218,7 @@ def test_qres_resolvent_never_tautological(pcc):
     pivots = [l for l in c1.lits if prefix.is_existential(l) and -l in c2.lits]
     for pivot in pivots:
         try:
-            r = resolve_clauses(c1, c2, pivot, QRES, prefix)
+            r = resolved(c1, c2, pivot, QRES, prefix)
         except IllegalTautologyError:
             continue
         assert not r.merged
@@ -186,8 +239,8 @@ def _reference_polarities(c: Clause, var: int) -> frozenset[int]:
 
 
 def reference_resolve(c1, c2, pivot, mode, prefix):
-    """``resolve_clauses`` as it was before the rank table: per-variable
-    polarity sets and a (level, variable) sort."""
+    """Resolution as it was before the rank table: per-variable polarity
+    sets and a (level, variable) sort."""
     if mode not in (QRES, LDQRES):
         raise ValueError(f"unknown mode {mode!r}")
     pv = abs(pivot)
@@ -305,7 +358,7 @@ def test_resolve_matches_reference(pcc):
         for v in prefix.variables:
             for pivot in (v, -v):
                 for a, b in ((c1, c2), (c2, c1)):
-                    new = outcome(resolve_clauses, a, b, pivot, mode, prefix)
+                    new = outcome(resolved, a, b, pivot, mode, prefix)
                     assert new == outcome(reference_resolve, a, b, pivot, mode, prefix)
 
 
@@ -323,15 +376,11 @@ def test_make_clause_matches_reference(prefix, data):
     assert made == outcome(reference_make_clause, prefix, lits, merged)
 
 
-@given(premises(), st.data())
+@given(premises())
 @settings(max_examples=300)
-def test_reduce_matches_reference(pcc, data):
+def test_reduce_matches_reference(pcc):
     prefix, c1, _ = pcc
-    # reduce_clause is public: it must not rely on the clause's order.
-    shuffled = tuple(data.draw(st.permutations(c1.lits)))
-    for lits in (c1.lits, c1.lits[::-1], shuffled):
-        c = Clause(lits=lits, merged=c1.merged[::-1])
-        assert reduce_clause(c, prefix) == reference_reduce(c, prefix)
+    assert reduced(c1, prefix) == reference_reduce(c1, prefix)
 
 
 @given(premises())
@@ -342,9 +391,9 @@ def test_mask_kernels_match_reference(pcc):
     prefix, c1, c2 = pcc
 
     def expected(ref):
-        return ref if isinstance(ref, type) else clause_masks(prefix, ref)
+        return ref if isinstance(ref, type) else masks_of(prefix, ref)
 
-    masks = {c: clause_masks(prefix, c) for c in (c1, c2)}
+    masks = {c: masks_of(prefix, c) for c in (c1, c2)}
     for c, m in masks.items():
         assert masks_clause(prefix, m) == c
         assert reduce_masks(m, prefix) == expected(reference_reduce(c, prefix))

@@ -50,12 +50,7 @@ def nored_example_trail(qcnf):
 class TestWorkedSequences:
     def test_sequence_with_reduction(self, example_phi):
         seq = learnable_sequence(red_example_trail(example_phi), example_phi)
-        assert [c.key() for c in seq.elements] == [
-            (((-1, -4)), ()),
-            (((-1,)), ()),
-            (((2, 3)), ()),
-            ((), ()),
-        ]
+        assert seq.elements == [Clause((-1, -4)), Clause((-1,)), Clause((2, 3)), Clause()]
 
     def test_sequence_without_reduction(self, example_phi):
         seq = learnable_sequence(nored_example_trail(example_phi), example_phi)
@@ -371,7 +366,7 @@ def _assert_same_analysis(qcnf, trail):
             continue
         seq = learnable_sequence(trail, qcnf, scheme)
         assert (seq.elements, seq.steps, seq.conclusion_ids, seq.times) == want, scheme
-        assert seq.masks == [clause_masks(qcnf.prefix, c) for c in seq.elements]
+        assert seq.masks == [clause_masks(qcnf.prefix, c.lits, c.merged) for c in seq.elements]
     return failed
 
 

@@ -94,8 +94,9 @@ def test_whole_runs_match_pinned_digests():
 
 
 def test_producers_emit_make_clause_normal_form():
-    """``QCNF`` detects duplicates by ``Clause.key()``, which is only sound
-    when every clause is in ``make_clause``'s (level, variable) order."""
+    """Every producer emits ``make_clause``'s (level, variable) order, so
+    serialized formulas, proofs and trails are byte-reproducible; ``QCNF``
+    detects duplicates by clause masks, which do not depend on the order."""
     specs = [FamilySpec(fam, 4) for fam in FAMILIES if fam != "random"]
     specs.append(FamilySpec("random", 4, m=2, c=2.0, seed=7))
     formulas = [generate(spec) for spec in specs]

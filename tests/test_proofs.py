@@ -34,7 +34,7 @@ from qcdcl_lab.errors import (
     QcdclError,
     non_decimal,
 )
-from qcdcl_lab.formula import QCNF, Clause, LDQRES, MODES, QRES, clause_from_raw, make_clause
+from qcdcl_lab.formula import QCNF, Clause, LDQRES, MODES, QRES, clause_from_raw
 from qcdcl_lab.goldens import fig_trapdoor_refutation, qparity_script
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.learning import DEC
@@ -62,7 +62,7 @@ from conftest import (
     proof_corpus,
     trail_of,
 )
-from test_formula import premises, reference_reduce
+from test_formula import premises, reference_make_clause, reference_reduce
 from test_fuzz import line as soup_line, soup, token as soup_token
 from test_trail import reference_validate_trail
 
@@ -111,7 +111,7 @@ class TestCheckDerivation:
 
 def reference_resolve_clauses(c1, c2, pivot, mode, prefix):
     """Resolution as a per-variable dict pass over the premises' literals,
-    raising ``resolve_clauses``' messages."""
+    raising ``resolve_masks``' messages."""
     pv = abs(pivot)
     if not prefix.is_existential(pv):
         raise PivotMissingError(f"pivot variable {pv} is not existential")
@@ -151,11 +151,13 @@ def reference_resolve_clauses(c1, c2, pivot, mode, prefix):
 
 def reference_check_derivation(qcnf, d, mode=None, require_refutation=False):
     """``check_derivation`` on ``Clause`` values: every step's clause is
-    built, resolution is the dict pass above and reduction the reference
-    rule of ``test_formula``."""
+    built, axioms are normalized by the reference rule of ``test_formula``
+    and looked up among the formula's clauses, resolution is the dict pass
+    above and reduction the reference rule of ``test_formula``."""
     mode = mode or d.mode
     if mode not in MODES:
         return Verdict(False, [(-1, f"unknown mode {mode!r}")])
+    formula_clauses = set(qcnf.clauses)
     failures = []
     computed = {}
     seen_ids = set()
@@ -166,11 +168,11 @@ def reference_check_derivation(qcnf, d, mode=None, require_refutation=False):
         seen_ids.add(s.step_id)
         if s.kind == AXIOM:
             try:
-                normal = make_clause(qcnf.prefix, s.clause.all_literals())
+                normal = reference_make_clause(qcnf.prefix, s.clause.all_literals())
             except ValueError as exc:
                 failures.append((s.step_id, f"axiom: {exc}"))
                 continue
-            if normal not in qcnf:
+            if normal not in formula_clauses:
                 failures.append((s.step_id, "axiom not among the formula's clauses"))
                 continue
             computed[s.step_id] = normal
@@ -429,6 +431,17 @@ class TestValidateQcdclProof:
         assert got[-1] == f"round {idx}: learned clause: variable 99 not bound by the prefix"
         assert all(p.startswith(f"round {idx}: ") for p in got), got
 
+    def test_a_learned_existential_merge_is_a_problem(self):
+        """A round that learns a clause merging an existential variable is
+        reported where the database refuses it, and the check stops there."""
+        f = generate(FamilySpec("qparity", 4))
+        proof = replay(f, qparity_script(4), LEV_ORD, RED)
+        rounds = list(proof.rounds)
+        rounds[0] = replace(rounds[0], learned=Clause((1,), merged=(4,)))
+        got = validate_qcdcl_proof(f, QcdclProof(rounds, LEV_ORD, RED))
+        assert got[-1] == "round 0: learned clause: existential variable 4 cannot be merged"
+        assert all(p.startswith("round 0: ") for p in got), got
+
     def test_analysis_of_an_invalid_trail_is_not_run(self):
         """A conflict marker without antecedent and a last propagation
         whose antecedent lacks the pivot are trail problems; the conflict
@@ -630,12 +643,12 @@ def reference_parse_proof(text: str) -> Derivation:
 
 def parse_outcome(parse, text):
     """The error's type and message, or the mode, the conclusion and every
-    step field by field (clauses by ``key()``)."""
+    step field by field."""
     try:
         d = parse(text)
     except QcdclError as exc:
         return type(exc), str(exc)
-    return d.mode, d.conclusion, [(type(s), s.step_id, s.kind, s.clause.key(), *s[3:])
+    return d.mode, d.conclusion, [(type(s), s.step_id, s.kind, s.clause, *s[3:])
                                   for s in d.steps]
 
 

@@ -26,7 +26,7 @@ from qcdcl_lab import (
     solve,
 )
 from qcdcl_lab.errors import PendingPropagationError, QcdclError, ScriptDivergenceError
-from qcdcl_lab.formula import Clause, clause_masks, make_clause
+from qcdcl_lab.formula import QCNF, Clause, clause_masks, make_clause
 from qcdcl_lab.goldens import equality_script, lonsing_script, qparity_script, trapdoor_script
 from qcdcl_lab.learning import ASSERTING, learn
 from qcdcl_lab.simulation import run_simulation
@@ -293,7 +293,7 @@ def test_the_database_fills_its_masks_and_occurrences_as_clauses_enter():
 
     def assert_rebuilt(f):
         assert f.watches == {}
-        assert f.masks == [clause_masks(f.prefix, c) for c in f.clauses]
+        assert f.masks == [clause_masks(f.prefix, c.lits, c.merged) for c in f.clauses]
         assert f.occ == reference_occurrences(f)
 
     f = parse_qdimacs("p cnf 4 2\ne 1 0\na 2 0\ne 3 4 0\n1 2 3 0\n-1 -2 4 0\n")
@@ -304,7 +304,7 @@ def test_the_database_fills_its_masks_and_occurrences_as_clauses_enter():
     for c, expected in added:
         assert f.add_clause(c) == expected
         assert_rebuilt(f)
-    assert (f.id_of(f.clauses[1]), f.id_of(make_clause(f.prefix, [1, 4]))) == (1, None)
+    assert (f.id_of(f.masks[1]), f.id_of(clause_masks(f.prefix, [1, 4]))) == (1, None)
     g = f.copy()
     assert g.add_clause(make_clause(g.prefix, [-1, 3])) == (5, False)
     assert_rebuilt(f)
@@ -314,7 +314,26 @@ def test_the_database_fills_its_masks_and_occurrences_as_clauses_enter():
     for c in (Clause((1, 99)), Clause((3,), merged=(98,))):
         with pytest.raises(ValueError, match=r"^variable 9\d not bound by the prefix$"):
             f.add_clause(c)
-        assert (f.clauses, f.masks, f.occ) == state and c not in f
+        assert (f.clauses, f.masks, f.occ) == state
+
+
+def test_the_database_identifies_clauses_by_their_masks():
+    """Literal order and repeated literals do not make a new clause; an
+    existential merge is refused and changes nothing; a matrix clause is
+    tautological by its masks, however its literals are written."""
+    f = parse_qdimacs("p cnf 4 2\ne 1 0\na 2 0\ne 3 4 0\n1 2 0\n-1 3 4 0\n")
+    assert f.add_clause(Clause((2, 1))) == (2, True)
+    assert f.add_clause(Clause((4, -1, 3, 4))) == (3, True)
+    assert f.add_clause(Clause((3, 2, -2))) == (4, False)
+    assert f.add_clause(make_clause(f.prefix, [3], merged=[2])) == (5, True)
+    assert f.id_of(clause_masks(f.prefix, [2, 1, 2])) == 0
+    state = (f.clauses[:], f.masks[:], f.occ[:])
+    with pytest.raises(ValueError, match=r"^existential variable 4 cannot be merged$"):
+        f.add_clause(Clause((1,), merged=(4,)))
+    assert (f.clauses, f.masks, f.occ) == state
+    for c in (Clause((3, 2, -2)), Clause((3,), merged=(2,))):
+        with pytest.raises(ValueError, match=r"^matrix clauses must be non-tautological$"):
+            QCNF(f.prefix, [c])
 
 
 def test_copies_do_not_share_the_occurrence_index():
@@ -335,7 +354,7 @@ def test_copies_do_not_share_the_occurrence_index():
             propagate_to_fixpoint(g, Trail(d, r))
             learned += 1
             assert len(g.clauses) == len(f.clauses) + 1
-            assert f.masks == [clause_masks(f.prefix, c) for c in f.clauses]
+            assert f.masks == [clause_masks(f.prefix, c.lits, c.merged) for c in f.clauses]
             assert f.occ == reference_occurrences(f)
             assert g.occ == reference_occurrences(g)
             ta = propagate_to_fixpoint(f, Trail(d, r))

@@ -76,7 +76,7 @@ def test_roundtrip_identity_on_normalized_input():
     out = serialize_qdimacs(f)
     f2 = parse_qdimacs(out)
     assert serialize_qdimacs(f2) == out
-    assert [c.key() for c in f2.clauses] == [c.key() for c in f.clauses]
+    assert f2.clauses == f.clauses
     assert f2.prefix.blocks == f.prefix.blocks
 
 

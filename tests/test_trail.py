@@ -442,7 +442,7 @@ def test_clause_status_matches_the_reference(case, policy):
     rank = prefix.rank
     true = sum(1 << rank[v] for v, value in assignment.items() if value)
     false = sum(1 << rank[v] for v, value in assignment.items() if not value)
-    got = clause_status(clause_masks(prefix, clause), true, false, prefix, policy)
+    got = clause_status(clause_masks(prefix, clause.lits, clause.merged), true, false, prefix, policy)
     forced, satisfied = reference_classify(prefix, clause, assignment, policy)
     if satisfied:
         assert got is None
