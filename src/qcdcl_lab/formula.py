@@ -307,8 +307,14 @@ class QCNF:
         """Append ``c`` with its masks and occurrence bits; returns its id
         and whether a clause with the same masks was already present. A
         clause ``clause_masks`` refuses raises its ValueError before
-        anything changes."""
+        anything changes. A clause whose fold collapsed something (a
+        repeated literal, a variable in both polarities, a merged variable
+        also among the literals) has fewer mask bits than literals and is
+        stored as ``masks_clause`` of its masks, so that the stored clause
+        always agrees with them; any other is stored as given."""
         masks = clause_masks(self.prefix, c.lits, c.merged)
+        if len(c.lits) + len(c.merged) != (masks[0] | masks[1] | masks[2]).bit_count():
+            c = masks_clause(self.prefix, masks)
         cid = len(self.clauses)
         duplicate = self._ids.setdefault(masks, cid) != cid
         self.clauses.append(c)

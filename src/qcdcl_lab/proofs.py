@@ -295,17 +295,23 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
             natural_from = pos + 1
         found = validate_trail(work, trail, natural_from)
         problems += [f"{tag}: {p}" for p in found]
+        # Clauses are compared by their masks, which literal order does not
+        # change; a clause the fold refuses equals none and is reported below.
+        try:
+            learned = clause_masks(work.prefix, rnd.learned.lits, rnd.learned.merged)
+        except ValueError:
+            learned = None
         if not found:
             # The analysis need not go past the recorded pick.
             seq = learnable_sequence(trail, work, LearningScheme("index", rnd.picked_index))
             if not (0 <= rnd.picked_index < len(seq.elements)):
                 problems.append(f"{tag}: picked index {rnd.picked_index} out of range")
-            elif seq.elements[rnd.picked_index] != rnd.learned:
+            elif seq.masks[rnd.picked_index] != learned:
                 problems.append(f"{tag}: learned clause is not the recorded sequence element")
         verdict = check_derivation(work, rnd.derivation)
         if not verdict:
             problems.append(f"{tag}: derivation invalid: {verdict.failures[:3]}")
-        elif verdict.clauses[rnd.derivation.conclusion] != rnd.learned:
+        elif verdict.clauses.masks[rnd.derivation.conclusion] != learned:
             problems.append(f"{tag}: derivation does not conclude the learned clause")
         try:
             clause_id, duplicate = work.add_clause(rnd.learned)
@@ -349,10 +355,11 @@ def parse_proof(text: str) -> Derivation:
     of ``non_decimal`` is tested once on the whole text, and line by line
     only if the text fails it, so the first bad line is the one reported.
     Each line is split once. A resolve record of six fields, nearly every
-    line of a solver's proof, has its own branch: its terminator is read
-    only when it is not ``0``, and its step is a tuple built without
-    ``ProofStep``'s keyword defaults. A resolve record of any other length
-    only reaches the general branches to get their error messages.
+    line of a solver's proof, and a reduce record of four fields each have
+    their own branch: the terminator is read only when it is not ``0``,
+    and the step is a tuple built without ``ProofStep``'s keyword defaults.
+    A resolve or reduce record of any other length only reaches the
+    general branches to get their error messages.
     """
     steps: list[ProofStep] = []
     mode = None
@@ -379,6 +386,18 @@ def parse_proof(text: str) -> Derivation:
             if left not in ids or right not in ids:
                 raise QcdclError(f"line {line_no}: dangling premise id")
             append(new(ProofStep, (sid, RESOLVE, placeholder, None, pivot, left, right, None)))
+            add(sid)
+            continue
+        if kind == REDUCE and len(fields) == 4:
+            try:
+                sid, src = int(fields[1]), int(fields[2])
+                if fields[3] != "0" and int(fields[3]):
+                    raise QcdclError(f"line {line_no}: missing terminating 0")
+            except ValueError:
+                raise QcdclError(f"line {line_no}: non-integer token") from None
+            if src not in ids:
+                raise QcdclError(f"line {line_no}: dangling premise id")
+            append(new(ProofStep, (sid, REDUCE, placeholder, None, None, None, None, src)))
             add(sid)
             continue
         if kind == "p":

@@ -11,9 +11,7 @@ Times: (s, t) names the subtrail through the t-th propagation of level s;
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
-from itertools import islice
+from typing import NamedTuple
 
 from .errors import (
     IllegalDecisionError,
@@ -36,8 +34,9 @@ PROPAGATION_POLICIES = (RED, NO_RED)
 Time = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TrailEntry:
+class TrailEntry(NamedTuple):
+    """One trail entry: a NamedTuple, cheap to build per assignment."""
+
     lit: int                 # 0 marks the conflict
     antecedent: int | None   # clause id; None exactly for decisions
 
@@ -135,29 +134,44 @@ def dump_trail(trail: Trail) -> str:
 # -- clause status ---------------------------------------------------------
 
 
-def clause_status(masks, true: int, false: int, prefix, policy: str):
-    """The status of the clause with ``clause_masks`` ``masks`` under the
-    assignment whose true and false variables have bitmasks ``true`` and
-    ``false``: None if satisfied, 0 if falsified, the forced literal if
-    unit, else the literals (two, or one universal) that keep it open.
+def alive_bits(masks, true: int, false: int, exist_bits: int, red: bool):
+    """The bit kernel of the clause with ``clause_masks`` ``masks`` under
+    the assignment whose true and false variables have bitmasks ``true``
+    and ``false``: None if satisfied, else the rank bits of its unassigned
+    literals and merged variables that survive, under ``red`` after
+    universal reduction.
 
     Bits follow ``Prefix.rank``, the (level, variable) order. Under RED
     the top unassigned existential bit is the highest unassigned
     existential; every unassigned literal or merged variable on a lower
     bit is an existential or a universal of lower level, so it survives
-    reduction, and none above does. Under NO-RED all of them survive. A
-    lone surviving existential is forced; otherwise the two highest
-    survivors are returned, a merged variable as its positive literal.
+    reduction, and none above does. Under NO-RED all of them survive.
     """
     pos, neg, merged = masks
     assigned = true | false
     if pos & true or neg & false or merged & assigned:
         return None
     alive = (pos | neg) & ~assigned | merged
-    if policy == RED:
-        alive &= (1 << (alive & prefix.exist_bits).bit_length()) - 1
+    if red:
+        alive &= (1 << (alive & exist_bits).bit_length()) - 1
+    return alive
+
+
+def clause_status(masks, true: int, false: int, prefix, policy: str):
+    """The status of the clause with ``clause_masks`` ``masks`` under the
+    assignment with bitmasks ``true`` and ``false``: None if satisfied, 0
+    if falsified, the forced literal if unit, else the literals (two, or
+    one universal) that keep it open.
+
+    This is ``alive_bits`` read out as literals: no surviving bit is a
+    conflict, a lone surviving existential is forced, and otherwise the two
+    highest survivors are returned, a merged variable as its positive
+    literal. ``_Watches.place`` reads the same bits without the literals.
+    """
+    alive = alive_bits(masks, true, false, prefix.exist_bits, policy == RED)
     if not alive:
-        return 0
+        return alive            # None (satisfied) or 0 (falsified)
+    neg = masks[1]
     top = alive.bit_length() - 1
     v = prefix.ranked[top]
     first = -v if neg >> top & 1 else v
@@ -183,6 +197,8 @@ class _Watches:
         self.occ = qcnf.occ
         self.prefix = qcnf.prefix
         self.policy = policy
+        self.exist_bits = qcnf.prefix.exist_bits   # ``alive_bits``'s last two arguments
+        self.red = policy == RED
         self.cursor = 0                    # trail entries before it are processed
         self.true = self.false = self.decided = 0  # their assignment and decisions, as bitmasks
         self.attached = 0                  # clause ids below it are attached
@@ -190,7 +206,8 @@ class _Watches:
         self.watchers = [0] * len(qcnf.prefix.ranked)
 
     def fork(self) -> "_Watches":
-        out = copy.copy(self)
+        out = object.__new__(_Watches)
+        out.__dict__.update(self.__dict__)
         out.watchers = self.watchers[:]
         return out
 
@@ -198,22 +215,29 @@ class _Watches:
         return clause_status(self.masks[cid], self.true, self.false, self.prefix, self.policy)
 
     def place(self, ids: int):
-        """Classify the clauses whose ids are the set bits of ``ids``: each
-        joins ``sat``, ``pending``, or the watchers of the literals
-        ``clause_status`` keeps it open with."""
-        masks, true, false, prefix, policy = self.masks, self.true, self.false, self.prefix, self.policy
-        rank, watchers = prefix.rank, self.watchers
+        """Classify the clauses whose ids are the set bits of ``ids`` by
+        their ``alive_bits``, building no literal: a satisfied clause joins
+        ``sat``; one with no surviving bit or a lone existential one
+        (falsified or unit) joins ``pending``; any other is ORed into the
+        watchers of its top two surviving bits, or of its lone universal
+        one, the variables of the literals ``clause_status`` returns."""
+        masks, true, false, exist, red = self.masks, self.true, self.false, self.exist_bits, self.red
+        watchers, sat, pending = self.watchers, self.sat, self.pending
         while ids:
             low = ids & -ids
             ids ^= low
-            w = clause_status(masks[low.bit_length() - 1], true, false, prefix, policy)
-            if w.__class__ is tuple:
-                for l in w:
-                    watchers[rank[l]] |= low
-            elif w is None:
-                self.sat |= low
+            alive = alive_bits(masks[low.bit_length() - 1], true, false, exist, red)
+            if alive is None:
+                sat |= low
+            elif alive & (alive - 1):
+                top = alive.bit_length() - 1
+                watchers[top] |= low
+                watchers[(alive ^ 1 << top).bit_length() - 1] |= low
+            elif alive & ~exist:
+                watchers[alive.bit_length() - 1] |= low
             else:
-                self.pending |= low
+                pending |= low
+        self.sat, self.pending = sat, pending
 
     def catch_up(self, entries):
         """Assign the new trail entries, then attach the clauses added to
@@ -222,8 +246,9 @@ class _Watches:
         its variable; a decision also joins ``decided``. A clause whose watch
         moved off a variable keeps its bit there; a visit only recomputes it."""
         rank, occ, watchers = self.prefix.rank, self.occ, self.watchers
-        for e in islice(entries, self.cursor, None):
-            lit = e.lit
+        end = len(entries)
+        for i in range(self.cursor, end):
+            lit, antecedent = entries[i]
             if not lit:
                 continue
             r = rank[lit]
@@ -233,12 +258,12 @@ class _Watches:
             else:
                 self.false |= 1 << r
                 self.sat |= occ[2 * r + 1]
-            self.decided |= (e.antecedent is None) << r
+            self.decided |= (antecedent is None) << r
             ids = watchers[r] & ~self.sat
             watchers[r] = 0
             if ids:
                 self.place(ids)
-        self.cursor = len(entries)
+        self.cursor = end
         n = len(self.masks)
         if self.attached < n:
             self.place((1 << n) - (1 << self.attached))
@@ -249,13 +274,17 @@ def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
     """The trail's watch state. The database keeps, per propagation
     policy, the states of the empty trail and of the trail it served last,
     be it a propagated trail or the shadow ``validate_trail`` grows; any
-    other trail forks the empty trail's state and replays its entries."""
+    other trail forks the empty trail's state and replays its entries. The
+    state served last is returned as it is when its trail has no new
+    entries and the database no new clauses."""
     policy = trail.propagation_policy
     empty, served, w = qcnf.watches.get(policy) or (_Watches(qcnf, policy), None, None)
     if served is not trail:
         empty.catch_up(())
         w = empty.fork()
         qcnf.watches[policy] = (empty, trail, w)
+    elif w.cursor == len(trail.entries) and w.attached == len(w.masks):
+        return w
     w.catch_up(trail.entries)
     return w
 
@@ -306,13 +335,15 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
     rescan of every clause would give; a scripted override is tested the
     same way. The database keeps the watch state of the trail it served
     last (``_trail_watches``): calls on that trail process only the newly
-    assigned variables and attach clauses added since. Trails only grow
-    (backtracks and restarts make fresh trails), so no watch is ever undone.
+    assigned variables and attach clauses added since. Each call fetches
+    that state once and catches it up after every literal it appends.
+    Trails only grow (backtracks and restarts make fresh trails), so no
+    watch is ever undone.
     """
     if trail.conflicted:
         return trail
+    w = _trail_watches(qcnf, trail)
     while True:
-        w = _trail_watches(qcnf, trail)
         unit = _next_forced(w)
         if unit is not None and unit[0] == 0:
             trail.append_conflict(unit[1])
@@ -327,6 +358,7 @@ def propagate_to_fixpoint(qcnf: QCNF, trail: Trail, forced=None) -> Trail:
                 f"not the scripted antecedent {forced[0][1]}"
             )
         trail.append_propagation(*unit)
+        w.catch_up(trail.entries)
 
 
 # -- decisions -------------------------------------------------------------
@@ -438,7 +470,7 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     keeps as it keeps any trail's.
     """
     prefix, masks, rank = qcnf.prefix, qcnf.masks, qcnf.prefix.rank
-    policy = trail.propagation_policy
+    exist_bits, policy = prefix.exist_bits, trail.propagation_policy
     shadow = Trail(trail.decision_policy, policy)
     true = false = decided = 0
 
@@ -451,33 +483,34 @@ def validate_trail(qcnf: QCNF, trail: Trail, natural_from: int = 0) -> list[str]
     problems: list[str] = []
     entries = trail.entries
     for pos, e in enumerate(entries):
-        lit = e.lit
+        lit, antecedent = e
         if lit == 0:
             if pos != len(entries) - 1:
                 problems.append(f"entry {pos}: conflict marker not rightmost")
-            if not certifies(e.antecedent, 0):
+            if not certifies(antecedent, 0):
                 problems.append(f"entry {pos}: antecedent does not certify the conflict")
             shadow.entries.append(e)
             continue
         # An unbound variable ends the walk, so it is never a repeated one.
-        if lit not in prefix:
+        r = rank.get(lit)
+        if r is None:
             problems.append(f"entry {pos}: variable {abs(lit)} not bound by the prefix")
             break
-        bit = 1 << rank[lit]
+        bit = 1 << r
         if (true | false) & bit:
             problems.append(f"entry {pos}: variable {abs(lit)} repeated")
             break
         pending = _next_forced(_trail_watches(qcnf, shadow)) if pos >= natural_from else None
-        if e.is_decision:
+        if antecedent is None:
             if pending is not None:
                 problems.append(f"entry {pos}: decision skips pending propagation")
             if not admitted_bits(trail.decision_policy, prefix, true | false, decided) & bit:
                 problems.append(f"entry {pos}: decision {lit} violates {trail.decision_policy}")
             decided |= bit
         else:
-            if not prefix.is_existential(lit):
+            if not exist_bits & bit:
                 problems.append(f"entry {pos}: propagated literal {lit} not existential")
-            if not certifies(e.antecedent, lit):
+            if not certifies(antecedent, lit):
                 problems.append(f"entry {pos}: antecedent does not certify {lit}")
             if pending is not None and pending[0] == 0:
                 problems.append(f"entry {pos}: propagation taken while a conflict exists")

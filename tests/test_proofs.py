@@ -431,6 +431,24 @@ class TestValidateQcdclProof:
         assert got[-1] == f"round {idx}: learned clause: variable 99 not bound by the prefix"
         assert all(p.startswith(f"round {idx}: ") for p in got), got
 
+    def test_a_learned_clause_is_compared_whatever_its_literal_order(self):
+        """The first learned clause (4 5 7) recorded as (7 5 4) is the same
+        clause: the proof stays valid. A different clause, (4 5 -7), is
+        still reported by both comparisons."""
+        f = generate(FamilySpec("qparity", 4))
+        proof = replay(f, qparity_script(4), LEV_ORD, RED)
+        assert proof.rounds[0].learned == Clause((4, 5, 7))
+
+        def problems(learned):
+            rounds = [replace(proof.rounds[0], learned=learned), *proof.rounds[1:]]
+            return validate_qcdcl_proof(f, QcdclProof(rounds, LEV_ORD, RED))
+
+        assert problems(Clause((7, 5, 4))) == []
+        assert problems(Clause((4, 5, -7)))[:2] == [
+            "round 0: learned clause is not the recorded sequence element",
+            "round 0: derivation does not conclude the learned clause",
+        ]
+
     def test_a_learned_existential_merge_is_a_problem(self):
         """A round that learns a clause merging an existential variable is
         reported where the database refuses it, and the check stops there."""
@@ -703,7 +721,8 @@ EDGE_LINES = (
     "", "\t", "\x1f", "c", "c 1 0", "c\t1 0", "\tc 1 2", "\xa0c 1", "c\xa01", "C 1",
     "c \u00e9", "c 1_0", "r 9 1 0 1 0", " r\t9 1 0 1 0 ", "r 9 1 0 1 -0", "r 9 1 0 1 00",
     "r 9 1 0 1 5", "r 9 1 0 1 x", "r 9 x 0 1 5", "r 9 1 0 99 5", "r 9 1 0 1 0 0", "r 9 1 0 1", "r 9 x 0 1 0", "r 9 1_0 0 1 0", "r 9 \u0661 0 1 0",
-    "r 9 +1 0 1 0", "r 9 1 0 99 0", "r 9 1 99 0 0", "u 9 0 0", "a 9 1 -1 0",
+    "r 9 +1 0 1 0", "r 9 1 0 99 0", "r 9 1 99 0 0", "u 9 0 0", "u 9 1 -0", "u 9 1 00",
+    "u 9 1 5", "u 9 1 x", "u 9 x 0", "u 9 1", "u 9 1 0 0", "u 9 99 0", "a 9 1 -1 0",
     "conclusion 0", "p qrp-lite qres", "p  qrp-lite\tldqres", "p qrp-lite qres x",
 )
 

@@ -9,6 +9,7 @@ the same ``dump_trail`` in every round and the same backtrack targets.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 from collections import deque
@@ -26,7 +27,8 @@ from qcdcl_lab import (
     solve,
 )
 from qcdcl_lab.errors import PendingPropagationError, QcdclError, ScriptDivergenceError
-from qcdcl_lab.formula import QCNF, Clause, clause_masks, make_clause
+from qcdcl_lab.formula import (EXISTS, FORALL, QCNF, Clause, Prefix, clause_masks, make_clause,
+                               masks_clause)
 from qcdcl_lab.goldens import equality_script, lonsing_script, qparity_script, trapdoor_script
 from qcdcl_lab.learning import ASSERTING, learn
 from qcdcl_lab.simulation import run_simulation
@@ -40,6 +42,7 @@ from qcdcl_lab.trail import (
     _Watches,
     clause_status,
     decide,
+    legal_bits,
     legal_decisions,
     propagate_to_fixpoint,
     validate_trail,
@@ -361,6 +364,74 @@ def test_copies_do_not_share_the_occurrence_index():
             tb = rescan_to_fixpoint(f.copy(), Trail(d, r))
             assert dump_trail(ta) == dump_trail(tb), (d, r)
     assert learned > 100
+
+
+def test_place_classifies_every_clause_as_clause_status_does():
+    """Every clause over a 5-variable, 3-level prefix (each variable absent,
+    positive, negative or, if universal, merged), under every assignment and
+    both policies: ``place`` puts a clause in ``sat`` exactly when
+    ``clause_status`` finds it satisfied, in ``pending`` exactly when it is
+    unit or falsified, and otherwise among exactly the watchers of the
+    variables of the literals ``clause_status`` returns."""
+    prefix = Prefix([(EXISTS, [4, 2]), (FORALL, [5, 1]), (EXISTS, [3])])
+    ranked, rank = prefix.ranked, prefix.rank
+    every = []
+    for signs in itertools.product((0, 1, -1, 2), repeat=len(ranked)):
+        if any(sign == 2 and prefix.is_existential(v) for v, sign in zip(ranked, signs)):
+            continue
+        every.append(clause_masks(prefix, [sign * v for v, sign in zip(ranked, signs) if sign in (1, -1)],
+                                  [v for v, sign in zip(ranked, signs) if sign == 2]))
+    f = QCNF(prefix, [])
+    for masks in every:
+        f.add_clause(masks_clause(prefix, masks))
+    assert f.masks == every and len(every) == 3 ** 3 * 4 ** 2
+    for values in itertools.product((None, True, False), repeat=len(ranked)):
+        true = sum(1 << i for i, value in enumerate(values) if value is True)
+        false = sum(1 << i for i, value in enumerate(values) if value is False)
+        for policy in (RED, NO_RED):
+            w = _Watches(f, policy)
+            w.true, w.false = true, false
+            w.place((1 << len(every)) - 1)
+            sat = pending = 0
+            watchers = [0] * len(ranked)
+            for cid, masks in enumerate(every):
+                status = clause_status(masks, true, false, prefix, policy)
+                if status is None:
+                    sat |= 1 << cid
+                elif status.__class__ is int:
+                    pending |= 1 << cid
+                else:
+                    for lit in status:
+                        watchers[rank[lit]] |= 1 << cid
+            assert (w.sat, w.pending, w.watchers) == (sat, pending, watchers), (values, policy)
+
+
+def test_a_served_trail_with_nothing_new_is_not_caught_up(monkeypatch):
+    """Repeated ``legal_bits`` calls on a trail just propagated make no
+    ``catch_up`` call; a clause added between two calls is still attached
+    by the next one, and propagation takes it."""
+    calls = []
+    original = _Watches.catch_up
+
+    def catch_up(self, entries):
+        calls.append(len(entries))
+        original(self, entries)
+
+    monkeypatch.setattr(_Watches, "catch_up", catch_up)
+    f = parse_qdimacs("p cnf 3 1\ne 1 2 3 0\n1 2 3 0\n")
+    for policy in (RED, NO_RED):
+        work = f.copy()
+        trail = Trail(ANY_ORD, policy)
+        trail.append_decision(-1)
+        propagate_to_fixpoint(work, trail)
+        calls.clear()
+        bits = legal_bits(trail, work)
+        assert legal_bits(trail, work) == bits and calls == []
+        work.add_clause(make_clause(work.prefix, [1, -2]))   # unit on arrival
+        assert legal_bits(trail, work) == bits and calls == [1]
+        assert work.watches[policy][2].pending == 0b10
+        propagate_to_fixpoint(work, trail)
+        assert dump_trail(trail) == "D -1\nP -2 1\nP 3 0\n"
 
 
 def test_clause_added_between_calls_is_seen_at_once():

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from qcdcl_lab import parse_qdimacs, serialize_qdimacs
+from qcdcl_lab import FamilySpec, generate, parse_qdimacs, serialize_qdimacs
 from qcdcl_lab.errors import (
     QdimacsError,
     TautologicalAxiomError,
     UnboundVariableError,
 )
-from qcdcl_lab.formula import EXISTS, FORALL
+from qcdcl_lab.formula import EXISTS, FORALL, Clause
 
 
 def test_basic_three_level_parse():
@@ -78,6 +78,26 @@ def test_roundtrip_identity_on_normalized_input():
     assert serialize_qdimacs(f2) == out
     assert f2.clauses == f.clauses
     assert f2.prefix.blocks == f.prefix.blocks
+
+
+def test_added_clauses_agree_with_their_masks_through_a_round_trip():
+    """On qparity_4 (universal 5), a clause added with both polarities of 5
+    is stored as the merged clause its masks name, which serialization
+    refuses instead of writing a text the parser refuses. One with a
+    repeated literal is stored without it; one in normal form but another
+    order is stored as given. The text then parses back to the same masks."""
+    f = generate(FamilySpec("qparity", 4))
+    merged = f.copy()
+    cid, _ = merged.add_clause(Clause((1, 5, -5)))
+    assert merged.clauses[cid] == Clause((1,), merged=(5,))
+    with pytest.raises(ValueError, match="^cannot serialize tautological clause"):
+        serialize_qdimacs(merged)
+    cid, _ = f.add_clause(Clause((7, 1, 7)))
+    assert f.clauses[cid] == Clause((1, 7))
+    cid, duplicate = f.add_clause(Clause((7, 1)))
+    assert f.clauses[cid] == Clause((7, 1)) and duplicate
+    back = parse_qdimacs(serialize_qdimacs(f))
+    assert back.masks == f.masks
 
 
 def test_quantifier_line_after_clause_rejected():
