@@ -81,11 +81,13 @@ class Verdict:
     """The checker's answer. ``clauses`` maps every step id the checker
     could recompute to its clause; on a valid derivation that is every step.
     It is filled lazily: a step's clause is built on its first read, so
-    reading only the conclusion builds one clause."""
+    reading only the conclusion builds one clause. ``masks`` maps the same
+    step ids to their ``clause_masks``, the form clauses are compared in."""
 
     valid: bool
     failures: list[tuple[int, str]] = field(default_factory=list)
     clauses: dict[int, Clause] = field(default_factory=dict)
+    masks: dict[int, tuple[int, int, int]] = field(default_factory=dict)
 
     def __bool__(self):
         return self.valid
@@ -163,7 +165,7 @@ def check_derivation(qcnf: QCNF, d: Derivation, mode: str | None = None,
         failures.append((d.conclusion, "conclusion is not the last step"))
     if require_refutation and end is not None and any(end):
         failures.append((d.conclusion, "refutation does not end in the empty clause"))
-    return Verdict(not failures, failures, _Clauses(prefix, masks))
+    return Verdict(not failures, failures, _Clauses(prefix, masks), masks)
 
 
 def count_reductions(d: Derivation) -> int:
@@ -311,7 +313,7 @@ def validate_qcdcl_proof(base: QCNF, proof: QcdclProof) -> list[str]:
         verdict = check_derivation(work, rnd.derivation)
         if not verdict:
             problems.append(f"{tag}: derivation invalid: {verdict.failures[:3]}")
-        elif verdict.clauses.masks[rnd.derivation.conclusion] != learned:
+        elif verdict.masks[rnd.derivation.conclusion] != learned:
             problems.append(f"{tag}: derivation does not conclude the learned clause")
         try:
             clause_id, duplicate = work.add_clause(rnd.learned)
@@ -422,18 +424,13 @@ def parse_proof(text: str) -> Derivation:
             raise QcdclError(f"line {line_no}: missing terminating 0")
         if kind == RESOLVE:
             raise QcdclError(f"line {line_no}: resolve needs pivot, left, right")
+        if kind == REDUCE:
+            raise QcdclError(f"line {line_no}: reduce needs a source id")
         if kind == AXIOM:
             if len(nums) == 1:
                 raise QcdclError(f"line {line_no}: axiom needs a step id")
             sid = nums[0]
             append(ProofStep(sid, AXIOM, clause_from_raw(nums[1:-1])))
-        elif kind == REDUCE:
-            if len(nums) != 3:
-                raise QcdclError(f"line {line_no}: reduce needs a source id")
-            sid, src, _ = nums
-            if src not in ids:
-                raise QcdclError(f"line {line_no}: dangling premise id")
-            append(ProofStep(sid, REDUCE, placeholder, src=src))
         else:
             raise QcdclError(f"line {line_no}: unknown record {kind!r}")
         add(sid)
