@@ -65,7 +65,7 @@ class SolveResult:
 def _pick_decision(trail, qcnf, cfg, flip_counter, rng):
     if cfg.heuristic == "random":
         legal = legal_decisions(trail, qcnf)
-        return rng.choice(sorted(legal)) if legal else None
+        return rng.choice(legal) if legal else None
     # Minimal (level, id) legal variable: prefix-order exploration is legal
     # under every decision policy and, combined with the polarity counter,
     # guarantees a conflicting branch is reached on false inputs. It is the

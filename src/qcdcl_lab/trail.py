@@ -48,9 +48,9 @@ class TrailEntry(NamedTuple):
 class Trail:
     """Mutable trail builder; ``backtrack`` makes value-like subtrails.
 
-    ``starts[s]`` is the entry index of the decision opening level s, and
-    -1 for level 0, so the entry at time (s, t) sits at ``starts[s] + t``.
-    It is the only record of the trail's levels: entries carry none.
+    It keeps its entries and level starts; its watch state keeps its
+    assignment. ``starts[s]`` is the entry index of the decision opening
+    level s (-1 for level 0), so time (s, t) is entry ``starts[s] + t``.
     """
 
     def __init__(self, decision_policy: str, propagation_policy: str):
@@ -61,7 +61,6 @@ class Trail:
         self.decision_policy = decision_policy
         self.propagation_policy = propagation_policy
         self.entries: list[TrailEntry] = []
-        self.assignment: dict[int, bool] = {}
         self.starts: list[int] = [-1]
         self.resumed_at: Time = (0, 0)     # the backtrack time this trail continues from
 
@@ -96,11 +95,9 @@ class Trail:
     def append_decision(self, lit: int):
         self.starts.append(len(self.entries))
         self.entries.append(TrailEntry(lit, None))
-        self.assignment[abs(lit)] = lit > 0
 
     def append_propagation(self, lit: int, antecedent: int):
         self.entries.append(TrailEntry(lit, antecedent))
-        self.assignment[abs(lit)] = lit > 0
 
     def append_conflict(self, antecedent: int):
         self.entries.append(TrailEntry(0, antecedent))
@@ -112,7 +109,6 @@ class Trail:
         t.resumed_at = time
         t.entries = self.entries[: pos + 1]
         t.starts = self.starts[: time[0] + 1]
-        t.assignment = {abs(e.lit): e.lit > 0 for e in t.entries if e.lit}
         return t
 
 
@@ -274,18 +270,18 @@ def _trail_watches(qcnf: QCNF, trail: Trail) -> _Watches:
     """The trail's watch state. The database keeps, per propagation
     policy, the states of the empty trail and of the trail it served last,
     be it a propagated trail or the shadow ``validate_trail`` grows; any
-    other trail forks the empty trail's state and replays its entries. The
-    state served last is returned as it is when its trail has no new
-    entries and the database no new clauses."""
+    other trail forks the empty trail's state and replays its entries. A
+    state is caught up only when its trail has new entries or the database
+    new clauses."""
     policy = trail.propagation_policy
     empty, served, w = qcnf.watches.get(policy) or (_Watches(qcnf, policy), None, None)
     if served is not trail:
-        empty.catch_up(())
+        if empty.attached < len(empty.masks):
+            empty.catch_up(())
         w = empty.fork()
         qcnf.watches[policy] = (empty, trail, w)
-    elif w.cursor == len(trail.entries) and w.attached == len(w.masks):
-        return w
-    w.catch_up(trail.entries)
+    if w.cursor < len(trail.entries) or w.attached < len(w.masks):
+        w.catch_up(trail.entries)
     return w
 
 
@@ -395,39 +391,39 @@ def legal_bits(trail: Trail, qcnf: QCNF) -> int:
     return admitted_bits(trail.decision_policy, qcnf.prefix, w.true | w.false, w.decided)
 
 
-def legal_decisions(trail: Trail, qcnf: QCNF) -> set[int]:
-    """The literals the trail's decision policy admits as the next decision."""
-    legal, bits, ranked = set(), legal_bits(trail, qcnf), qcnf.prefix.ranked
+def legal_decisions(trail: Trail, qcnf: QCNF) -> list[int]:
+    """The literals the trail's decision policy admits next, in ascending order."""
+    bits, ranked = legal_bits(trail, qcnf), qcnf.prefix.ranked
+    admitted = []
     while bits:
         low = bits & -bits
         bits ^= low
-        v = ranked[low.bit_length() - 1]
-        legal.add(v)
-        legal.add(-v)
-    return legal
+        admitted.append(ranked[low.bit_length() - 1])
+    admitted.sort()
+    return [-v for v in reversed(admitted)] + admitted
 
 
 def decide(trail: Trail, lit: int, qcnf: QCNF) -> Trail:
     """Open a new decision level with ``lit``.
 
-    Refuses unbound and repeated variables and policy violations.
+    Refuses unbound and assigned variables and policy violations.
     Naturality forbids deciding while a propagation (or conflict) is still
     available; the watch engine answers that, naming the clause propagation
     would take.
     """
-    if lit not in qcnf.prefix:
+    r = qcnf.prefix.rank.get(lit)
+    if r is None:
         raise IllegalDecisionError(f"variable {abs(lit)} not bound by the prefix")
-    if abs(lit) in trail.assignment:
-        raise IllegalDecisionError(f"variable {abs(lit)} already assigned")
     w = _trail_watches(qcnf, trail)
+    if (w.true | w.false) >> r & 1:
+        raise IllegalDecisionError(f"variable {abs(lit)} already assigned")
     pending = _next_forced(w)
     if pending is not None:
         raise PendingPropagationError(
             f"cannot decide {lit}: clause {pending[1]} is "
             + ("falsified" if pending[0] == 0 else "unit")
         )
-    admitted = admitted_bits(trail.decision_policy, qcnf.prefix, w.true | w.false, w.decided)
-    if not admitted >> qcnf.prefix.rank[lit] & 1:
+    if not admitted_bits(trail.decision_policy, qcnf.prefix, w.true | w.false, w.decided) >> r & 1:
         raise IllegalDecisionError(f"literal {lit} violates policy {trail.decision_policy}")
     trail.append_decision(lit)
     return trail
@@ -438,15 +434,18 @@ def decide_in_order(qcnf: QCNF, trail: Trail, decisions, forced=None) -> int | N
     propagating (with ``forced``) after each. A literal already true is
     skipped. The walk stops at a conflict or at a literal already false and
     returns the literal it stopped before; None if every literal was placed
-    (the trail may then have conflicted).
+    (the trail may then have conflicted). Values come from the watch state.
     """
     for lit in decisions:
-        value = trail.assignment.get(abs(lit))
-        if trail.conflicted or value == (lit < 0):   # the literal is false
+        if trail.conflicted:
             return lit
-        if value is None:
-            decide(trail, lit, qcnf)
+        w = _trail_watches(qcnf, trail)
+        r = qcnf.prefix.rank.get(lit)
+        if r is None or not (w.true | w.false) >> r & 1:
+            decide(trail, lit, qcnf)   # refuses an unbound literal
             propagate_to_fixpoint(qcnf, trail, forced=forced)
+        elif (w.false if lit > 0 else w.true) >> r & 1:   # the literal is false
+            return lit
     return None
 
 

@@ -250,6 +250,12 @@ def trail_of(entries, pair, resumed_at=(0, 0)) -> Trail:
     return out
 
 
+def assignment_of(trail) -> dict[int, bool]:
+    """The trail's assignment, variable to value, built from its entries:
+    the test oracles' view of a trail."""
+    return {abs(e.lit): e.lit > 0 for e in trail.entries if e.lit}
+
+
 def entry_times(trail) -> list[tuple[int, int]]:
     """Each entry's time (level, offset), counted from the decisions before
     it: a decision opens the next level at offset 0, every other entry

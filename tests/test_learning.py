@@ -31,7 +31,8 @@ from qcdcl_lab.learning import LearningScheme, learn
 from qcdcl_lab.proofs import AXIOM, REDUCE, RESOLVE, ProofStep
 from qcdcl_lab.solver import SolverConfig, solve
 
-from conftest import ALL_PAIRS_FALSE, corpus_cases, entry_times, random_small_qcnf, trail_corpus
+from conftest import (ALL_PAIRS_FALSE, assignment_of, corpus_cases, entry_times, random_small_qcnf,
+                      trail_corpus)
 from test_formula import reference_reduce
 from test_proofs import reference_resolve_clauses
 from test_trail import reference_classify
@@ -75,7 +76,7 @@ class TestWorkedSequences:
             for c in seq.elements:
                 # Not satisfied, and nothing left after (under red) reduction.
                 assert reference_classify(
-                    example_phi.prefix, c, trail.assignment, trail.propagation_policy
+                    example_phi.prefix, c, assignment_of(trail), trail.propagation_policy
                 ) == (0, False)
 
     def test_derivations_check_in_their_mode(self, example_phi):

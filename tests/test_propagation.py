@@ -230,10 +230,14 @@ def check_watch_state(w):
 def test_watch_state_invariants_over_random_walks(monkeypatch):
     """White-box: the walks of ``test_random_walks_with_added_clauses_and_copies``
     (decisions, clause additions between calls, copies and backtracks), with
-    every watch state checked after every ``catch_up``. Half the trail
-    checks are skipped, so that the database often still serves the trail
-    when a clause is added, and attaches it under the trail's assignment."""
+    every watch state checked after every ``catch_up`` and every state
+    ``_trail_watches`` hands out checked too, and found caught up with its
+    trail and the database. Half the trail checks are skipped, so that the
+    database often still serves the trail when a clause is added, and
+    attaches it under the trail's assignment."""
     original = _Watches.catch_up
+    trail_module = sys.modules["qcdcl_lab.trail"]
+    original_watches = trail_module._trail_watches
     checked = []
 
     def catch_up(self, entries):
@@ -241,7 +245,15 @@ def test_watch_state_invariants_over_random_walks(monkeypatch):
         check_watch_state(self)
         checked.append(self.attached)
 
+    def trail_watches(qcnf, trail):
+        w = original_watches(qcnf, trail)
+        assert (w.cursor, w.attached) == (len(trail.entries), len(qcnf.masks))
+        check_watch_state(w)
+        checked.append(w.attached)
+        return w
+
     monkeypatch.setattr(_Watches, "catch_up", catch_up)
+    monkeypatch.setattr(trail_module, "_trail_watches", trail_watches)
     rng = random.Random(11)
     for _ in range(150):
         f = random_small_qcnf(rng, max_vars=8, max_clauses=10)
@@ -409,12 +421,15 @@ def test_place_classifies_every_clause_as_clause_status_does():
 def test_a_served_trail_with_nothing_new_is_not_caught_up(monkeypatch):
     """Repeated ``legal_bits`` calls on a trail just propagated make no
     ``catch_up`` call; a clause added between two calls is still attached
-    by the next one, and propagation takes it."""
-    calls = []
+    by the next one, and propagation takes it. A fresh trail forks the
+    empty trail's state: after a clause was added, that state alone is
+    caught up, once; with no clause added since, nothing is."""
+    calls, states = [], []
     original = _Watches.catch_up
 
     def catch_up(self, entries):
         calls.append(len(entries))
+        states.append(self)
         original(self, entries)
 
     monkeypatch.setattr(_Watches, "catch_up", catch_up)
@@ -432,6 +447,13 @@ def test_a_served_trail_with_nothing_new_is_not_caught_up(monkeypatch):
         assert work.watches[policy][2].pending == 0b10
         propagate_to_fixpoint(work, trail)
         assert dump_trail(trail) == "D -1\nP -2 1\nP 3 0\n"
+        calls.clear()
+        states.clear()
+        legal_bits(Trail(ANY_ORD, policy), work)
+        assert calls == [0] and states == [work.watches[policy][0]]
+        calls.clear()
+        legal_bits(Trail(ANY_ORD, policy), work)
+        assert calls == []
 
 
 def test_clause_added_between_calls_is_seen_at_once():

@@ -36,7 +36,7 @@ from qcdcl_lab.trail import (
     validate_trail,
 )
 
-from conftest import MUTATIONS, check_refutation, mutated_trail, random_small_qcnf
+from conftest import MUTATIONS, assignment_of, check_refutation, mutated_trail, random_small_qcnf
 from test_trail import reference_validate_trail
 
 
@@ -69,7 +69,7 @@ class TestConstructTrail:
         )
         trail, _ = construct_trail_with_decisions(state_for(f), [1, 2, 3])
         assert trail.conflicted
-        assert 3 not in trail.assignment
+        assert 3 not in assignment_of(trail)
 
     def test_blocked_yields_a_witness(self):
         f = parse_qdimacs(

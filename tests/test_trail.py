@@ -32,9 +32,10 @@ from qcdcl_lab.errors import (
 from qcdcl_lab.families import FamilySpec, generate
 from qcdcl_lab.formula import EXISTS, FORALL, QCNF, Prefix, clause_masks, make_clause
 from qcdcl_lab.solver import SolverConfig, solve
-from qcdcl_lab.trail import TrailEntry, clause_status, legal_bits
+from qcdcl_lab.trail import TrailEntry, _trail_watches, clause_status, decide_in_order, legal_bits
 
 from conftest import (
+    assignment_of,
     corpus_cases,
     entry_times,
     last_time,
@@ -116,7 +117,7 @@ class TestLegalDecisions:
     def test_lev_ord_first_block_only(self):
         f = generate(FamilySpec("qparity", 3))
         t = Trail(LEV_ORD, RED)
-        assert legal_decisions(t, f) == {1, -1, 2, -2, 3, -3}
+        assert legal_decisions(t, f) == [-3, -2, -1, 1, 2, 3]
 
     def test_ass_r_ord_admits_universal_first(self):
         f = generate(FamilySpec("lonsing", 2))
@@ -138,13 +139,13 @@ class TestLegalDecisions:
             for v in order:
                 decided = {abs(d) for d in t.decisions()}
                 admitted = {
-                    x for x in prefix.variables - set(t.assignment)
+                    x for x in prefix.variables - set(assignment_of(t))
                     if prefix.is_universal(x) or all(
                         u in decided for u in prefix.variables
                         if prefix.is_universal(u) and prefix.level(u) < prefix.level(x)
                     )
                 }
-                assert legal_decisions(t, f) == {l for x in admitted for l in (x, -x)}
+                assert legal_decisions(t, f) == sorted(l for x in admitted for l in (x, -x))
                 if rng.random() < 0.7:
                     t.append_decision(v)
                 else:
@@ -164,7 +165,7 @@ class TestLegalDecisions:
 
     def test_any_ord_allows_everything(self, example_phi):
         t = Trail(ANY_ORD, RED)
-        assert legal_decisions(t, example_phi) == {1, -1, 2, -2, 3, -3, 4, -4}
+        assert legal_decisions(t, example_phi) == [-4, -3, -2, -1, 1, 2, 3, 4]
 
 
 class TestDecide:
@@ -177,7 +178,8 @@ class TestDecide:
     def test_repeat_decision_rejected(self, example_phi):
         t = propagate_to_fixpoint(example_phi, Trail(LEV_ORD, NO_RED))
         decide(t, 1, example_phi)
-        with pytest.raises(IllegalDecisionError):
+        # Clause 2 is unit now: the repeat is refused before the pending unit.
+        with pytest.raises(IllegalDecisionError, match=r"^variable 1 already assigned$"):
             decide(t, -1, example_phi)
 
     def test_pending_unit_blocks_decisions(self, example_phi):
@@ -194,6 +196,26 @@ class TestDecide:
         with pytest.raises(PendingPropagationError, match="clause 1 is falsified"):
             decide(t, 2, f)
         assert dump_trail(propagate_to_fixpoint(f, t)) == "D 3\nK 1\n"
+
+    def test_decide_in_order_skips_true_and_stops_at_false_literals(self):
+        # Deciding 1 propagates 2 (clause 0), then -3 (clause 1).
+        f = parse_qdimacs("p cnf 3 2\ne 1 2 3 0\n-1 2 0\n-1 -3 0\n")
+        for decisions, stopped in (([1], None), ([1, 2, -3], None), ([1, 2, 3, -2], 3)):
+            t = Trail(ANY_ORD, NO_RED)
+            assert decide_in_order(f, propagate_to_fixpoint(f, t), decisions) == stopped
+            assert dump_trail(t) == "D 1\nP 2 0\nP -3 1\n", decisions
+        t = Trail(ANY_ORD, NO_RED)
+        with pytest.raises(IllegalDecisionError, match=r"^variable 99 not bound by the prefix$"):
+            decide_in_order(f, propagate_to_fixpoint(f, t), [1, 99])
+        assert t.decisions() == [1]
+
+    def test_decide_in_order_stops_at_a_conflict(self):
+        # Deciding 1 propagates 2 (clause 0) and falsifies clause 1.
+        f = parse_qdimacs("p cnf 2 2\ne 1 2 0\n-1 2 0\n-1 -2 0\n")
+        for decisions, stopped in (([1], None), ([1, -2, 99], -2)):
+            t = Trail(ANY_ORD, NO_RED)
+            assert decide_in_order(f, propagate_to_fixpoint(f, t), decisions) == stopped
+            assert dump_trail(t) == "D 1\nP 2 0\nK 1\n", decisions
 
 
 class TestBacktrack:
@@ -402,8 +424,9 @@ def unit_scan(qcnf: QCNF, trail: Trail) -> UnitScanResult:
     policy = trail.propagation_policy
     entries = []
     conflict = False
+    assignment = assignment_of(trail)
     for cid, clause in enumerate(qcnf.clauses):
-        forced, _ = reference_classify(qcnf.prefix, clause, trail.assignment, policy)
+        forced, _ = reference_classify(qcnf.prefix, clause, assignment, policy)
         if forced is None:
             continue
         entries.append((cid, forced))
@@ -461,20 +484,20 @@ def test_clause_status_matches_the_reference(case, policy):
 
 
 def reference_legal_decisions(trail, qcnf):
-    """Every admitted literal, listed per policy from the unassigned
-    variables."""
+    """Every admitted literal in ascending order, listed per policy from
+    the unassigned variables."""
     policy = trail.decision_policy
     prefix = qcnf.prefix
-    assigned = trail.assignment
+    assigned = assignment_of(trail)
     if policy == LEV_ORD:
         for _, block in prefix.blocks:
             allowed = [v for v in block if v not in assigned]
             if allowed:
-                return {lit for v in allowed for lit in (v, -v)}
-        return set()
+                return sorted(lit for v in allowed for lit in (v, -v))
+        return []
     unassigned = [v for _, block in prefix.blocks for v in block if v not in assigned]
     if not unassigned:
-        return set()
+        return []
     if policy == ANY_ORD:
         allowed = unassigned
     elif policy == ASS_ORD:
@@ -490,7 +513,7 @@ def reference_legal_decisions(trail, qcnf):
             len(prefix.blocks) + 1,
         )
         allowed = [v for v in unassigned if prefix.is_universal(v) or prefix.level(v) < gate]
-    return {lit for v in allowed for lit in (v, -v)}
+    return sorted(lit for v in allowed for lit in (v, -v))
 
 
 def reference_validate_trail(qcnf, trail, natural_from=0):
@@ -502,7 +525,7 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
 
     def certifies(cid, lit):
         return cid is not None and 0 <= cid < len(qcnf.clauses) and reference_classify(
-            qcnf.prefix, qcnf.clauses[cid], shadow.assignment, trail.propagation_policy
+            qcnf.prefix, qcnf.clauses[cid], assignment_of(shadow), trail.propagation_policy
         )[0] == lit
 
     for pos, e in enumerate(trail.entries):
@@ -515,7 +538,7 @@ def reference_validate_trail(qcnf, trail, natural_from=0):
                 problems.append(f"entry {pos}: antecedent does not certify the conflict")
             shadow.append_conflict(e.antecedent or 0)
             continue
-        if abs(e.lit) in shadow.assignment:
+        if abs(e.lit) in assignment_of(shadow):
             problems.append(f"entry {pos}: variable {abs(e.lit)} repeated")
             break
         if e.lit not in qcnf.prefix:
@@ -571,8 +594,9 @@ def test_level_starts_match_the_linear_scan():
     """On every corpus trail each entry's time and (0, 0) sit where the
     linear scan finds them, times off the trail are refused by both,
     ``last_level`` is the level of the last entry, ``decisions()`` lists the
-    decision entries, and ``backtrack`` gives the per-entry rebuild."""
-    for _, trail in trail_corpus():
+    decision entries, and ``backtrack`` gives the per-entry rebuild, whose
+    watch state holds the same assignment and decisions."""
+    for qcnf, trail in trail_corpus():
         times = entry_times(trail)
         last = dict(times)   # level -> its highest offset
         for time in [(0, 0), *times]:
@@ -580,7 +604,8 @@ def test_level_starts_match_the_linear_scan():
             back, ref = trail.backtrack(time), reference_backtrack(trail, time)
             assert dump_trail(back) == dump_trail(ref)
             assert (back.entries, back.starts) == (ref.entries, ref.starts)
-            assert list(back.assignment.items()) == list(ref.assignment.items())
+            wb, wr = _trail_watches(qcnf, back), _trail_watches(qcnf, ref)
+            assert (wb.true, wb.false, wb.decided) == (wr.true, wr.false, wr.decided)
             assert (back.last_level, back.resumed_at) == (ref.last_level, ref.resumed_at)
         top = last_time(trail)[0]
         assert trail.last_level == top
@@ -638,7 +663,7 @@ def test_one_literal_legality_matches_the_admitted_set(case):
                 assert lit not in legal, lit
             else:
                 assert lit in legal, lit
-        if e is None or e.lit == 0 or abs(e.lit) in shadow.assignment:
+        if e is None or e.lit == 0 or abs(e.lit) in assignment_of(shadow):
             break
         if e.is_decision:
             shadow.append_decision(e.lit)
@@ -689,8 +714,9 @@ def test_every_short_decision_sequence_matches_the_reference_legality():
             reached.add("lev-ord, the open level past a fully assigned block")
         if len(decided) == 3:
             continue
+        assigned = assignment_of(trail)
         for lit in lits:
-            if abs(lit) in trail.assignment:
+            if abs(lit) in assigned:
                 continue
             if prefix.level(lit) < deepest:
                 reached.add(("ass-ord, a lower level after a deeper one", lit in refs[ASS_ORD]))
