@@ -10,6 +10,8 @@ as soon as the learning scheme's pick is settled (see
 ``learnable_sequence``): elements past the pick are not built. The walk
 runs on ``clause_masks``: its running clause's, and the antecedents' from
 ``QCNF.masks``; a ``Clause`` is built only for a proof step.
+``asserting_time`` takes the same masks (``LearnableSequence.masks``), so
+timing an element folds nothing.
 
 Resolution runs in long-distance mode when the trail propagates through
 reduction and in plain mode otherwise; with plain propagation no tautology
@@ -26,8 +28,7 @@ from itertools import islice
 from typing import Callable, NamedTuple
 
 from .errors import IllegalTautologyError, InternalTautologyError, QcdclError
-from .formula import (Clause, LDQRES, QCNF, QRES, clause_masks, masks_clause,
-                      reduce_masks, resolve_masks)
+from .formula import Clause, LDQRES, QCNF, QRES, masks_clause, reduce_masks, resolve_masks
 from .proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE, Round
 from .trail import RED, Time, Trail, clause_status
 
@@ -129,10 +130,10 @@ def _stop_rule(scheme: LearningScheme | None, seq: LearnableSequence, trail: Tra
     the whole trail."""
     if scheme is None or scheme.kind not in ("index", "asserting"):
         return None
-    elements = seq.elements
+    masks = seq.masks
     if scheme.kind == "index":
         k = scheme.k
-        return lambda: len(elements) > k
+        return lambda: len(masks) > k
     prefix, entries = qcnf.prefix, trail.entries
     # The bits of the decided existential variables (a sum of distinct bits).
     anchors = sum({1 << prefix.rank[entries[i].lit] for i in trail.starts[1:]}) & prefix.exist_bits
@@ -142,14 +143,14 @@ def _stop_rule(scheme: LearningScheme | None, seq: LearnableSequence, trail: Tra
     def settled() -> bool:
         nonlocal safe
         if not safe:
-            pos, neg, merged = seq.masks[-1]
+            pos, neg, merged = masks[-1]
             if not (pos or neg or merged):
                 return True
             if not anchors & (pos | neg):
                 return False
             safe = True
-        for c in elements[len(times):]:
-            time = asserting_time(c, trail, qcnf)
+        for m in masks[len(times):]:
+            time = asserting_time(m, trail, qcnf)
             times.append(time)
             if time is not None:
                 return True
@@ -158,10 +159,11 @@ def _stop_rule(scheme: LearningScheme | None, seq: LearnableSequence, trail: Tra
     return settled
 
 
-def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
+def asserting_time(masks: tuple[int, int, int], trail: Trail, qcnf: QCNF) -> Time | None:
     """Earliest time strictly before the conflict level at which the clause
-    becomes unit (or falsified) under the trail's propagation policy; None
-    if never.
+    with ``clause_masks`` ``masks`` becomes unit (or falsified) under the
+    trail's propagation policy; None if never, and for the empty clause
+    ``(0, 0, 0)``.
 
     The conflict case counts as unit: under reduction-aware propagation a
     restriction left with only universal literals is as good as falsified.
@@ -172,19 +174,16 @@ def asserting_time(clause: Clause, trail: Trail, qcnf: QCNF) -> Time | None:
     level's decision on are too late; the walk counts the decisions it
     passes, so the entry at ``pos`` has time ``(level, pos - starts[level])``.
     """
-    if clause.is_empty():
-        return None
-    policy = trail.propagation_policy
+    own = masks[0] | masks[1] | masks[2]
     starts = trail.starts
     r = len(starts) - 1
-    if r == 0:
+    if not own or r == 0:
         return None
+    policy = trail.propagation_policy
     prefix = qcnf.prefix
     rank = prefix.rank
-    masks = clause_masks(prefix, clause.lits, clause.merged)
     if clause_status(masks, 0, 0, prefix, policy).__class__ is int:
         return (0, 0)
-    own = masks[0] | masks[1] | masks[2]
     true = false = level = 0
     for pos, e in enumerate(islice(trail.entries, starts[r])):
         if e.antecedent is None:
@@ -246,10 +245,10 @@ def pick_learned(scheme: LearningScheme, seq: LearnableSequence, trail: Trail,
             if c.is_empty():
                 return Picked(c, (0, 0), i)
         times = seq.times
-        for i, c in enumerate(elements):
-            time = times[i] if i < len(times) else asserting_time(c, trail, qcnf)
+        for i, m in enumerate(seq.masks):
+            time = times[i] if i < len(times) else asserting_time(m, trail, qcnf)
             if time is not None:
-                return Picked(c, time, i)
+                return Picked(elements[i], time, i)
         return Picked(elements[-1], (0, 0), len(elements) - 1)
     if scheme.kind == "dec":
         index = len(elements) - 1
@@ -262,9 +261,8 @@ def pick_learned(scheme: LearningScheme, seq: LearnableSequence, trail: Trail,
         index = scheme.k
     else:
         raise ValueError(f"unknown scheme kind {scheme.kind!r}")
-    clause = elements[index]
-    time = asserting_time(clause, trail, qcnf) if not clause.is_empty() else None
-    return Picked(clause, time or (0, 0), index)
+    time = None if elements[index].is_empty() else asserting_time(seq.masks[index], trail, qcnf)
+    return Picked(elements[index], time or (0, 0), index)
 
 
 def learn(scheme: LearningScheme, trail: Trail, work: QCNF,

@@ -11,6 +11,10 @@ construction, and either run into a conflict (feeding a learn/backtrack loop
 that stops after quadratically many rounds) or get blocked, which hands us
 the witness directly. Learning the empty clause anywhere ends the whole
 translation early.
+
+Clauses are their ``clause_masks`` (the checker's ``Verdict.masks``), also
+as witness-table keys; a ``Clause`` is built only for an error message and
+to read an axiom's decision order.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     SimulationError,
     WitnessInvalidError,
 )
-from .formula import Clause, QCNF, QRES
+from .formula import QCNF, QRES, masks_clause
 from .learning import ASSERTING, learn
 from .proofs import AXIOM, Derivation, QcdclProof, REDUCE, RESOLVE, Round, check_derivation
 from .trail import (
@@ -39,6 +43,8 @@ from .trail import (
 # The loop is quadratically bounded; the constant gives slack for the
 # degenerate re-conflict rounds. Exceeding it signals a bug.
 LOOP_BOUND_FACTOR = 8
+
+Masks = tuple[int, int, int]   # a clause's ``clause_masks``
 
 
 @dataclass(frozen=True)
@@ -59,50 +65,46 @@ class Witness:
         return tuple(self.trail.decisions())
 
 
-def witness_valid(qcnf: QCNF, witness: Witness, clause: Clause) -> bool:
-    """Validate a witness against the clause set: its propagation
-    certificates, the policy conditions, and the containment requirements.
+def witness_valid(qcnf: QCNF, witness: Witness, masks: Masks) -> bool:
+    """Validate a witness for the clause with ``clause_masks`` ``masks``
+    against the clause set: its propagation certificates, the policy
+    conditions, and the containment requirements.
 
     A witness trail is never extended, clause ids are stable and clauses
     are only ever added, so a witness that validates once stays valid as
     the formula grows: ``store`` validates each witness once.
     """
-    t = witness.trail
-    if t.conflicted:
+    t, lit, rank = witness.trail, witness.literal, qcnf.prefix.rank
+    if t.conflicted or validate_trail(qcnf, t, natural_from=len(t.entries)):
         return False
-    if validate_trail(qcnf, t, natural_from=len(t.entries)):
-        return False
-    if witness.literal not in clause.lits:
-        return False
-    if not qcnf.prefix.is_existential(witness.literal):
-        return False
-    propagated = {e.lit for e in t.entries if not e.is_decision}
-    if witness.literal not in propagated:
-        return False
-    neg = {-l for l in clause.lits}
-    neg.discard(-witness.literal)
-    return all(d in neg for d in witness.decisions)
+    # On a valid trail a propagated literal is existential and its negation
+    # is no decision; left to test: the literal is propagated and in the
+    # clause, and so is every decision's negation.
+    return (any(e.lit == lit and not e.is_decision for e in t.entries)
+            and bool(masks[lit < 0] >> rank[lit] & 1)
+            and all(masks[d > 0] >> rank[d] & 1 for d in witness.decisions))
 
 
 @dataclass
 class SimState:
     """Mutable simulation state: growing formula, accumulated rounds,
-    and the witness table keyed by clause, each entry validated by
+    and the witness table keyed by clause masks, each entry validated by
     ``store`` against the growing formula."""
 
     work: QCNF
     rounds: list[Round] = field(default_factory=list)
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict[Masks, Witness] = field(default_factory=dict)
     done: bool = False   # set once the empty clause is learned
     loop_lengths: list[int] = field(default_factory=list)   # rounds per unreliability loop
 
     def proof(self) -> QcdclProof:
         return QcdclProof(self.rounds, ASS_ORD, NO_RED)
 
-    def store(self, clause: Clause, witness: Witness):
-        if not witness_valid(self.work, witness, clause):
-            raise WitnessInvalidError(f"new witness for {clause!r} does not validate")
-        self.witnesses[clause] = witness
+    def store(self, masks: Masks, witness: Witness):
+        if not witness_valid(self.work, witness, masks):
+            raise WitnessInvalidError(
+                f"new witness for {masks_clause(self.work.prefix, masks)!r} does not validate")
+        self.witnesses[masks] = witness
 
 
 def construct_trail_with_decisions(state: SimState, decisions,
@@ -123,11 +125,11 @@ def construct_trail_with_decisions(state: SimState, decisions,
     return trail, decide_in_order(state.work, trail, decisions)
 
 
-def make_unreliable(state: SimState, target: Clause, initial: Trail,
+def make_unreliable(state: SimState, target: Masks, initial: Trail,
                     decision_order) -> Witness | None:
     """Learn/backtrack with a fixed decision order until the order blocks
-    (yielding a witness for ``target``) or the empty clause is learned
-    (None; ``state.done`` is then set).
+    (yielding a witness for the clause with masks ``target``) or the empty
+    clause is learned (None; ``state.done`` is then set).
 
     Each round learns with the asserting scheme, backtracks to the learned
     clause's asserting time, and re-extends with the same decisions in the
@@ -153,42 +155,40 @@ def make_unreliable(state: SimState, target: Clause, initial: Trail,
         if not trail.conflicted:
             state.loop_lengths.append(iteration + 1)
             return _finish(state, target, decision_order, trail, stopped)
-    raise LoopBoundExceededError(
-        f"unreliability loop exceeded {bound} rounds on {target!r}"
-    )
+    raise LoopBoundExceededError(f"unreliability loop exceeded {bound} rounds on "
+                                 f"{masks_clause(state.work.prefix, target)!r}")
 
 
 def _level_sorted(state: SimState, lits) -> list[int]:
     return sorted(set(lits), key=state.work.prefix.rank.__getitem__)
 
 
-def _finish(state: SimState, target: Clause, order, trail: Trail,
+def _finish(state: SimState, target: Masks, order, trail: Trail,
             stopped: int | None) -> Witness | None:
     """The one outcome path of a construction: a conflict enters the
     unreliability loop, a block is a direct witness, a completion is a bug."""
     if trail.conflicted:
         return make_unreliable(state, target, trail, order)
     if stopped is None:
-        raise SimulationError(
-            f"construction for {target!r} completed; a conflict or block was forced"
-        )
+        raise SimulationError(f"construction for {masks_clause(state.work.prefix, target)!r} "
+                              "completed; a conflict or block was forced")
     return Witness(trail, -stopped)
 
 
-def simulate_axiom(state: SimState, clause: Clause) -> Witness | None:
-    """Decide the clause's negation level-ordered; the clause itself forces
-    a conflict at the latest when all decisions are placed."""
-    order = _level_sorted(state, [-l for l in clause.all_literals()])
-    return _finish(state, clause, order, *construct_trail_with_decisions(state, order))
+def simulate_axiom(state: SimState, masks: Masks) -> Witness | None:
+    """Decide the clause's negation in its normal form's (rank) order; the
+    clause itself forces a conflict at the latest when all decisions are placed."""
+    order = [-l for l in masks_clause(state.work.prefix, masks).lits]
+    return _finish(state, masks, order, *construct_trail_with_decisions(state, order))
 
 
-def simulate_resolution(state: SimState, resolvent: Clause, pivot_var: int,
-                        left: Clause, right: Clause) -> Witness | None:
+def simulate_resolution(state: SimState, resolvent: Masks, pivot_var: int,
+                        left: Masks, right: Masks) -> Witness | None:
     """Three-way case split on the premise witnesses' literals versus the
     pivot. Either some construction blocks (direct witness), or a conflict
     feeds the unreliability loop; the hard case re-enters with the pivot
     witness after a restart."""
-    pivot = pivot_var if pivot_var in left.lits else -pivot_var
+    pivot = pivot_var if left[0] >> state.work.prefix.rank[pivot_var] & 1 else -pivot_var
     w1 = state.witnesses.get(left)
     w2 = state.witnesses.get(right)
     if w1 is None or w2 is None:
@@ -241,7 +241,7 @@ def _resolution_cases(state, resolvent, pivot, w1, w2):
     return _resolution_cases(state, resolvent, pivot, w, w2)
 
 
-def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witness | None:
+def simulate_reduction(state: SimState, reduced: Masks, source: Masks) -> Witness | None:
     """Decide the source clause's negation with the dropped universal
     literals last; blocks can only hit existential positions, so a witness
     for the source restricted this way is one for the reduced clause."""
@@ -250,40 +250,41 @@ def simulate_reduction(state: SimState, reduced: Clause, source: Clause) -> Witn
         raise SimulationError("premise witness missing; processing order broken")
     if source == reduced:
         return w
-    dropped = source.variables() - reduced.variables()
-    wanted = set(w.decisions) | {-w.literal}
-    head = _level_sorted(state, [l for l in wanted if abs(l) not in dropped])
-    tail = _level_sorted(state, [l for l in wanted if abs(l) in dropped])
-    order = head + tail
+    # Reduction drops every bit above the kept ones, so rank order decides
+    # the dropped universals last.
+    order = _level_sorted(state, [*w.decisions, -w.literal])
     w2 = _finish(state, reduced, order, *construct_trail_with_decisions(state, order))
     if w2 is None:
         return None
-    if any(abs(d) in dropped for d in w2.decisions):
+    kept = (reduced[0] | reduced[1] | reduced[2]).bit_length()   # every dropped bit is higher
+    if any(state.work.prefix.rank[d] >= kept for d in w2.decisions):
         raise SimulationError("block happened inside the universal tail")
     return w2
 
 
-def simulate_clause(state: SimState, step, computed: dict) -> None:
+def simulate_clause(state: SimState, step, computed: dict[int, Masks]) -> None:
     """Process one input-refutation step, extending the state with rounds
-    and (unless the empty clause was derived) a witness for its clause."""
-    clause = computed[step.step_id]
-    if state.done or clause in state.witnesses:
+    and (unless the empty clause was derived) a witness for its clause;
+    ``computed`` maps step ids to clause masks (``Verdict.masks``)."""
+    masks = computed[step.step_id]
+    if state.done or masks in state.witnesses:
         return
     if step.kind == AXIOM:
-        w = simulate_axiom(state, clause)
+        w = simulate_axiom(state, masks)
     elif step.kind == RESOLVE:
         w = simulate_resolution(
-            state, clause, step.pivot, computed[step.left], computed[step.right]
+            state, masks, step.pivot, computed[step.left], computed[step.right]
         )
     elif step.kind == REDUCE:
-        w = simulate_reduction(state, clause, computed[step.src])
+        w = simulate_reduction(state, masks, computed[step.src])
     else:   # pragma: no cover
         raise SimulationError(f"unknown step kind {step.kind!r}")
     if state.done:
         return
     if w is None:
-        raise SimulationError(f"no witness and no empty clause for {clause!r}")
-    state.store(clause, w)
+        raise SimulationError(
+            f"no witness and no empty clause for {masks_clause(state.work.prefix, masks)!r}")
+    state.store(masks, w)
 
 
 def run_simulation(qcnf: QCNF, derivation: Derivation) -> SimState:
@@ -294,7 +295,7 @@ def run_simulation(qcnf: QCNF, derivation: Derivation) -> SimState:
         raise InputNotRefutationError(f"input does not check: {verdict.failures[:3]}")
     state = SimState(work=qcnf.copy())
     for step in derivation.steps:
-        simulate_clause(state, step, verdict.clauses)
+        simulate_clause(state, step, verdict.masks)
         if state.done:
             break
     if not state.done:

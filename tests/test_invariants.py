@@ -96,9 +96,9 @@ def test_asserting_clause_exists_when_empty_absent(decision, propagation):
         seq = learnable_sequence(trail, work)
         has_empty = any(c.is_empty() for c in seq.elements)
         has_asserting = any(
-            asserting_time(c, trail, work) is not None
-            for c in seq.elements
-            if not c.is_empty()
+            asserting_time(m, trail, work) is not None
+            for m in seq.masks
+            if m != (0, 0, 0)
         )
         assert has_empty or has_asserting, (decision, propagation, f.clauses)
         checked += 1
@@ -131,7 +131,7 @@ def test_asserting_learns_are_new_clauses_on_natural_trails():
             seq = learnable_sequence(trail, work)
             picked = pick_learned(ASSERTING, seq, trail, work)
             is_asserting = picked.clause.is_empty() or (
-                asserting_time(picked.clause, trail, work) is not None
+                asserting_time(seq.masks[picked.index], trail, work) is not None
             )
             _, duplicate = work.add_clause(picked.clause)
             if is_asserting:

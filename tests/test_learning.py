@@ -90,7 +90,7 @@ class TestWorkedSequences:
 class TestAssertingTime:
     def test_unit_clause_asserts_at_the_start(self, example_phi):
         t = nored_example_trail(example_phi)
-        assert asserting_time(make_clause(example_phi.prefix, [-1]), t, example_phi) == (0, 0)
+        assert asserting_time(clause_masks(example_phi.prefix, [-1]), t, example_phi) == (0, 0)
 
     def test_no_asserting_time(self):
         f = parse_qdimacs(ALL_PAIRS_FALSE)
@@ -99,8 +99,7 @@ class TestAssertingTime:
         decide(t, 1, f)
         propagate_to_fixpoint(f, t)
         assert t.conflicted
-        c = make_clause(f.prefix, [-1, -2])
-        assert asserting_time(c, t, f) is None
+        assert asserting_time(clause_masks(f.prefix, [-1, -2]), t, f) is None
 
     def test_qparity_learned_clause_asserts_one_level_up(self):
         # The first zig-zag conflict: the learned clause propagates its
@@ -116,13 +115,13 @@ class TestAssertingTime:
         seq = learnable_sequence(t, f)
         c_n = seq.elements[1]
         assert c_n == make_clause(f.prefix, [n, 2 * n - 1, n + 1])
-        assert asserting_time(c_n, t, f) == (n - 1, 1)
+        assert asserting_time(seq.masks[1], t, f) == (n - 1, 1)
 
     def test_an_assigned_merged_variable_satisfies_the_clause(self):
         # (u* y) with u < y under reduction: y false leaves only the merged
         # u, which reduces away, unless u was assigned first.
         f = parse_qdimacs("p cnf 3 1\ne 1 0\na 2 0\ne 3 0\n1 3 0\n")
-        c = make_clause(f.prefix, [3], merged=[2])
+        c = clause_masks(f.prefix, [3], merged=[2])
         for decisions, expect in (([2, -3, 1], None), ([-3, 1], (1, 0))):
             t = Trail(ANY_ORD, RED)
             for lit in decisions:
@@ -131,7 +130,7 @@ class TestAssertingTime:
 
     def test_empty_clause_has_no_time(self, example_phi):
         t = red_example_trail(example_phi)
-        assert asserting_time(Clause(), t, example_phi) is None
+        assert asserting_time((0, 0, 0), t, example_phi) is None
 
 
 class TestPickLearned:
@@ -163,9 +162,9 @@ class TestPickLearned:
         to the one it picks, each once, and never times the pick again."""
         timed = []
 
-        def counting(clause, trail, qcnf):
-            timed.append(clause)
-            return asserting_time(clause, trail, qcnf)
+        def counting(masks, trail, qcnf):
+            timed.append(masks)
+            return asserting_time(masks, trail, qcnf)
 
         f = generate(FamilySpec("qparity", 4))
         proof = solve(f.copy(), SolverConfig(LEV_ORD, RED)).proof
@@ -185,7 +184,7 @@ class TestPickLearned:
             timed.clear()
             picked = pick_learned(ASSERTING, seq, trail, work)
             assert index in (None, picked.index)
-            assert timed == seq.elements[: picked.index + 1]
+            assert timed == seq.masks[: picked.index + 1]
 
     def test_index_scheme_out_of_range(self, example_phi):
         t = red_example_trail(example_phi)
@@ -283,7 +282,8 @@ def test_asserting_time_matches_the_whole_trail_walk(case):
     if original.conflicted:
         clauses += learnable_sequence(original, qcnf).elements
     for c in clauses:
-        assert asserting_time(c, trail, qcnf) == reference_asserting_time(c, trail, qcnf), c
+        masks = clause_masks(qcnf.prefix, c.lits, c.merged)
+        assert asserting_time(masks, trail, qcnf) == reference_asserting_time(c, trail, qcnf), c
 
 
 def _conflicted_corpus():
@@ -412,9 +412,9 @@ def _assert_early_stop_agrees(qcnf, trail):
     end."""
     timed = []
 
-    def counting(clause, trail, qcnf):
-        timed.append(clause)
-        return asserting_time(clause, trail, qcnf)
+    def counting(masks, trail, qcnf):
+        timed.append(masks)
+        return asserting_time(masks, trail, qcnf)
 
     whole = learnable_sequence(trail, qcnf)
     anchors = {abs(l) for l in trail.decisions() if qcnf.prefix.is_existential(l)}
@@ -434,6 +434,14 @@ def _assert_early_stop_agrees(qcnf, trail):
                 assert str(got.value) == str(exc)
                 continue
             want_timed = list(timed)
+            # The whole walk's pick times element masks: none when the pick
+            # is empty, else under asserting those up to the pick, under the
+            # other schemes the pick's own.
+            if want.clause.is_empty():
+                assert want_timed == [], scheme
+            else:
+                first = 0 if scheme == ASSERTING else want.index
+                assert want_timed == whole.masks[first: want.index + 1], scheme
             timed.clear()
             rnd, got = learn(scheme, trail, qcnf.copy(), [])
             assert got == want, scheme

@@ -12,9 +12,10 @@ from qcdcl_lab import (
     parse_qdimacs,
     simulate_refutation,
 )
+import qcdcl_lab.proofs as proofs
 import qcdcl_lab.simulation as simulation
 from qcdcl_lab.errors import InputNotRefutationError, WitnessInvalidError
-from qcdcl_lab.formula import QRES, make_clause
+from qcdcl_lab.formula import QRES, clause_masks
 from qcdcl_lab.goldens import fig_trapdoor_refutation
 from qcdcl_lab.proofs import AXIOM, Derivation, ProofStep, REDUCE, RESOLVE
 from qcdcl_lab.simulation import (
@@ -78,7 +79,7 @@ class TestConstructTrail:
         state = state_for(f)
         trail, stopped = construct_trail_with_decisions(state, [1, 2, 3])
         assert not trail.conflicted and stopped == 3
-        target = make_clause(f.prefix, [-1, -2, -3])   # -x or -u or -y
+        target = clause_masks(f.prefix, [-1, -2, -3])   # -x or -u or -y
         w = Witness(trail, -stopped)
         assert w.literal == -3
         assert w.decisions == (1, 2)
@@ -93,13 +94,25 @@ class TestStore:
         state = state_for(f)
         trail, stopped = construct_trail_with_decisions(state, [1, 2, 3])
         w = Witness(trail, -stopped)
-        other = make_clause(f.prefix, [-1, -2, 3])
+        other = clause_masks(f.prefix, [-1, -2, 3])
         with pytest.raises(WitnessInvalidError):
             state.store(other, w)
         assert other not in state.witnesses
-        target = make_clause(f.prefix, [-1, -2, -3])
+        target = clause_masks(f.prefix, [-1, -2, -3])
         state.store(target, w)
         assert state.witnesses[target] is w
+
+    def test_a_rejected_witness_is_named_by_its_clause(self):
+        # The witness table is keyed by masks; the message still renders
+        # the clause.
+        f = parse_qdimacs(
+            "p cnf 4 2\ne 1 0\na 2 0\ne 3 4 0\n-1 -2 4 0\n-4 -3 0\n"
+        )
+        state = state_for(f)
+        trail, stopped = construct_trail_with_decisions(state, [1, 2, 3])
+        with pytest.raises(WitnessInvalidError) as exc:
+            state.store(clause_masks(f.prefix, [-1, -2, 3]), Witness(trail, -stopped))
+        assert str(exc.value) == "new witness for (-1 -2 3) does not validate"
 
     def test_store_rejects_a_conflicted_trail(self):
         f = parse_qdimacs(
@@ -108,7 +121,7 @@ class TestStore:
         state = state_for(f)
         trail, _ = construct_trail_with_decisions(state, [1, 2, 3])
         assert trail.conflicted
-        target = make_clause(f.prefix, [-1, -2, 4])
+        target = clause_masks(f.prefix, [-1, -2, 4])
         with pytest.raises(WitnessInvalidError):
             state.store(target, Witness(trail, 4))
         assert state.witnesses == {}
@@ -168,7 +181,7 @@ class TestMakeUnreliable:
         # one round, no decisions involved.
         f = parse_qdimacs("p cnf 2 2\ne 1 2 0\n1 0\n-1 0\n")
         state = state_for(f)
-        target = make_clause(f.prefix, [-2])
+        target = clause_masks(f.prefix, [-2])
         trail = propagate_to_fixpoint(state.work, Trail(ASS_ORD, NO_RED))
         assert trail.conflicted
         assert make_unreliable(state, target, trail, [2]) is None
@@ -182,7 +195,7 @@ class TestMakeUnreliable:
             "p cnf 3 3\ne 1 2 3 0\n1 2 0\n-2 3 0\n-1 3 0\n"
         )
         state = state_for(f)
-        target = make_clause(f.prefix, [1, 3])
+        target = clause_masks(f.prefix, [1, 3])
         order = [-1, -3]
         trail, stopped = construct_trail_with_decisions(state, order)
         if trail.conflicted:
@@ -200,7 +213,7 @@ class TestMakeUnreliable:
         variables = sorted(f.prefix.variables)
         chosen = rng.sample(variables, min(3, len(variables)))
         lits = [v * rng.choice((1, -1)) for v in chosen]
-        target = make_clause(f.prefix, lits)
+        target = clause_masks(f.prefix, lits)
         order = sorted(
             (-l for l in lits), key=lambda l: (f.prefix.level(l), abs(l))
         )
@@ -225,7 +238,7 @@ class TestSpecToys:
         from qcdcl_lab.simulation import simulate_axiom
 
         state = state_for(example_phi)
-        clause = make_clause(example_phi.prefix, [-3])
+        clause = clause_masks(example_phi.prefix, [-3])
         w = simulate_axiom(state, clause)
         assert w is not None and w.literal == -3 and w.decisions == ()
         assert witness_valid(state.work, w, clause)
@@ -251,6 +264,26 @@ class TestSpecToys:
 
 
 class TestSimulateRefutation:
+    @pytest.mark.parametrize(
+        "family, n, decision", [("php", 4, ANY_ORD), ("qparity", 6, LEV_ORD)]
+    )
+    def test_the_walk_builds_no_clause_from_the_checker(self, family, n, decision,
+                                                         monkeypatch):
+        # The walk reads ``Verdict.masks``: nothing reads ``Verdict.clauses``,
+        # whose entries ``proofs.masks_clause`` builds on first read.
+        f = generate(FamilySpec(family, n))
+        refutation = glue_qcdcl_proof(f, solve(f, SolverConfig(decision, NO_RED)).proof)
+        original = proofs.masks_clause
+        built = []
+
+        def counting(prefix, masks):
+            built.append(masks)
+            return original(prefix, masks)
+
+        monkeypatch.setattr(proofs, "masks_clause", counting)
+        state = run_simulation(f, refutation)
+        assert state.done and built == []
+
     def test_unit_pair(self):
         f = parse_qdimacs("p cnf 1 2\ne 1 0\n1 0\n-1 0\n")
         steps = [
