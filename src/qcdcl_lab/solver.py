@@ -1,12 +1,14 @@
 """The end-to-end solving loop: natural trails, learning, backtracking.
 
 Decisions are the only free choice; propagation and conflicts are forced.
-The default heuristic picks the lowest admissible variable, positive
-polarity first. Two situations make the deterministic loop spin in place: a
-trail that assigns every variable without conflicting, and a round whose
-learned clause already exists. Both bump a polarity counter whose bits flip
-the preferred polarity per decision depth, and force a restart, so the loop
-systematically explores different branches while staying reproducible.
+The default heuristic picks the lowest admissible variable, existentials
+positive. A saturated trail and a duplicate learned clause both bump a
+polarity counter and restart; its bit j flips the polarity per universal
+decision, of the one after j others. That is complete: while saturations
+repeat, the database is fixed, decisions follow prefix order and only
+existentials propagate, so the existential side plays one fixed strategy.
+On a false formula a pattern of universal bits beats it; any 2^U consecutive
+counter values (U universals) hold it, so at most 2^U - 1 saturate in a row.
 """
 
 from __future__ import annotations
@@ -69,12 +71,15 @@ def _pick_decision(trail, qcnf, cfg, flip_counter, rng):
     # Minimal (level, id) legal variable: prefix-order exploration is legal
     # under every decision policy and, combined with the polarity counter,
     # guarantees a conflicting branch is reached on false inputs. It is the
-    # lowest legal rank bit. Every level >= 1 opens with one decision, so
-    # the trail's last level is the decision depth.
+    # lowest legal rank bit. Existentials are positive; the polarity flips per
+    # universal decision: bit j negates the pick after j universal decisions.
     if not (bits := legal_bits(trail, qcnf)):
         return None
     var = qcnf.prefix.ranked[(bits & -bits).bit_length() - 1]
-    return -var if (flip_counter >> trail.last_level) & 1 else var
+    if bits & -bits & qcnf.prefix.exist_bits:
+        return var
+    j = sum(qcnf.prefix.is_universal(abs(d)) for d in trail.decisions())
+    return -var if (flip_counter >> j) & 1 else var
 
 
 def solve(qcnf: QCNF, cfg: SolverConfig) -> SolveResult:

@@ -64,7 +64,7 @@ PINNED = {
     ),
     "equality_5 lev-ord/red": (
         lambda: solved("equality", 5, LEV_ORD, RED),
-        "d8c4de9f7b4c3cc70607daa8ad8f4d92b17e55656a42666a9bf940c99c05995b",
+        "4acdaceedacbbebdaf0e05179b7e42e7448bee030595253b29aac5fb184fd114",
     ),
     "qparity_8 golden replay": (
         lambda: golden("qparity", 8, qparity_script, LEV_ORD),
@@ -80,7 +80,7 @@ PINNED = {
     ),
     "qparity_6 simulation": (
         lambda: simulated("qparity", 6, LEV_ORD),
-        "dde4db203307756e4efa1312f8aad85e33bafe00f7c8958758e6b085fb108afb",
+        "955e40160e082ac2348dfabf2c608bcc757ebda90e468c7c5217454e2cc9eda8",
     ),
 }
 

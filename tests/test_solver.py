@@ -128,12 +128,17 @@ class TestSoundnessSweep:
 def test_fixed_pick_is_the_lowest_ranked_legal_variable():
     """At every prefix of every corpus trail and under every decision
     policy, the fixed heuristic picks the legal variable of lowest
-    (level, id) rank, or nothing when none is legal; the polarity
-    counter's bit at the decision depth negates it."""
+    (level, id) rank, or nothing when none is legal. An existential pick
+    is positive whatever the polarity counter; a universal pick is negated
+    exactly when the counter's bit j is set, j being the number of
+    universal decisions already on the trail."""
+    picked = set()
     for qcnf, trail in trail_corpus():
-        rank = qcnf.prefix.rank.__getitem__
+        prefix = qcnf.prefix
+        rank = prefix.rank.__getitem__
         shadow = Trail(trail.decision_policy, trail.propagation_policy)
         for e in [*trail.entries, None]:
+            j = sum(x.is_decision and prefix.is_universal(abs(x.lit)) for x in shadow.entries)
             for policy in DECISION_POLICIES:
                 shadow.decision_policy = policy
                 cfg = SolverConfig(policy, trail.propagation_policy)
@@ -141,11 +146,52 @@ def test_fixed_pick_is_the_lowest_ranked_legal_variable():
                 var = abs(min(legal, key=rank)) if legal else None
                 assert _pick_decision(shadow, qcnf, cfg, 0, None) == var, policy
                 if var is not None:
-                    flip = 1 << shadow.last_level
-                    assert _pick_decision(shadow, qcnf, cfg, flip, None) == -var, policy
+                    universal = prefix.is_universal(var)
+                    picked.add((universal, min(j, 1)))
+                    picks = [_pick_decision(shadow, qcnf, cfg, flip, None)
+                             for flip in (0, 1 << j, ~(1 << j))]
+                    assert picks == ([var, -var, var] if universal else [var] * 3), policy
             if e is None or e.lit == 0:
                 break
             if e.is_decision:
                 shadow.append_decision(e.lit)
             else:
                 shadow.append_propagation(e.lit, e.antecedent)
+    assert picked == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def test_saturation_streaks_stay_within_the_universal_bound():
+    """Completeness of the fixed heuristic's restarts. During a saturation
+    streak the database is fixed, so the existential side plays one
+    deterministic strategy; on a false formula some pattern of the
+    polarity counter's low U bits (U universal variables) beats it. A
+    streak thus has at most 2^U - 1 saturations, and a conflict ends it."""
+    rng = random.Random(2024)
+    false = 0
+    while false < 300:
+        f = random_small_qcnf(rng, max_vars=8)
+        if evaluate_semantics(f, max_vars=8):
+            continue
+        false += 1
+        universals = sum(map(f.prefix.is_universal, f.prefix.ranked))
+        for decision, propagation in ALL_POLICY_PAIRS:
+            result = solve(f, SolverConfig(decision, propagation))
+            assert result.refuted, (decision, propagation, f.clauses)
+            stats = result.stats
+            assert stats["saturations"] <= stats["conflicts"] * (2 ** universals - 1), (
+                decision, propagation, f.clauses, stats)
+
+
+def test_equality_saturations_grow_with_the_universals():
+    """Equality n under lev-ord/red saturates 2^(n-1) - 1 times in all,
+    with these conflicts and iota sizes."""
+    pinned = {
+        4: {"conflicts": 35, "saturations": 7, "iota_size": 267},
+        5: {"conflicts": 75, "saturations": 15, "iota_size": 662},
+        6: {"conflicts": 155, "saturations": 31, "iota_size": 1545},
+        7: {"conflicts": 315, "saturations": 63, "iota_size": 3484},
+        8: {"conflicts": 635, "saturations": 127, "iota_size": 7695},
+    }
+    for n, stats in pinned.items():
+        result = solve(generate(FamilySpec("equality", n)), SolverConfig(LEV_ORD, RED))
+        assert result.refuted and result.stats == stats, n
